@@ -3,15 +3,28 @@ crash mid-write never leaves a partial artifact behind."""
 from __future__ import annotations
 
 import os
+import uuid
 from pathlib import Path
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write to a fresh temp file beside `path`, fsync it, then rename it
+    over `path`; the temp file is removed if any step fails."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    # a unique name, so concurrent writers and leftovers never collide; created
+    # like a plain open() (mode 0o666 less the umask), unlike mkstemp's 0o600
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -60,164 +61,123 @@ class ModelConfig:
         return self.d_model // self.heads
 
 
+def _param(shape: Callable[[ModelConfig], tuple[int, ...]]):
+    """A parameter field whose shape is `shape(config)`.
+
+    Field order is the canonical parameter order, which is also the
+    weights-file layout. A field's canonical name reads its first "_" as
+    "." (ff_w1 -> ff.w1, embed_b -> embed.b).
+    """
+    return field(metadata={"shape": shape})
+
+
 @dataclass
 class LayerWeights:
     """One encoder layer; attention projections carry no biases."""
 
-    wq: np.ndarray  # (heads, d_model, d_k)
-    wk: np.ndarray  # (heads, d_model, d_k)
-    wv: np.ndarray  # (heads, d_model, d_k)
-    wo: np.ndarray  # (d_model, d_model)
-    ff_w1: np.ndarray  # (d_model, d_ff)
-    ff_b1: np.ndarray  # (d_ff,)
-    ff_w2: np.ndarray  # (d_ff, d_model)
-    ff_b2: np.ndarray  # (d_model,)
-    ln1_g: np.ndarray  # (d_model,)
-    ln1_b: np.ndarray  # (d_model,)
-    ln2_g: np.ndarray  # (d_model,)
-    ln2_b: np.ndarray  # (d_model,)
+    wq: np.ndarray = _param(lambda c: (c.heads, c.d_model, c.d_k))
+    wk: np.ndarray = _param(lambda c: (c.heads, c.d_model, c.d_k))
+    wv: np.ndarray = _param(lambda c: (c.heads, c.d_model, c.d_k))
+    wo: np.ndarray = _param(lambda c: (c.d_model, c.d_model))
+    ff_w1: np.ndarray = _param(lambda c: (c.d_model, c.d_ff))
+    ff_b1: np.ndarray = _param(lambda c: (c.d_ff,))
+    ff_w2: np.ndarray = _param(lambda c: (c.d_ff, c.d_model))
+    ff_b2: np.ndarray = _param(lambda c: (c.d_model,))
+    ln1_g: np.ndarray = _param(lambda c: (c.d_model,))
+    ln1_b: np.ndarray = _param(lambda c: (c.d_model,))
+    ln2_g: np.ndarray = _param(lambda c: (c.d_model,))
+    ln2_b: np.ndarray = _param(lambda c: (c.d_model,))
 
 
 @dataclass
 class ModelWeights:
-    """All parameters plus the config that shaped them."""
+    """All parameters plus the config that shaped them; each layer's
+    parameters sit at the position of `layers` in the canonical order."""
 
     config: ModelConfig
-    embed_w: np.ndarray  # (input_dim, d_model)
-    embed_b: np.ndarray  # (d_model,)
+    embed_w: np.ndarray = _param(lambda c: (c.input_dim, c.d_model))
+    embed_b: np.ndarray = _param(lambda c: (c.d_model,))
     layers: list[LayerWeights]
-    head_w: np.ndarray  # (window * d_model, classes)
-    head_b: np.ndarray  # (classes,)
+    head_w: np.ndarray = _param(lambda c: (c.window * c.d_model, c.classes))
+    head_b: np.ndarray = _param(lambda c: (c.classes,))
+
+
+def _shapes(cls, config: ModelConfig):
+    """(attribute, shape) of each parameter field of `cls`, in field order."""
+    return [(f.name, f.metadata["shape"](config)) for f in fields(cls) if "shape" in f.metadata]
+
+
+def _canonical(attr: str) -> str:
+    return attr.replace("_", ".", 1)
+
+
+def param_count(config: ModelConfig) -> int:
+    """Number of scalar parameters, in time independent of the layer count."""
+    per_layer = sum(math.prod(shape) for _, shape in _shapes(LayerWeights, config))
+    return config.layers * per_layer + sum(math.prod(shape) for _, shape in _shapes(ModelWeights, config))
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(config: ModelConfig) -> tuple[tuple[str, int | None, str, tuple[int, ...]], ...]:
+    """(canonical name, layer index or None, attribute, shape) per parameter."""
+    layer = _shapes(LayerWeights, config)
+    out = []
+    for f in fields(ModelWeights):
+        if f.name == "layers":
+            out += [(f"layers.{i}.{_canonical(a)}", i, a, s) for i in range(config.layers) for a, s in layer]
+        elif "shape" in f.metadata:
+            out.append((_canonical(f.name), None, f.name, f.metadata["shape"](config)))
+    return tuple(out)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter order and shapes; also the weights-file layout."""
-    shapes: dict[str, tuple[int, ...]] = {
-        "embed.w": (config.input_dim, config.d_model),
-        "embed.b": (config.d_model,),
-    }
-    for i in range(config.layers):
-        p = f"layers.{i}."
-        shapes[p + "wq"] = (config.heads, config.d_model, config.d_k)
-        shapes[p + "wk"] = (config.heads, config.d_model, config.d_k)
-        shapes[p + "wv"] = (config.heads, config.d_model, config.d_k)
-        shapes[p + "wo"] = (config.d_model, config.d_model)
-        shapes[p + "ff.w1"] = (config.d_model, config.d_ff)
-        shapes[p + "ff.b1"] = (config.d_ff,)
-        shapes[p + "ff.w2"] = (config.d_ff, config.d_model)
-        shapes[p + "ff.b2"] = (config.d_model,)
-        shapes[p + "ln1.g"] = (config.d_model,)
-        shapes[p + "ln1.b"] = (config.d_model,)
-        shapes[p + "ln2.g"] = (config.d_model,)
-        shapes[p + "ln2.b"] = (config.d_model,)
-    shapes["head.w"] = (config.window * config.d_model, config.classes)
-    shapes["head.b"] = (config.classes,)
-    return shapes
+    return {name: shape for name, _, _, shape in _layout(config)}
 
 
 def weights_to_dict(weights: ModelWeights) -> dict[str, np.ndarray]:
     """Flatten to {name: array} in canonical order (no copies)."""
-    out = {"embed.w": weights.embed_w, "embed.b": weights.embed_b}
-    for i, layer in enumerate(weights.layers):
-        p = f"layers.{i}."
-        out[p + "wq"] = layer.wq
-        out[p + "wk"] = layer.wk
-        out[p + "wv"] = layer.wv
-        out[p + "wo"] = layer.wo
-        out[p + "ff.w1"] = layer.ff_w1
-        out[p + "ff.b1"] = layer.ff_b1
-        out[p + "ff.w2"] = layer.ff_w2
-        out[p + "ff.b2"] = layer.ff_b2
-        out[p + "ln1.g"] = layer.ln1_g
-        out[p + "ln1.b"] = layer.ln1_b
-        out[p + "ln2.g"] = layer.ln2_g
-        out[p + "ln2.b"] = layer.ln2_b
-    out["head.w"] = weights.head_w
-    out["head.b"] = weights.head_b
-    return out
+    return {
+        name: getattr(weights if i is None else weights.layers[i], attr)
+        for name, i, attr, _ in _layout(weights.config)
+    }
 
 
 def dict_to_weights(params: dict[str, np.ndarray], config: ModelConfig) -> ModelWeights:
     """Inverse of weights_to_dict; validates the key set and shapes."""
-    shapes = param_shapes(config)
-    missing = shapes.keys() - params.keys()
-    extra = params.keys() - shapes.keys()
+    layout = _layout(config)
+    names = {name for name, _, _, _ in layout}
+    missing = names - params.keys()
+    extra = params.keys() - names
     if missing or extra:
         raise ShapeError(f"parameter names mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-    for name, shape in shapes.items():
+    top: dict[str, np.ndarray] = {}
+    layers: list[dict[str, np.ndarray]] = [{} for _ in range(config.layers)]
+    for name, i, attr, shape in layout:
         if tuple(params[name].shape) != shape:
             raise ShapeError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
-    layers = []
-    for i in range(config.layers):
-        p = f"layers.{i}."
-        layers.append(
-            LayerWeights(
-                wq=params[p + "wq"],
-                wk=params[p + "wk"],
-                wv=params[p + "wv"],
-                wo=params[p + "wo"],
-                ff_w1=params[p + "ff.w1"],
-                ff_b1=params[p + "ff.b1"],
-                ff_w2=params[p + "ff.w2"],
-                ff_b2=params[p + "ff.b2"],
-                ln1_g=params[p + "ln1.g"],
-                ln1_b=params[p + "ln1.b"],
-                ln2_g=params[p + "ln2.g"],
-                ln2_b=params[p + "ln2.b"],
-            )
-        )
-    return ModelWeights(
-        config=config,
-        embed_w=params["embed.w"],
-        embed_b=params["embed.b"],
-        layers=layers,
-        head_w=params["head.w"],
-        head_b=params["head.b"],
-    )
+        (top if i is None else layers[i])[attr] = params[name]
+    return ModelWeights(config, layers=[LayerWeights(**layer) for layer in layers], **top)
 
 
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Glorot-uniform matrices, zero biases, unit layer-norm gains.
 
-    Matrices draw from U(-b, b) with b = sqrt(6 / (fan_in + fan_out)). The
-    draw order follows the canonical parameter order, so the full weight
-    set is a pure function of (config, seed). Arrays are float32, the
-    storage precision.
+    Arrays with two or more axes draw from U(-b, b) with
+    b = sqrt(6 / (fan_in + fan_out)), the fans being the last two axes;
+    `*.g` gains are ones and other vectors zeros. The draw order follows
+    the canonical parameter order, so the full weight set is a pure
+    function of (config, seed). Arrays are float32, the storage precision.
     """
     rng = derive_rng(seed, "init")
-
-    def glorot(shape, fan_in, fan_out):
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=np.float32)
-
-    d_m, d_k, d_f = config.d_model, config.d_k, config.d_ff
-    embed_w = glorot((config.input_dim, d_m), config.input_dim, d_m)
-    embed_b = zeros(d_m)
-    layers = []
-    for _ in range(config.layers):
-        layers.append(
-            LayerWeights(
-                wq=glorot((config.heads, d_m, d_k), d_m, d_k),
-                wk=glorot((config.heads, d_m, d_k), d_m, d_k),
-                wv=glorot((config.heads, d_m, d_k), d_m, d_k),
-                wo=glorot((d_m, d_m), d_m, d_m),
-                ff_w1=glorot((d_m, d_f), d_m, d_f),
-                ff_b1=zeros(d_f),
-                ff_w2=glorot((d_f, d_m), d_f, d_m),
-                ff_b2=zeros(d_m),
-                ln1_g=np.ones(d_m, dtype=np.float32),
-                ln1_b=zeros(d_m),
-                ln2_g=np.ones(d_m, dtype=np.float32),
-                ln2_b=zeros(d_m),
-            )
-        )
-    flat_dim = config.window * d_m
-    head_w = glorot((flat_dim, config.classes), flat_dim, config.classes)
-    head_b = zeros(config.classes)
-    return ModelWeights(config, embed_w, embed_b, layers, head_w, head_b)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) >= 2:
+            bound = math.sqrt(6.0 / (shape[-2] + shape[-1]))
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        else:
+            params[name] = (np.ones if name.endswith(".g") else np.zeros)(shape, dtype=np.float32)
+    return dict_to_weights(params, config)
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
@@ -358,8 +318,13 @@ def feed_forward(x: np.ndarray, layer: LayerWeights) -> np.ndarray:
     x = _f64(x)
     if x.ndim != 2 or x.shape[1] != layer.ff_w1.shape[0]:
         raise ShapeError(f"input shape {x.shape} does not match d_model {layer.ff_w1.shape[0]}")
+    return _ff_fwd(x, layer)[0]
+
+
+def _ff_fwd(x, layer):
     pre = x @ _f64(layer.ff_w1) + _f64(layer.ff_b1)
-    return np.maximum(pre, 0.0) @ _f64(layer.ff_w2) + _f64(layer.ff_b2)
+    act = np.maximum(pre, 0.0)
+    return act @ _f64(layer.ff_w2) + _f64(layer.ff_b2), (pre, act)
 
 
 def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True):
@@ -377,9 +342,7 @@ def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True
         x_in = x
         mha, (qkva, concat) = _mha_fwd(x, layer)
         y1, ln1 = _layer_norm_fwd(x_in + mha, _f64(layer.ln1_g), _f64(layer.ln1_b))
-        ff_pre = y1 @ _f64(layer.ff_w1) + _f64(layer.ff_b1)
-        ff_act = np.maximum(ff_pre, 0.0)
-        ff_out = ff_act @ _f64(layer.ff_w2) + _f64(layer.ff_b2)
+        ff_out, (ff_pre, ff_act) = _ff_fwd(y1, layer)
         x, ln2 = _layer_norm_fwd(y1 + ff_out, _f64(layer.ln2_g), _f64(layer.ln2_b))
         caches.append(
             {"x_in": x_in, "qkva": qkva, "concat": concat, "ln1": ln1,

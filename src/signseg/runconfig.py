@@ -3,7 +3,7 @@ rejected by name. Command-line flags override file values."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -20,20 +20,6 @@ class ModelSection:
     window: int = 50
     input_dim: int | None = None  # None: take the data's feature dim
     classes: int | None = None  # None: take the data's class count
-
-
-@dataclass
-class TrainingSection:
-    batch_size: int = 50
-    lr0: float = 0.005
-    lr_decay_every: int = 10
-    lr_decay_factor: float = 0.1
-    max_epochs: int = 200
-    weight_decay: float = 1e-4
-    beta1: float = 0.92
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    early_stop_patience: int = 20
 
 
 @dataclass
@@ -60,7 +46,7 @@ class SegmentationSection:
 @dataclass
 class RunConfig:
     model: ModelSection = field(default_factory=ModelSection)
-    training: TrainingSection = field(default_factory=TrainingSection)
+    training: TrainConfig = field(default_factory=TrainConfig)  # seed unused: see train_config
     data: DataSection = field(default_factory=DataSection)
     segmentation: SegmentationSection = field(default_factory=SegmentationSection)
     out_dir: str = "out"
@@ -80,31 +66,14 @@ class RunConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        t = self.training
-        return TrainConfig(
-            batch_size=t.batch_size,
-            lr0=t.lr0,
-            lr_decay_every=t.lr_decay_every,
-            lr_decay_factor=t.lr_decay_factor,
-            max_epochs=t.max_epochs,
-            weight_decay=t.weight_decay,
-            beta1=t.beta1,
-            beta2=t.beta2,
-            adam_eps=t.adam_eps,
-            early_stop_patience=t.early_stop_patience,
-            seed=derive_seed(self.seed, "train"),
-        )
+        return replace(self.training, seed=derive_seed(self.seed, "train"))
 
 
-_SECTIONS = {
-    "model": ModelSection,
-    "training": TrainingSection,
-    "data": DataSection,
-    "segmentation": SegmentationSection,
-}
-# fields that accept null / a string path, or may be filled from data
-_OPTIONAL_INT = {("model", "input_dim"), ("model", "classes")}
-_OPTIONAL_STR = {("data", "manifest")}
+_SECTIONS = ("model", "training", "data", "segmentation")
+# fields that accept null (filled from data, or no manifest) and their type
+_OPTIONAL = {("model", "input_dim"): int, ("model", "classes"): int, ("data", "manifest"): str}
+# fields a config file may not set
+_NOT_SETTABLE = {("training", "seed")}
 
 
 def _check_type(path: str, value, expected: type):
@@ -149,43 +118,31 @@ def load_config(source: bytes | str | None) -> RunConfig:
         if not isinstance(section_value, dict):
             raise ConfigError(f"config key {section_name}: expected an object")
         section = getattr(cfg, section_name)
-        known = {f.name: f for f in fields(section)}
+        defaults = {f.name: f.default for f in fields(section) if (section_name, f.name) not in _NOT_SETTABLE}
+        changes = {}
         for key, value in section_value.items():
-            if key not in known:
+            if key not in defaults:
                 raise ConfigError(f"unknown config key: {section_name}.{key}")
             path = f"{section_name}.{key}"
-            if value is None and ((section_name, key) in _OPTIONAL_INT or (section_name, key) in _OPTIONAL_STR):
-                setattr(section, key, None)
-                continue
-            if (section_name, key) in _OPTIONAL_INT:
-                setattr(section, key, _check_type(path, value, int))
-                continue
-            if (section_name, key) in _OPTIONAL_STR:
-                setattr(section, key, _check_type(path, value, str))
-                continue
-            default = getattr(type(section)(), key)
-            expected = int if isinstance(default, int) and not isinstance(default, bool) else type(default)
-            setattr(section, key, _check_type(path, value, expected))
+            optional = _OPTIONAL.get((section_name, key))
+            if value is None and optional is not None:
+                changes[key] = None
+            else:
+                changes[key] = _check_type(path, value, optional or type(defaults[key]))
+        try:  # TrainConfig checks its values on construction
+            setattr(cfg, section_name, replace(section, **changes))
+        except ConfigError as exc:
+            raise ConfigError(f"{section_name}.{exc}") from exc
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
     """Cross-field checks shared by file loading and flag overrides."""
-    m = cfg.model
-    if m.d_model % 2 != 0:
-        raise ConfigError(f"model.d_model must be even, got {m.d_model}")
-    if m.heads < 1 or m.d_model % m.heads != 0:
-        raise ConfigError(f"model.d_model {m.d_model} is not divisible by model.heads {m.heads}")
-    if m.layers < 0:
-        raise ConfigError(f"model.layers must be >= 0, got {m.layers}")
-    for name in ("d_model", "d_ff", "window"):
-        if getattr(m, name) < 1:
-            raise ConfigError(f"model.{name} must be >= 1")
-    for name in ("input_dim", "classes"):
-        value = getattr(m, name)
-        if value is not None and value < 1:
-            raise ConfigError(f"model.{name} must be >= 1 when set")
+    try:
+        cfg.model_config(input_dim=1, classes=1)  # the data fills unset dims later
+    except ConfigError as exc:
+        raise ConfigError(f"model.{exc}") from exc
 
     d = cfg.data
     if d.classes < 2:
@@ -215,6 +172,4 @@ def validate_config(cfg: RunConfig) -> None:
 
     if cfg.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
-
-    # training values are re-validated by TrainConfig itself
-    cfg.train_config()
+    # cfg.training needs no check here: a TrainConfig validates itself when built

@@ -7,7 +7,8 @@ Layout, all little-endian:
     bytes 8..35   config block: layers, heads, d_model, d_ff, window,
                   input_dim, classes as seven uint32 values
     remainder     every parameter tensor as raw float32, C order, in the
-                  canonical order of param_shapes()
+                  canonical order of param_shapes(), which is the
+                  field order of ModelWeights and LayerWeights
 
 Parameters are stored and kept in memory as float32, so a save/load round
 trip reproduces the weights bit for bit.
@@ -27,7 +28,7 @@ from .errors import (
     WeightsTruncationError,
     WeightsVersionError,
 )
-from .model import ModelConfig, ModelWeights, dict_to_weights, param_shapes, weights_to_dict
+from .model import ModelConfig, ModelWeights, dict_to_weights, param_count, param_shapes, weights_to_dict
 
 MAGIC = b"SGSEG1"
 FORMAT_VERSION = 1
@@ -82,8 +83,9 @@ def load_weights(data: bytes) -> ModelWeights:
     except ConfigError as exc:
         raise WeightsFormatError(f"invalid config block: {exc}") from exc
 
-    shapes = param_shapes(config)
-    expected = sum(prod(s) for s in shapes.values()) * 4
+    # sized from the config alone, so a header claiming billions of layers
+    # fails here before any per-layer work
+    expected = param_count(config) * 4
     body = data[offset:]
     if len(body) < expected:
         raise WeightsTruncationError(f"parameter payload has {len(body)} bytes, expected {expected}")
@@ -92,7 +94,7 @@ def load_weights(data: bytes) -> ModelWeights:
 
     params = {}
     pos = 0
-    for name, shape in shapes.items():
+    for name, shape in param_shapes(config).items():
         count = prod(shape)
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=pos)
         params[name] = arr.astype(np.float32).reshape(shape)

@@ -359,3 +359,44 @@ class TestInit:
         for layer in weights.layers:
             np.testing.assert_array_equal(layer.ln1_g, 1.0)
             np.testing.assert_array_equal(layer.ln2_b, 0.0)
+
+
+class TestParameterLayout:
+    # SHA-256 of save_weights(init_weights(cfg, 0)), recorded before the
+    # parameter list was declared once in the weight dataclasses' fields:
+    # a change of draw order, layout or init rule changes these
+    INIT_SHA256 = {
+        (2, 2, 8, 16, 4, 6, 3): "5fcb3189b336f62bb094e854f5daa59f7657b6ced6dde977ca8bb3b6b0d6a4aa",
+        (2, 4, 64, 256, 50, 12, 10): "3bf4e3085dad006cc911b277733789131aec64cde8bc334b86e149f7f4fd2749",
+    }
+
+    def test_init_blob_digests_pinned(self):
+        import hashlib
+
+        from signseg import save_weights
+
+        for dims, digest in self.INIT_SHA256.items():
+            blob = save_weights(init_weights(ModelConfig(*dims), 0))
+            assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_shapes_and_flattening_share_one_order(self, layers):
+        cfg = ModelConfig(layers=layers, heads=2, d_model=8, d_ff=6, window=3, input_dim=5, classes=4)
+        assert list(param_shapes(cfg)) == list(weights_to_dict(init_weights(cfg, 0)))
+
+    def test_canonical_names(self):
+        cfg = ModelConfig(layers=1, heads=2, d_model=8, d_ff=6, window=3, input_dim=5, classes=4)
+        assert list(param_shapes(cfg)) == [
+            "embed.w", "embed.b",
+            "layers.0.wq", "layers.0.wk", "layers.0.wv", "layers.0.wo",
+            "layers.0.ff.w1", "layers.0.ff.b1", "layers.0.ff.w2", "layers.0.ff.b2",
+            "layers.0.ln1.g", "layers.0.ln1.b", "layers.0.ln2.g", "layers.0.ln2.b",
+            "head.w", "head.b",
+        ]
+
+    def test_param_count_matches_shapes(self):
+        from signseg.model import param_count
+
+        for layers in (0, 1, 3):
+            cfg = ModelConfig(layers=layers, heads=2, d_model=8, d_ff=6, window=3, input_dim=5, classes=4)
+            assert param_count(cfg) == sum(int(np.prod(s)) for s in param_shapes(cfg).values())

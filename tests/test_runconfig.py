@@ -146,3 +146,34 @@ class TestDerivedConfigs:
         assert a.seed == b.seed
         assert a.seed != c.seed
         assert a.batch_size == 50
+
+
+class TestTrainingSection:
+    def test_every_train_config_field_but_seed_loads(self):
+        from dataclasses import fields
+
+        from signseg import TrainConfig
+
+        values = {}
+        for f in fields(TrainConfig):
+            if f.name != "seed":
+                default = f.default
+                values[f.name] = default + 1 if isinstance(default, int) else default / 2
+        cfg = load_config(json.dumps({"training": values}))
+        for name, value in values.items():
+            assert getattr(cfg.training, name) == value
+            assert getattr(cfg.train_config(), name) == value
+
+    def test_training_seed_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown config key: training.seed"):
+            load_config(json.dumps({"training": {"seed": 1}}))
+
+    def test_model_errors_name_the_model_key(self):
+        with pytest.raises(ConfigError, match="model.layers must be >= 0"):
+            load_config(json.dumps({"model": {"layers": -1}}))
+        with pytest.raises(ConfigError, match="model.input_dim must be >= 1"):
+            load_config(json.dumps({"model": {"input_dim": 0}}))
+
+    def test_training_value_errors_name_the_training_key(self):
+        with pytest.raises(ConfigError, match=r"training\.beta1 must be in \[0, 1\)"):
+            load_config(json.dumps({"training": {"beta1": 1.5}}))

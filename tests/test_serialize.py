@@ -101,3 +101,14 @@ def test_different_configs_round_trip():
         )
         w = init_weights(cfg, layers)
         assert save_weights(load_weights(save_weights(w))) == save_weights(w)
+
+
+def test_huge_layer_count_in_header_fails_fast():
+    # the payload size is computed from the header before any per-layer work
+    import time
+
+    header = MAGIC + struct.pack("<H", FORMAT_VERSION) + struct.pack("<7I", 2**32 - 1, 1, 2, 1, 1, 1, 1)
+    start = time.monotonic()
+    with pytest.raises(WeightsTruncationError):
+        load_weights(header)
+    assert time.monotonic() - start < 0.5
