@@ -49,7 +49,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; omitted fields use defaults")
     sub.add_argument("--out", help="output directory (default from config: out)")
     sub.add_argument("--seed", type=int, help="global seed override")
-    sub.add_argument("--threads", type=int, help="worker threads, default 1 for reproducibility")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,8 +104,6 @@ def _load_run_config(args) -> RunConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
     if getattr(args, "manifest", None) is not None:
         cfg.data.manifest = args.manifest
     validate_config(cfg)
@@ -185,11 +182,11 @@ def _cmd_train(args) -> int:
     def report(r):
         print(f"epoch {r.epoch} loss {r.loss:.6f} val_acc {r.val_accuracy:.4f} lr {r.lr:.6g}")
 
-    weights, history = train(core, val, mcfg, tcfg, threads=cfg.threads, on_epoch=report)
+    weights, history = train(core, val, mcfg, tcfg, on_epoch=report)
     out = Path(cfg.out_dir)
     save_weights_file(weights, out / "model.bin")
     atomic_write_text(out / "history.csv", history_to_csv(history))
-    test_acc = evaluate_isolated(weights, test, cfg.threads)
+    test_acc = evaluate_isolated(weights, test)
     summary = {
         "epochs_run": len(history.records),
         "best_epoch": history.best_epoch,
@@ -206,7 +203,7 @@ def _cmd_eval(args) -> int:
     weights = load_weights_file(args.model)
     samples, _, _ = _dataset(cfg)
     _, _, _, test = _splits(cfg, samples)
-    accuracy = evaluate_isolated(weights, test, cfg.threads)
+    accuracy = evaluate_isolated(weights, test)
     out = Path(cfg.out_dir)
     atomic_write_text(out / "eval.json", json.dumps({"test_accuracy": accuracy}, indent=2) + "\n")
     print(f"test accuracy {accuracy:.4f} over {len(test)} samples")
@@ -228,7 +225,6 @@ def _cmd_ablate(args) -> int:
         [("synthetic" if cfg.data.manifest is None else "manifest", train_all, test)],
         mcfg,
         tcfg,
-        threads=cfg.threads,
         val_fraction=cfg.data.val_fraction,
     )
     names = ["synthetic" if cfg.data.manifest is None else "manifest"]
@@ -257,7 +253,7 @@ def _cmd_segment(args) -> int:
     if args.stream is not None:
         features = load_stream_features(args.stream)
         windows = slide(features, seg.window, seg.stride)
-        wp = window_probs(weights, windows, cfg.threads)
+        wp = window_probs(weights, windows)
         decoded = post_process(wp, seg.threshold)
         atomic_write_text(out / "stream_windows.csv", windows_csv(wp, decoded, seg.threshold))
         labels = [d.label for d in decoded]
@@ -265,7 +261,7 @@ def _cmd_segment(args) -> int:
         if args.labels is not None:
             gt = _parse_int_list(args.labels, "--labels")
             stream = ContinuousStream(frames=features, gt_labels=gt)
-            report = segment_report(weights, [stream], seg.window, seg.stride, seg.threshold, cfg.threads)
+            report = segment_report(weights, [stream], seg.window, seg.stride, seg.threshold)
             atomic_write_text(out / "segment_summary.csv", report_summary_csv(report))
             atomic_write_text(out / "segment.json", report_aggregate_json(report))
             print(
@@ -281,7 +277,7 @@ def _cmd_segment(args) -> int:
         )
     _, _, _, test = _splits(cfg, samples)
     streams = build_streams(test, seg.n_streams, seg.signs_per_stream, derive_seed(cfg.seed, "streams"))
-    report = segment_report(weights, streams, seg.window, seg.stride, seg.threshold, cfg.threads)
+    report = segment_report(weights, streams, seg.window, seg.stride, seg.threshold)
     for row in report.rows:
         if row.error is not None:
             print(f"stream {row.index}: error: {row.error}")

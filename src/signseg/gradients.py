@@ -76,7 +76,8 @@ def backward(
 
 def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray):
     cfg = weights.config
-    features, frames64, caches = _encoder_internals(sample.frames, weights)
+    caches: list[dict] = []
+    features, frames64 = _encoder_internals(sample.frames, weights, caches=caches)
     probs, flat = _classify_internals(features, weights)
     loss = soft_cross_entropy(probs, target)
 

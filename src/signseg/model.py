@@ -327,9 +327,10 @@ def _ff_fwd(x, layer):
     return act @ _f64(layer.ff_w2) + _f64(layer.ff_b2), (pre, act)
 
 
-def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True):
-    """Forward pass through embedding and all layers, keeping what the
-    backward pass needs. Returns (features, frames64, layer_caches)."""
+def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True, caches=None):
+    """Forward pass through embedding and all layers. Returns (features,
+    frames64); given a list, appends to it what the backward pass needs of
+    each layer."""
     cfg = weights.config
     frames = _f64(frames)
     if frames.shape != (cfg.window, cfg.input_dim):
@@ -337,18 +338,24 @@ def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True
     x = frames @ _f64(weights.embed_w) + _f64(weights.embed_b)
     if use_positions:
         x = x + positional_encoding_matrix(cfg.window, cfg.d_model)
-    caches = []
     for layer in weights.layers:
-        x_in = x
-        mha, (qkva, concat) = _mha_fwd(x, layer)
-        y1, ln1 = _layer_norm_fwd(x_in + mha, _f64(layer.ln1_g), _f64(layer.ln1_b))
-        ff_out, (ff_pre, ff_act) = _ff_fwd(y1, layer)
-        x, ln2 = _layer_norm_fwd(y1 + ff_out, _f64(layer.ln2_g), _f64(layer.ln2_b))
+        x = _layer_fwd(x, layer, caches)
+    return x, frames
+
+
+def _layer_fwd(x_in, layer, caches):
+    # a function of its own, so one layer's activations are freed before
+    # the next layer runs unless they go into caches
+    mha, (qkva, concat) = _mha_fwd(x_in, layer)
+    y1, ln1 = _layer_norm_fwd(x_in + mha, _f64(layer.ln1_g), _f64(layer.ln1_b))
+    ff_out, (ff_pre, ff_act) = _ff_fwd(y1, layer)
+    out, ln2 = _layer_norm_fwd(y1 + ff_out, _f64(layer.ln2_g), _f64(layer.ln2_b))
+    if caches is not None:
         caches.append(
             {"x_in": x_in, "qkva": qkva, "concat": concat, "ln1": ln1,
              "y1": y1, "ff_pre": ff_pre, "ff_act": ff_act, "ln2": ln2}
         )
-    return x, frames, caches
+    return out
 
 
 def encoder_forward(frames: np.ndarray, weights: ModelWeights, use_positions: bool = True) -> np.ndarray:

@@ -3,7 +3,7 @@ rejected by name. Command-line flags override file values."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -51,19 +51,13 @@ class RunConfig:
     segmentation: SegmentationSection = field(default_factory=SegmentationSection)
     out_dir: str = "out"
     seed: int = 0
-    threads: int = 1
 
     def model_config(self, input_dim: int, classes: int) -> ModelConfig:
         """Concrete architecture, filling unset dims from the data."""
-        return ModelConfig(
-            layers=self.model.layers,
-            heads=self.model.heads,
-            d_model=self.model.d_model,
-            d_ff=self.model.d_ff,
-            window=self.model.window,
-            input_dim=self.model.input_dim if self.model.input_dim is not None else input_dim,
-            classes=self.model.classes if self.model.classes is not None else classes,
-        )
+        values = asdict(self.model)
+        from_data = {"input_dim": input_dim, "classes": classes}
+        values.update({k: v for k, v in from_data.items() if values[k] is None})
+        return ModelConfig(**values)
 
     def train_config(self) -> TrainConfig:
         return replace(self.training, seed=derive_seed(self.seed, "train"))
@@ -109,7 +103,7 @@ def load_config(source: bytes | str | None) -> RunConfig:
         raise ConfigError("config top level must be a JSON object")
 
     for section_name, section_value in obj.items():
-        if section_name in ("out_dir", "seed", "threads"):
+        if section_name in ("out_dir", "seed"):
             expected = str if section_name == "out_dir" else int
             setattr(cfg, section_name, _check_type(section_name, section_value, expected))
             continue
@@ -170,6 +164,4 @@ def validate_config(cfg: RunConfig) -> None:
     if s.n_streams < 1 or s.signs_per_stream < 1:
         raise ConfigError("segmentation.n_streams and signs_per_stream must be >= 1")
 
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
     # cfg.training needs no check here: a TrainConfig validates itself when built

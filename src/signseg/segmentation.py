@@ -16,7 +16,6 @@ collapse) for comparison.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,14 +107,9 @@ def slide(
     return [Window(s, frames[s : s + window]) for s in range(0, n - window + 1, stride)]
 
 
-def window_probs(weights: ModelWeights, windows: list[Window], threads: int = 1) -> list[WindowProb]:
+def window_probs(weights: ModelWeights, windows: list[Window]) -> list[WindowProb]:
     """Classify each window independently."""
-    if threads <= 1 or len(windows) <= 1:
-        probs = [forward_probs(weights, w.frames) for w in windows]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            probs = list(pool.map(lambda w: forward_probs(weights, w.frames), windows))
-    return [WindowProb(w.start, p) for w, p in zip(windows, probs)]
+    return [WindowProb(w.start, forward_probs(weights, w.frames)) for w in windows]
 
 
 def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> list[DecodedLabel]:
@@ -221,7 +215,6 @@ def segment_report(
     window: int = DEFAULT_WINDOW,
     stride: int = 1,
     threshold: float = DEFAULT_THRESHOLD,
-    threads: int = 1,
 ) -> SegmentReport:
     """Decode every stream and aggregate false counts and softmax means.
 
@@ -254,7 +247,7 @@ def segment_report(
                 )
             )
             continue
-        wp = window_probs(weights, windows, threads)
+        wp = window_probs(weights, windows)
         rows.append(_stream_row(index, wp, list(stream.gt_labels), threshold))
 
     scored = [r for r in rows if r.error is None]

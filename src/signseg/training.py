@@ -3,7 +3,6 @@ rate, stratified splits, early stopping on validation accuracy."""
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -274,13 +273,6 @@ def _epoch_items(train_set, order, straddle_rng, classes, boundaries):
     return [items[i] for i in straddle_rng.permutation(len(items))]
 
 
-def _sample_gradients(weights, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [backward(s, weights, t) for s, t in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda item: backward(item[0], weights, item[1]), items))
-
-
 def _mean_loss(weights, items) -> float:
     """Mean cross-entropy of (sample, target) items; 0.0 for none."""
     if not items:
@@ -293,7 +285,6 @@ def train(
     val_set: list[IsolatedSample],
     mcfg: ModelConfig,
     tcfg: TrainConfig,
-    threads: int = 1,
     on_epoch=None,
 ) -> tuple[ModelWeights, TrainHistory]:
     """Train from a seeded init; return the best-validation weights.
@@ -319,7 +310,7 @@ def train(
     epoch trained on boundaries. Stops early
     after early_stop_patience epochs without a new best. max_epochs=0
     returns the initial weights and an empty history. Bit-reproducible for
-    fixed (configs, data, threads): shuffling and straddles draw from
+    fixed (configs, data): shuffling and straddles draw from
     their own seeded streams.
     """
     if not train_set:
@@ -351,7 +342,7 @@ def train(
         loss_sum = 0.0
         for start in range(0, len(items), tcfg.batch_size):
             batch = items[start : start + tcfg.batch_size]
-            results = _sample_gradients(weights, batch, threads)
+            results = [backward(s, weights, t) for s, t in batch]
             grad_sum = {k: np.zeros_like(g) for k, g in results[0][0].items()}
             for grads, loss in results:
                 for k in grad_sum:
@@ -360,7 +351,7 @@ def train(
             mean_grads = {k: g / len(batch) for k, g in grad_sum.items()}
             params, state = adam_step(params, mean_grads, state, lr, tcfg)
             weights = upcast(dict_to_weights(params, mcfg))
-        val_acc = evaluate_isolated(weights, val_set, threads)
+        val_acc = evaluate_isolated(weights, val_set)
         record = EpochRecord(epoch, loss_sum / len(items), val_acc, lr, _mean_loss(weights, val_straddles))
         records.append(record)
         if on_epoch is not None:
@@ -384,15 +375,11 @@ def _better(record: EpochRecord, best: EpochRecord) -> bool:
     return record.val_straddle_loss < (1.0 - TIE_LOSS_MARGIN) * best.val_straddle_loss
 
 
-def evaluate_isolated(weights: ModelWeights, samples: list[IsolatedSample], threads: int = 1) -> float:
+def evaluate_isolated(weights: ModelWeights, samples: list[IsolatedSample]) -> float:
     """Fraction of samples whose argmax class matches the label."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
-    if threads <= 1 or len(samples) <= 1:
-        probs = [forward_probs(weights, s.frames) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            probs = list(pool.map(lambda s: forward_probs(weights, s.frames), samples))
+    probs = [forward_probs(weights, s.frames) for s in samples]
     hits = sum(int(np.argmax(p)) == int(s.label) for p, s in zip(probs, samples))
     return hits / len(samples)
 
@@ -424,7 +411,6 @@ def ablate(
     datasets: list[tuple[str, list[IsolatedSample], list[IsolatedSample]]],
     base_mcfg: ModelConfig,
     tcfg: TrainConfig,
-    threads: int = 1,
     val_fraction: float = 0.1,
 ) -> list[AblationRow]:
     """Accuracy grid over (layers, heads), layers-major.
@@ -458,8 +444,8 @@ def ablate(
             else:
                 for di, (name, core, val, test_samples) in enumerate(prepared):
                     cell_cfg = replace(tcfg, seed=derive_seed(tcfg.seed, "ablate", layers, heads, di))
-                    weights, _ = train(core, val, mcfg, cell_cfg, threads)
-                    accuracies[name] = evaluate_isolated(weights, test_samples, threads)
+                    weights, _ = train(core, val, mcfg, cell_cfg)
+                    accuracies[name] = evaluate_isolated(weights, test_samples)
             rows.append(AblationRow(layers, heads, accuracies, error))
     return rows
 

@@ -250,3 +250,8 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--no-such-flag"])
         assert exc.value.code == 2
+
+    def test_threads_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--threads", "2"])
+        assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,24 @@ def test_upcast_is_exact(tiny_mcfg, tiny_weights):
         np.testing.assert_array_equal(got, value)
     frames = derive_rng(3, "upcast").normal(size=(tiny_mcfg.window, tiny_mcfg.input_dim))
     assert forward_probs(wide, frames).tobytes() == forward_probs(tiny_weights, frames).tobytes()
+
+
+def _forward_peak_bytes(layers: int) -> int:
+    cfg = ModelConfig(layers=layers, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=5)
+    weights = upcast(init_weights(cfg, 8))
+    frames = derive_rng(4, "peak").normal(size=(cfg.window, cfg.input_dim))
+    forward_probs(weights, frames)  # warm the position-code cache
+    tracemalloc.start()
+    try:
+        forward_probs(weights, frames)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_keeps_no_per_layer_caches():
+    # the backward caches grow with depth; a forward pass must not build them
+    assert _forward_peak_bytes(6) <= 1.5 * _forward_peak_bytes(1)
 
 
 class TestCrossEntropy:

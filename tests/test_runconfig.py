@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from signseg import ConfigError, load_config, validate_config
-from signseg.runconfig import RunConfig
+from signseg import ConfigError, ModelConfig, load_config, validate_config
+from signseg.runconfig import ModelSection, RunConfig
 
 
 class TestDefaults:
@@ -31,7 +32,6 @@ class TestDefaults:
         assert cfg.segmentation.signs_per_stream == 10
         assert cfg.out_dir == "out"
         assert cfg.seed == 0
-        assert cfg.threads == 1
 
     def test_empty_object_equals_defaults(self):
         assert load_config("{}") == load_config(None)
@@ -49,8 +49,8 @@ class TestOverrides:
         assert cfg.segmentation.threshold == 0.51
 
     def test_top_level_scalars(self):
-        cfg = load_config(json.dumps({"out_dir": "runs/a", "seed": 3, "threads": 4}))
-        assert (cfg.out_dir, cfg.seed, cfg.threads) == ("runs/a", 3, 4)
+        cfg = load_config(json.dumps({"out_dir": "runs/a", "seed": 3}))
+        assert (cfg.out_dir, cfg.seed) == ("runs/a", 3)
 
     def test_optional_fields_take_values_and_null(self):
         cfg = load_config(json.dumps({"model": {"input_dim": 24, "classes": 5}, "data": {"manifest": "m.json"}}))
@@ -71,6 +71,10 @@ class TestRejection:
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown config key: optimizer"):
             load_config(json.dumps({"optimizer": {}}))
+
+    def test_threads_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown config key: threads"):
+            load_config(json.dumps({"threads": 2}))
 
     def test_unknown_nested_key_names_full_path(self):
         with pytest.raises(ConfigError, match="unknown config key: model.depth"):
@@ -138,6 +142,10 @@ class TestDerivedConfigs:
         mcfg = cfg.model_config(input_dim=99, classes=99)
         assert mcfg.input_dim == 12
         assert mcfg.classes == 10
+
+    def test_model_section_mirrors_model_config(self):
+        # every ModelConfig field needs a config default, or model_config breaks
+        assert [f.name for f in fields(ModelSection)] == [f.name for f in fields(ModelConfig)]
 
     def test_train_config_seed_derived_from_run_seed(self):
         a = load_config(json.dumps({"seed": 1})).train_config()

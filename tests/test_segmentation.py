@@ -99,15 +99,6 @@ class TestWindowProbs:
     def test_empty(self, tiny_weights):
         assert window_probs(tiny_weights, []) == []
 
-    def test_threads_preserve_order(self, tiny_mcfg, tiny_weights):
-        rng = derive_rng(3, "wp")
-        wins = slide(rng.normal(size=(20, tiny_mcfg.input_dim)), window=tiny_mcfg.window)
-        a = window_probs(tiny_weights, wins, threads=1)
-        b = window_probs(tiny_weights, wins, threads=4)
-        for x, y in zip(a, b):
-            assert x.start == y.start
-            np.testing.assert_array_equal(x.probs, y.probs)
-
 
 class TestPostProcess:
     def test_all_below_threshold(self):

@@ -213,14 +213,6 @@ class TestTrainLoop:
         _, history = train(core, val, mcfg, tcfg)
         assert max(r.val_accuracy for r in history.records) >= 0.95
 
-    def test_threads_do_not_change_result(self):
-        core, val, _, mcfg = small_setup(6)
-        tcfg = TrainConfig(seed=10, max_epochs=3, batch_size=8)
-        w1, h1 = train(core, val, mcfg, tcfg, threads=1)
-        w2, h2 = train(core, val, mcfg, tcfg, threads=4)
-        assert h1.records == h2.records
-        assert save_weights(w1) == save_weights(w2)
-
     def test_empty_dataset_rejected(self):
         _, val, _, mcfg = small_setup(7)
         with pytest.raises(ValueError):
