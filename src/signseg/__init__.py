@@ -29,15 +29,12 @@ from .keypoints import (
     resample_sequence,
 )
 from .model import (
-    AttentionTensors,
     LayerWeights,
     ModelConfig,
     ModelWeights,
-    attention,
     attention_weights,
     classify,
     cross_entropy,
-    embed_frame,
     encoder_forward,
     feed_forward,
     forward_probs,
@@ -46,7 +43,6 @@ from .model import (
     multi_head_attention,
     positional_encoding,
     positional_encoding_matrix,
-    predict_label,
     softmax,
 )
 from .runconfig import RunConfig, load_config, validate_config

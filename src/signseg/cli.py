@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, SignsegError
+from .errors import ConfigError, SignsegError, StreamTooShortError
 from .ioutil import atomic_write_text
 from .keypoints import (
     FEATURES_PER_HAND,
@@ -23,15 +23,7 @@ from .keypoints import (
 )
 from .runconfig import RunConfig, load_config, validate_config
 from .seeding import derive_seed
-from .segmentation import (
-    post_process,
-    report_aggregate_json,
-    report_summary_csv,
-    segment_report,
-    slide,
-    window_probs,
-    windows_csv,
-)
+from .segmentation import report_aggregate_json, report_summary_csv, segment_report, windows_csv
 from .serialize import load_weights_file, save_weights_file
 from .synthgen import make_dataset, sample_to_jsonl
 from .training import (
@@ -244,29 +236,25 @@ def _cmd_segment(args) -> int:
     cfg = _load_run_config(args)
     weights = load_weights_file(args.model)
     seg = cfg.segmentation
-    if seg.window != weights.config.window:
-        raise SignsegError(
-            f"segmentation.window {seg.window} does not match the model's window {weights.config.window}"
-        )
+    window = weights.config.window
     out = Path(cfg.out_dir)
 
     if args.stream is not None:
-        features = load_stream_features(args.stream)
-        windows = slide(features, seg.window, seg.stride)
-        wp = window_probs(weights, windows)
-        decoded = post_process(wp, seg.threshold)
-        atomic_write_text(out / "stream_windows.csv", windows_csv(wp, decoded, seg.threshold))
-        labels = [d.label for d in decoded]
-        print(f"decoded {len(decoded)} labels: {labels}")
+        gt = [] if args.labels is None else _parse_int_list(args.labels, "--labels")
+        stream = ContinuousStream(frames=load_stream_features(args.stream), gt_labels=gt)
+        report = segment_report(weights, [stream], window, seg.stride, seg.threshold)
+        row = report.rows[0]
+        if row.error is not None:
+            raise StreamTooShortError(row.error)
+        csv = windows_csv(row.window_probs, row.decoded, seg.threshold)
+        atomic_write_text(out / "stream_windows.csv", csv)
+        print(f"decoded {len(row.decoded)} labels: {[d.label for d in row.decoded]}")
         if args.labels is not None:
-            gt = _parse_int_list(args.labels, "--labels")
-            stream = ContinuousStream(frames=features, gt_labels=gt)
-            report = segment_report(weights, [stream], seg.window, seg.stride, seg.threshold)
             atomic_write_text(out / "segment_summary.csv", report_summary_csv(report))
             atomic_write_text(out / "segment.json", report_aggregate_json(report))
             print(
                 f"false recognitions {report.false_with_pp} with post-processing, "
-                f"{report.false_without_pp} without; edit distance {report.rows[0].edit_dist}"
+                f"{report.false_without_pp} without; edit distance {row.edit_dist}"
             )
         return 0
 
@@ -277,7 +265,7 @@ def _cmd_segment(args) -> int:
         )
     _, _, _, test = _splits(cfg, samples)
     streams = build_streams(test, seg.n_streams, seg.signs_per_stream, derive_seed(cfg.seed, "streams"))
-    report = segment_report(weights, streams, seg.window, seg.stride, seg.threshold)
+    report = segment_report(weights, streams, window, seg.stride, seg.threshold)
     for row in report.rows:
         if row.error is not None:
             print(f"stream {row.index}: error: {row.error}")

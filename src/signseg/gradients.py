@@ -15,9 +15,8 @@ from .model import (
     _encoder_internals,
     _f64,
     _row_mean,
-    dict_to_weights,
-    param_shapes,
-    weights_to_dict,
+    param_count,
+    upcast,
 )
 from .seeding import derive_rng
 
@@ -63,13 +62,14 @@ def _resolve_target(sample: IsolatedSample, target, classes: int) -> np.ndarray:
 
 def backward(
     sample: IsolatedSample, weights: ModelWeights, target: np.ndarray | None = None
-) -> tuple[dict[str, np.ndarray], float]:
+) -> tuple[ModelWeights, float]:
     """Loss and exact gradients of the cross-entropy for one sample.
 
     The target is the one-hot label by default, giving -ln p[label]; a
     target distribution t over the classes gives -sum t ln p instead.
-    Returns ({name: gradient array}, loss) with gradients in the canonical
-    parameter order, shapes mirroring the parameters, dtype float64.
+    Returns (gradients, loss); the gradients are a ModelWeights over a
+    float64 buffer in the parameters' layout, each view holding the
+    gradient of the parameter of the same name.
     """
     return _backward(sample, weights, _resolve_target(sample, target, weights.config.classes))
 
@@ -81,38 +81,39 @@ def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray)
     probs, flat = _classify_internals(features, weights)
     loss = soft_cross_entropy(probs, target)
 
-    grads: dict[str, np.ndarray] = {}
+    # each gradient is written straight into its view of one buffer
+    grads = ModelWeights(cfg, np.empty(param_count(cfg)))
     # softmax + cross-entropy collapse to p - target at the logits
     dlogits = probs - target
-    grads["head.w"] = np.outer(flat, dlogits)
-    grads["head.b"] = dlogits
+    np.outer(flat, dlogits, out=grads.head_w)
+    grads.head_b[...] = dlogits
     dx = (_f64(weights.head_w) @ dlogits).reshape(cfg.window, cfg.d_model)
 
     sqrt_dk = math.sqrt(cfg.d_k)
     for i in reversed(range(cfg.layers)):
         layer = weights.layers[i]
         c = caches[i]
-        p = f"layers.{i}."
+        g = grads.layers[i]
 
         dr2, dg2, db2 = _layer_norm_bwd(dx, c["ln2"])
-        grads[p + "ln2.g"], grads[p + "ln2.b"] = dg2, db2
+        g.ln2_g[...], g.ln2_b[...] = dg2, db2
         dy1 = dr2.copy()
 
         w2 = _f64(layer.ff_w2)
         d_act = dr2 @ w2.T
-        grads[p + "ff.w2"] = c["ff_act"].T @ dr2
-        grads[p + "ff.b2"] = dr2.sum(axis=0)
+        np.matmul(c["ff_act"].T, dr2, out=g.ff_w2)
+        dr2.sum(axis=0, out=g.ff_b2)
         d_pre = d_act * (c["ff_pre"] > 0.0)
-        grads[p + "ff.w1"] = c["y1"].T @ d_pre
-        grads[p + "ff.b1"] = d_pre.sum(axis=0)
+        np.matmul(c["y1"].T, d_pre, out=g.ff_w1)
+        d_pre.sum(axis=0, out=g.ff_b1)
         dy1 += d_pre @ _f64(layer.ff_w1).T
 
         dr1, dg1, db1 = _layer_norm_bwd(dy1, c["ln1"])
-        grads[p + "ln1.g"], grads[p + "ln1.b"] = dg1, db1
+        g.ln1_g[...], g.ln1_b[...] = dg1, db1
         dx = dr1.copy()
 
         wo = _f64(layer.wo)
-        grads[p + "wo"] = c["concat"].T @ dr1
+        np.matmul(c["concat"].T, dr1, out=g.wo)
         d_concat = dr1 @ wo.T
 
         wq, wk, wv = _f64(layer.wq), _f64(layer.wk), _f64(layer.wv)
@@ -126,18 +127,16 @@ def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray)
         dq = ds @ k / sqrt_dk
         dk_ = ds.transpose(0, 2, 1) @ q / sqrt_dk
         x_in_t = c["x_in"].T
-        grads[p + "wq"] = x_in_t @ dq
-        grads[p + "wk"] = x_in_t @ dk_
-        grads[p + "wv"] = x_in_t @ dv
+        np.matmul(x_in_t, dq, out=g.wq)
+        np.matmul(x_in_t, dk_, out=g.wk)
+        np.matmul(x_in_t, dv, out=g.wv)
         d_in = dq @ wq.transpose(0, 2, 1) + dk_ @ wk.transpose(0, 2, 1) + dv @ wv.transpose(0, 2, 1)
         for h in range(cfg.heads):
             dx += d_in[h]
 
-    grads["embed.w"] = frames64.T @ dx
-    grads["embed.b"] = dx.sum(axis=0)
-
-    ordered = {name: grads[name] for name in param_shapes(cfg)}
-    return ordered, loss
+    np.matmul(frames64.T, dx, out=grads.embed_w)
+    dx.sum(axis=0, out=grads.embed_b)
+    return grads, loss
 
 
 def relative_error(a: float, b: float) -> float:
@@ -165,16 +164,14 @@ def gradient_check(
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     target = _resolve_target(sample, target, weights.config.classes)
     grads, _ = _backward(sample, weights, target)
+    probe = upcast(weights)
 
-    params64 = {name: arr.astype(np.float64) for name, arr in weights_to_dict(weights).items()}
-    probe = dict_to_weights(params64, weights.config)
-
-    coords = [(name, i) for name, arr in params64.items() for i in range(arr.size)]
-    if max_coords is not None and max_coords < len(coords):
+    size = probe.flat.size
+    coords = range(size)
+    if max_coords is not None and max_coords < size:
         take = max(200, max_coords)
-        if take < len(coords):
-            picks = derive_rng(seed, "gradient-check").choice(len(coords), size=take, replace=False)
-            coords = [coords[i] for i in sorted(picks)]
+        if take < size:
+            coords = sorted(derive_rng(seed, "gradient-check").choice(size, size=take, replace=False))
 
     def loss_at() -> float:
         features = _encoder_internals(sample.frames, probe)[0]
@@ -182,15 +179,14 @@ def gradient_check(
         return soft_cross_entropy(probs, target)
 
     worst = 0.0
-    for name, i in coords:
-        flat = params64[name].reshape(-1)
-        original = flat[i]
-        flat[i] = original + epsilon
+    for i in coords:
+        original = probe.flat[i]
+        probe.flat[i] = original + epsilon
         plus = loss_at()
-        flat[i] = original - epsilon
+        probe.flat[i] = original - epsilon
         minus = loss_at()
-        flat[i] = original
+        probe.flat[i] = original
         fd = (plus - minus) / (2.0 * epsilon)
-        analytic = float(grads[name].reshape(-1)[i])
+        analytic = float(grads.flat[i])
         worst = max(worst, relative_error(analytic, fd))
     return worst

@@ -6,13 +6,15 @@ scaled dot-product self-attention, then a two-layer ReLU feed-forward
 block, each wrapped in residual + layer norm), and one fully connected
 softmax head over the concatenation of all frame features.
 
-Parameters are stored as float32, the precision of the weights file; all
-math upcasts to float64 so analytic gradients agree with central finite
-differences to tight tolerances.
+Parameters live in one flat buffer, float32 at rest (the precision of the
+weights file), with a named view per parameter; all math upcasts to
+float64 so analytic gradients agree with central finite differences to
+tight tolerances.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -62,13 +64,13 @@ class ModelConfig:
 
 
 def _param(shape: Callable[[ModelConfig], tuple[int, ...]]):
-    """A parameter field whose shape is `shape(config)`.
+    """A parameter field, a view of shape `shape(config)` into the flat buffer.
 
     Field order is the canonical parameter order, which is also the
-    weights-file layout. A field's canonical name reads its first "_" as
-    "." (ff_w1 -> ff.w1, embed_b -> embed.b).
+    buffer and weights-file layout. A field's canonical name reads its
+    first "_" as "." (ff_w1 -> ff.w1, embed_b -> embed.b).
     """
-    return field(metadata={"shape": shape})
+    return field(init=False, repr=False, metadata={"shape": shape})
 
 
 @dataclass
@@ -91,15 +93,31 @@ class LayerWeights:
 
 @dataclass
 class ModelWeights:
-    """All parameters plus the config that shaped them; each layer's
-    parameters sit at the position of `layers` in the canonical order."""
+    """All parameters in one 1-D buffer `flat`, plus the config that shaped
+    them.
+
+    Every parameter field (and each layer's, in `layers`) is a view into
+    `flat` at its canonical offset, so a write through a view is a write
+    to the buffer. Each layer's parameters sit at the position of
+    `layers` in the canonical order.
+    """
 
     config: ModelConfig
+    flat: np.ndarray
     embed_w: np.ndarray = _param(lambda c: (c.input_dim, c.d_model))
     embed_b: np.ndarray = _param(lambda c: (c.d_model,))
-    layers: list[LayerWeights]
+    layers: list[LayerWeights] = field(init=False, repr=False)
     head_w: np.ndarray = _param(lambda c: (c.window * c.d_model, c.classes))
     head_b: np.ndarray = _param(lambda c: (c.classes,))
+
+    def __post_init__(self):
+        size = param_count(self.config)
+        if self.flat.shape != (size,):
+            raise ShapeError(f"parameter buffer has shape {self.flat.shape}, expected ({size},)")
+        self.layers = [LayerWeights() for _ in range(self.config.layers)]
+        for _, i, attr, shape, offset in _layout(self.config):
+            view = self.flat[offset : offset + math.prod(shape)].reshape(shape)
+            setattr(self if i is None else self.layers[i], attr, view)
 
 
 def _shapes(cls, config: ModelConfig):
@@ -118,8 +136,9 @@ def param_count(config: ModelConfig) -> int:
 
 
 @functools.lru_cache(maxsize=32)
-def _layout(config: ModelConfig) -> tuple[tuple[str, int | None, str, tuple[int, ...]], ...]:
-    """(canonical name, layer index or None, attribute, shape) per parameter."""
+def _layout(config: ModelConfig) -> tuple[tuple[str, int | None, str, tuple[int, ...], int], ...]:
+    """(canonical name, layer index or None, attribute, shape, offset into
+    the flat buffer) per parameter."""
     layer = _shapes(LayerWeights, config)
     out = []
     for f in fields(ModelWeights):
@@ -127,37 +146,21 @@ def _layout(config: ModelConfig) -> tuple[tuple[str, int | None, str, tuple[int,
             out += [(f"layers.{i}.{_canonical(a)}", i, a, s) for i in range(config.layers) for a, s in layer]
         elif "shape" in f.metadata:
             out.append((_canonical(f.name), None, f.name, f.metadata["shape"](config)))
-    return tuple(out)
+    offsets = itertools.accumulate((math.prod(shape) for *_, shape in out), initial=0)
+    return tuple((*entry, offset) for entry, offset in zip(out, offsets))
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter order and shapes; also the weights-file layout."""
-    return {name: shape for name, _, _, shape in _layout(config)}
+    return {name: shape for name, _, _, shape, _ in _layout(config)}
 
 
 def weights_to_dict(weights: ModelWeights) -> dict[str, np.ndarray]:
-    """Flatten to {name: array} in canonical order (no copies)."""
+    """{canonical name: view} in canonical order (no copies)."""
     return {
         name: getattr(weights if i is None else weights.layers[i], attr)
-        for name, i, attr, _ in _layout(weights.config)
+        for name, i, attr, _, _ in _layout(weights.config)
     }
-
-
-def dict_to_weights(params: dict[str, np.ndarray], config: ModelConfig) -> ModelWeights:
-    """Inverse of weights_to_dict; validates the key set and shapes."""
-    layout = _layout(config)
-    names = {name for name, _, _, _ in layout}
-    missing = names - params.keys()
-    extra = params.keys() - names
-    if missing or extra:
-        raise ShapeError(f"parameter names mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-    top: dict[str, np.ndarray] = {}
-    layers: list[dict[str, np.ndarray]] = [{} for _ in range(config.layers)]
-    for name, i, attr, shape in layout:
-        if tuple(params[name].shape) != shape:
-            raise ShapeError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
-        (top if i is None else layers[i])[attr] = params[name]
-    return ModelWeights(config, layers=[LayerWeights(**layer) for layer in layers], **top)
 
 
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
@@ -167,17 +170,18 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     b = sqrt(6 / (fan_in + fan_out)), the fans being the last two axes;
     `*.g` gains are ones and other vectors zeros. The draw order follows
     the canonical parameter order, so the full weight set is a pure
-    function of (config, seed). Arrays are float32, the storage precision.
+    function of (config, seed). The buffer is float32, the storage
+    precision.
     """
     rng = derive_rng(seed, "init")
-    params = {}
-    for name, shape in param_shapes(config).items():
-        if len(shape) >= 2:
-            bound = math.sqrt(6.0 / (shape[-2] + shape[-1]))
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    weights = ModelWeights(config, np.empty(param_count(config), dtype=np.float32))
+    for name, arr in weights_to_dict(weights).items():
+        if arr.ndim >= 2:
+            bound = math.sqrt(6.0 / (arr.shape[-2] + arr.shape[-1]))
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
         else:
-            params[name] = (np.ones if name.endswith(".g") else np.zeros)(shape, dtype=np.float32)
-    return dict_to_weights(params, config)
+            arr[...] = 1.0 if name.endswith(".g") else 0.0
+    return weights
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
@@ -185,14 +189,13 @@ def _f64(a: np.ndarray) -> np.ndarray:
 
 
 def upcast(weights: ModelWeights) -> ModelWeights:
-    """The same weights with every array in float64.
+    """The same weights in a float64 buffer of their own.
 
     Each op upcasts its float32 operands on every call; converting once
     before a run of forward or backward calls makes those upcasts no-ops.
     float32 to float64 is exact, so results are bit-identical.
     """
-    params = {name: _f64(arr) for name, arr in weights_to_dict(weights).items()}
-    return dict_to_weights(params, weights.config)
+    return ModelWeights(weights.config, weights.flat.astype(np.float64))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -236,27 +239,6 @@ def _position_codes(window: int, d_model: int) -> np.ndarray:
     return codes
 
 
-def embed_frame(frame: np.ndarray, weights: ModelWeights, pos: int) -> np.ndarray:
-    """Affine embedding of one frame plus its position code."""
-    frame = _f64(frame)
-    cfg = weights.config
-    if frame.shape != (cfg.input_dim,):
-        raise ShapeError(f"frame has shape {frame.shape}, expected ({cfg.input_dim},)")
-    if not 0 <= pos < cfg.window:
-        raise ValueError(f"pos {pos} out of range [0, {cfg.window})")
-    return frame @ _f64(weights.embed_w) + _f64(weights.embed_b) + positional_encoding(pos, cfg.d_model)
-
-
-@dataclass
-class AttentionTensors:
-    """Query/key/value matrices for one scaled dot-product attention call."""
-
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    d_k: int
-
-
 def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
     """Row-stochastic attention matrix softmax(q k^T / sqrt(d_k))."""
     if d_k < 1:
@@ -265,14 +247,6 @@ def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"query/key feature dims differ: {q.shape} vs {k.shape}")
     return softmax(q @ k.T / math.sqrt(d_k), axis=-1)
-
-
-def attention(t: AttentionTensors) -> np.ndarray:
-    """Scaled dot-product attention output, one row per query."""
-    v = _f64(t.v)
-    if v.ndim != 2 or v.shape[0] != np.asarray(t.k).shape[0]:
-        raise ShapeError(f"value rows {v.shape} do not match key rows {np.asarray(t.k).shape}")
-    return attention_weights(t.q, t.k, t.d_k) @ v
 
 
 def _row_mean(x):
@@ -387,11 +361,6 @@ def classify(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
 def forward_probs(weights: ModelWeights, frames: np.ndarray) -> np.ndarray:
     """Full forward pass: frames to class probabilities."""
     return classify(encoder_forward(frames, weights), weights)
-
-
-def predict_label(weights: ModelWeights, frames: np.ndarray) -> int:
-    """Most probable class; argmax ties resolve to the lowest index."""
-    return int(np.argmax(forward_probs(weights, frames)))
 
 
 def cross_entropy(probs: np.ndarray, label: int) -> float:

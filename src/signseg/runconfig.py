@@ -36,7 +36,6 @@ class DataSection:
 
 @dataclass
 class SegmentationSection:
-    window: int = 50
     stride: int = 1
     threshold: float = 0.51
     n_streams: int = 20
@@ -155,8 +154,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"data.val_fraction must be in (0, 1), got {d.val_fraction}")
 
     s = cfg.segmentation
-    if s.window < 1:
-        raise ConfigError(f"segmentation.window must be >= 1, got {s.window}")
     if s.stride < 1:
         raise ConfigError(f"segmentation.stride must be >= 1, got {s.stride}")
     if not 0 < s.threshold < 1:

@@ -6,17 +6,17 @@ Layout, all little-endian:
     bytes 6..7    format version, uint16 (currently 1)
     bytes 8..35   config block: layers, heads, d_model, d_ff, window,
                   input_dim, classes as seven uint32 values
-    remainder     every parameter tensor as raw float32, C order, in the
-                  canonical order of param_shapes(), which is the
+    remainder     the model's flat parameter buffer (ModelWeights.flat)
+                  as raw float32: every parameter tensor in C order, in
+                  the canonical order of param_shapes(), which is the
                   field order of ModelWeights and LayerWeights
 
-Parameters are stored and kept in memory as float32, so a save/load round
-trip reproduces the weights bit for bit.
+Parameters are kept in memory as float32 too, so a save/load round trip
+reproduces the buffer bit for bit.
 """
 from __future__ import annotations
 
 import struct
-from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     WeightsTruncationError,
     WeightsVersionError,
 )
-from .model import ModelConfig, ModelWeights, dict_to_weights, param_count, param_shapes, weights_to_dict
+from .model import ModelConfig, ModelWeights, param_count
 
 MAGIC = b"SGSEG1"
 FORMAT_VERSION = 1
@@ -39,16 +39,15 @@ _CONFIG_STRUCT = struct.Struct("<7I")
 def save_weights(weights: ModelWeights) -> bytes:
     """Serialize weights plus their config to the binary format."""
     cfg = weights.config
-    parts = [
+    return b"".join([
         MAGIC,
         _VERSION_STRUCT.pack(FORMAT_VERSION),
         _CONFIG_STRUCT.pack(
             cfg.layers, cfg.heads, cfg.d_model, cfg.d_ff, cfg.window, cfg.input_dim, cfg.classes
         ),
-    ]
-    for arr in weights_to_dict(weights).values():
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(parts)
+        # joined as a buffer, so the payload is copied once, into the blob
+        memoryview(np.ascontiguousarray(weights.flat, dtype="<f4")),
+    ])
 
 
 def load_weights(data: bytes) -> ModelWeights:
@@ -85,21 +84,15 @@ def load_weights(data: bytes) -> ModelWeights:
 
     # sized from the config alone, so a header claiming billions of layers
     # fails here before any per-layer work
-    expected = param_count(config) * 4
-    body = data[offset:]
-    if len(body) < expected:
-        raise WeightsTruncationError(f"parameter payload has {len(body)} bytes, expected {expected}")
-    if len(body) > expected:
-        raise WeightsFormatError(f"{len(body) - expected} trailing bytes after the parameters")
-
-    params = {}
-    pos = 0
-    for name, shape in param_shapes(config).items():
-        count = prod(shape)
-        arr = np.frombuffer(body, dtype="<f4", count=count, offset=pos)
-        params[name] = arr.astype(np.float32).reshape(shape)
-        pos += count * 4
-    return dict_to_weights(params, config)
+    count = param_count(config)
+    payload = len(data) - offset
+    if payload < count * 4:
+        raise WeightsTruncationError(f"parameter payload has {payload} bytes, expected {count * 4}")
+    if payload > count * 4:
+        raise WeightsFormatError(f"{payload - count * 4} trailing bytes after the parameters")
+    # one copy of the payload: frombuffer reads the blob in place
+    flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float32)
+    return ModelWeights(config, flat)
 
 
 def save_weights_file(weights: ModelWeights, path: str | Path) -> None:

@@ -10,15 +10,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteGradientError, ShapeError
 from .gradients import backward, soft_cross_entropy
 from .keypoints import IsolatedSample
-from .model import (
-    ModelConfig,
-    ModelWeights,
-    dict_to_weights,
-    forward_probs,
-    init_weights,
-    upcast,
-    weights_to_dict,
-)
+from .model import ModelConfig, ModelWeights, forward_probs, init_weights, upcast, weights_to_dict
 from .seeding import derive_rng, derive_seed
 
 
@@ -114,56 +106,44 @@ def carve_validation(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators (float64) and the step counter."""
+    """First/second moment vectors (float64, in the layout of the flat
+    parameter buffer) and the step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: ModelWeights,
+    grads: ModelWeights,
     state: AdamState | None,
     lr: float,
     cfg: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
+) -> tuple[ModelWeights, AdamState]:
     """One Adam update with bias correction and decoupled weight decay.
 
     Decay shrinks the parameters by lr * weight_decay before the Adam
-    update itself. Moments are kept in float64; updated parameters are
-    cast back to each parameter's own dtype. Inputs are not mutated.
+    update itself. The update runs elementwise over the flat buffers;
+    moments are kept in float64, and the updated parameters are cast back
+    to the dtype of params.flat. Inputs are not mutated.
     """
+    if grads.config != params.config:
+        raise ShapeError("parameters and gradients have different configs")
+    g = np.asarray(grads.flat, dtype=np.float64)
+    if not np.all(np.isfinite(g)):
+        named = weights_to_dict(grads)
+        raise NonFiniteGradientError(next(k for k, a in named.items() if not np.all(np.isfinite(a))))
     if state is None:
-        state = AdamState(
-            m={k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()},
-            v={k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()},
-            t=0,
-        )
-    if params.keys() != grads.keys():
-        raise ShapeError("parameter and gradient names differ")
+        state = AdamState(m=np.zeros(g.size), v=np.zeros(g.size), t=0)
     t = state.t + 1
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
-    for name, param in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != param.shape:
-            raise ShapeError(f"gradient {name} has shape {g.shape}, expected {param.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(name)
-        p = param.astype(np.float64)
-        if cfg.weight_decay:
-            p = p - lr * cfg.weight_decay * p
-        m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
-        p = p - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
-        new_params[name] = p.astype(param.dtype)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(new_m, new_v, t)
+    p = params.flat.astype(np.float64)
+    if cfg.weight_decay:
+        p = p - lr * cfg.weight_decay * p
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
+    p = p - lr * (m / (1.0 - cfg.beta1**t)) / (np.sqrt(v / (1.0 - cfg.beta2**t)) + cfg.adam_eps)
+    return ModelWeights(params.config, p.astype(params.flat.dtype)), AdamState(m, v, t)
 
 
 @dataclass(frozen=True)
@@ -320,7 +300,7 @@ def train(
     _validate_samples(train_set, mcfg, "train")
     _validate_samples(val_set, mcfg, "validation")
 
-    params = weights_to_dict(init_weights(mcfg, derive_seed(tcfg.seed, "init")))
+    params = init_weights(mcfg, derive_seed(tcfg.seed, "init"))
     state: AdamState | None = None
     shuffle_rng = derive_rng(tcfg.seed, "shuffle")
     straddle_rng = derive_rng(tcfg.seed, "straddle")
@@ -330,7 +310,7 @@ def train(
 
     records: list[EpochRecord] = []
     best: EpochRecord | None = None
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = params
     boundaries = False
 
     for epoch in range(tcfg.max_epochs):
@@ -338,19 +318,18 @@ def train(
         order = shuffle_rng.permutation(len(train_set))
         items = _epoch_items(train_set, order, straddle_rng, mcfg.classes, boundaries)
         # float64 once per optimizer step, so no op upcasts the float32 params
-        weights = upcast(dict_to_weights(params, mcfg))
+        weights = upcast(params)
         loss_sum = 0.0
         for start in range(0, len(items), tcfg.batch_size):
             batch = items[start : start + tcfg.batch_size]
             results = [backward(s, weights, t) for s, t in batch]
-            grad_sum = {k: np.zeros_like(g) for k, g in results[0][0].items()}
+            grad_sum = np.zeros(params.flat.size)
             for grads, loss in results:
-                for k in grad_sum:
-                    grad_sum[k] += grads[k]
+                grad_sum += grads.flat
                 loss_sum += loss
-            mean_grads = {k: g / len(batch) for k, g in grad_sum.items()}
+            mean_grads = ModelWeights(mcfg, grad_sum / len(batch))
             params, state = adam_step(params, mean_grads, state, lr, tcfg)
-            weights = upcast(dict_to_weights(params, mcfg))
+            weights = upcast(params)
         val_acc = evaluate_isolated(weights, val_set)
         record = EpochRecord(epoch, loss_sum / len(items), val_acc, lr, _mean_loss(weights, val_straddles))
         records.append(record)
@@ -359,11 +338,11 @@ def train(
         boundaries = boundaries or val_acc == 1.0 or epoch + 1 >= tcfg.lr_decay_every
         if best is None or _better(record, best):
             best = record
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = params  # adam_step returns a new buffer, so no copy
         elif epoch - best.epoch >= tcfg.early_stop_patience:
             break
     best_epoch = -1 if best is None else best.epoch
-    return dict_to_weights(best_params, mcfg), TrainHistory(records, best_epoch)
+    return best_params, TrainHistory(records, best_epoch)
 
 
 def _better(record: EpochRecord, best: EpochRecord) -> bool:

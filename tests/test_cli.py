@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import signseg.segmentation
 from signseg.cli import main
 
 FAST = {
@@ -15,7 +16,7 @@ FAST = {
         "split_ratio": 0.8,
         "val_fraction": 0.2,
     },
-    "segmentation": {"window": 10, "stride": 10, "threshold": 0.51, "n_streams": 2, "signs_per_stream": 3},
+    "segmentation": {"stride": 10, "threshold": 0.51, "n_streams": 2, "signs_per_stream": 3},
     "seed": 11,
 }
 
@@ -137,7 +138,8 @@ class TestSegment:
             "false_without_pp",
         }
 
-    def test_window_mismatch_exits_1(self, workdir, tmp_path):
+    def test_window_mismatch_exits_1(self, workdir, tmp_path, capsys):
+        # decoding runs at the saved model's window; the config has no key for it
         root, _, out = workdir
         bad = dict(FAST)
         bad["segmentation"] = dict(FAST["segmentation"], window=12)
@@ -146,6 +148,7 @@ class TestSegment:
         rc = main(["segment", "--config", str(cfg), "--model", str(out / "model.bin"),
                    "--out", str(tmp_path / "seg")])
         assert rc == 1
+        assert "unknown config key: segmentation.window" in capsys.readouterr().err
 
 
 MANIFEST_CFG = {
@@ -159,7 +162,7 @@ MANIFEST_CFG = {
         "split_ratio": 0.8,
         "val_fraction": 0.2,
     },
-    "segmentation": {"window": 10, "stride": 5, "threshold": 0.51, "n_streams": 2, "signs_per_stream": 2},
+    "segmentation": {"stride": 5, "threshold": 0.51, "n_streams": 2, "signs_per_stream": 2},
     "seed": 13,
 }
 
@@ -178,17 +181,19 @@ def manifest_run(tmp_path_factory):
     return root, cfg, data, run
 
 
+def _two_sign_stream(data, path):
+    manifest = json.loads((data / "manifest.json").read_text())
+    by_label = {}
+    for entry in manifest:
+        by_label.setdefault(entry["label"], entry["file"])
+    path.write_text((data / by_label[0]).read_text() + (data / by_label[1]).read_text())
+    return path
+
+
 class TestSegmentStream:
     def test_stream_with_labels(self, manifest_run, tmp_path):
         root, cfg, data, run = manifest_run
-        manifest = json.loads((data / "manifest.json").read_text())
-        by_label = {}
-        for entry in manifest:
-            by_label.setdefault(entry["label"], entry["file"])
-        stream = tmp_path / "stream.jsonl"
-        stream.write_text(
-            (data / by_label[0]).read_text() + (data / by_label[1]).read_text()
-        )
+        stream = _two_sign_stream(data, tmp_path / "stream.jsonl")
         seg = tmp_path / "seg"
         rc = main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
                    "--stream", str(stream), "--labels", "0,1", "--out", str(seg)])
@@ -197,6 +202,22 @@ class TestSegmentStream:
         assert (seg / "segment_summary.csv").exists()
         payload = json.loads((seg / "segment.json").read_text())
         assert payload["false_with_pp"] >= 0
+
+    def test_stream_with_labels_classifies_each_window_once(self, manifest_run, tmp_path, monkeypatch):
+        root, cfg, data, run = manifest_run
+        stream = _two_sign_stream(data, tmp_path / "stream.jsonl")
+        calls = []
+        forward = signseg.segmentation.forward_probs
+        monkeypatch.setattr(
+            signseg.segmentation, "forward_probs", lambda w, frames: calls.append(1) or forward(w, frames)
+        )
+        seg = tmp_path / "seg"
+        rc = main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
+                   "--stream", str(stream), "--labels", "0,1", "--out", str(seg)])
+        assert rc == 0
+        windows = len((seg / "stream_windows.csv").read_text().strip().split("\n")) - 1
+        assert windows == 3  # 20 frames, window 10, stride 5
+        assert len(calls) == windows
 
     def test_stream_without_labels_writes_windows_only(self, manifest_run, tmp_path):
         root, cfg, data, run = manifest_run
@@ -210,7 +231,7 @@ class TestSegmentStream:
         assert (seg / "stream_windows.csv").exists()
         assert not (seg / "segment.json").exists()
 
-    def test_too_short_stream_exits_1(self, manifest_run, tmp_path):
+    def test_too_short_stream_exits_1(self, manifest_run, tmp_path, capsys):
         root, cfg, data, run = manifest_run
         manifest = json.loads((data / "manifest.json").read_text())
         lines = (data / manifest[0]["file"]).read_text().strip().split("\n")
@@ -219,6 +240,8 @@ class TestSegmentStream:
         rc = main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
                    "--stream", str(short), "--out", str(tmp_path / "seg")])
         assert rc == 1
+        assert "stream has 3 frames, one window needs 10" in capsys.readouterr().err
+        assert not (tmp_path / "seg" / "stream_windows.csv").exists()
 
 
 class TestErrors:

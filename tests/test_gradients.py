@@ -19,10 +19,12 @@ from signseg.seeding import derive_rng, derive_seed
 def test_gradient_shapes_mirror_parameters(tiny_mcfg, tiny_weights, tiny_sample):
     grads, loss = backward(tiny_sample, tiny_weights)
     shapes = param_shapes(tiny_mcfg)
-    assert list(grads) == list(shapes)
-    for key, g in grads.items():
+    named = weights_to_dict(grads)
+    assert list(named) == list(shapes)
+    for key, g in named.items():
         assert g.shape == shapes[key]
-        assert np.isfinite(g).all()
+        assert g.dtype == np.float64
+    assert np.isfinite(grads.flat).all()
     assert loss > 0.0
 
 
@@ -30,8 +32,7 @@ def test_backward_deterministic(tiny_weights, tiny_sample):
     a, loss_a = backward(tiny_sample, tiny_weights)
     b, loss_b = backward(tiny_sample, tiny_weights)
     assert loss_a == loss_b
-    for key in a:
-        assert np.array_equal(a[key], b[key])
+    assert np.array_equal(a.flat, b.flat)
 
 
 def test_backward_loss_matches_forward(tiny_weights, tiny_sample):
@@ -54,8 +55,8 @@ def test_head_gradient_closed_form():
     p = forward_probs(weights, sample.frames)
     dlogits = p.copy()
     dlogits[2] -= 1.0
-    np.testing.assert_allclose(grads["head.w"], np.outer(flat, dlogits), atol=1e-12)
-    np.testing.assert_allclose(grads["head.b"], dlogits, atol=1e-12)
+    np.testing.assert_allclose(grads.head_w, np.outer(flat, dlogits), atol=1e-12)
+    np.testing.assert_allclose(grads.head_b, dlogits, atol=1e-12)
 
 
 def test_full_sweep_matches_finite_differences(tiny_mcfg, tiny_weights, tiny_sample):
@@ -78,8 +79,7 @@ def test_one_hot_target_is_the_default(tiny_weights, tiny_sample, tiny_mcfg):
     default, loss_default = backward(tiny_sample, tiny_weights)
     explicit, loss_explicit = backward(tiny_sample, tiny_weights, target)
     assert loss_default == loss_explicit
-    for key in default:
-        assert np.array_equal(default[key], explicit[key])
+    assert np.array_equal(default.flat, explicit.flat)
 
 
 def test_soft_target_loss_and_head_gradient(tiny_mcfg, tiny_weights, tiny_sample):
@@ -87,7 +87,7 @@ def test_soft_target_loss_and_head_gradient(tiny_mcfg, tiny_weights, tiny_sample
     grads, loss = backward(tiny_sample, tiny_weights, target)
     probs = forward_probs(tiny_weights, tiny_sample.frames)
     np.testing.assert_allclose(loss, -(target * np.log(probs)).sum(), atol=1e-12)
-    np.testing.assert_allclose(grads["head.b"], probs - target, atol=1e-12)
+    np.testing.assert_allclose(grads.head_b, probs - target, atol=1e-12)
 
 
 def test_uniform_target_matches_finite_differences(tiny_mcfg, tiny_weights, tiny_sample):

@@ -1,30 +1,33 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from signseg import (
-    AttentionTensors,
     ConfigError,
+    IsolatedSample,
     ModelConfig,
+    ModelWeights,
     ShapeError,
-    attention,
     attention_weights,
+    backward,
     classify,
     cross_entropy,
-    embed_frame,
     encoder_forward,
+    evaluate_isolated,
     feed_forward,
     forward_probs,
     init_weights,
     layer_norm,
+    load_weights,
     multi_head_attention,
     positional_encoding,
     positional_encoding_matrix,
-    predict_label,
+    save_weights,
     softmax,
 )
-from signseg.model import LN_EPS, param_shapes, upcast, weights_to_dict
+from signseg.model import LN_EPS, param_count, param_shapes, upcast, weights_to_dict
 from signseg.seeding import derive_rng, derive_seed
 
 
@@ -112,31 +115,31 @@ class TestSoftmax:
 
 
 class TestEmbed:
-    def test_zero_everything_leaves_positional_encoding(self, tiny_mcfg, tiny_weights):
-        w = weights_to_dict(tiny_weights)
-        zeroed = {k: np.zeros_like(v) for k, v in w.items()}
-        from signseg.model import dict_to_weights
-
-        zw = dict_to_weights(zeroed, tiny_mcfg)
-        frame = np.zeros(tiny_mcfg.input_dim)
+    # with no encoder layers, encoder_forward is the embedding alone
+    def test_zero_everything_leaves_positional_encoding(self, tiny_mcfg):
+        cfg = dataclasses.replace(tiny_mcfg, layers=0)
+        zeroed = ModelWeights(cfg, np.zeros(param_count(cfg), dtype=np.float32))
+        frames = np.zeros((cfg.window, cfg.input_dim))
         np.testing.assert_allclose(
-            embed_frame(frame, zw, 3), positional_encoding(3, tiny_mcfg.d_model), atol=1e-12
+            encoder_forward(frames, zeroed), positional_encoding_matrix(cfg.window, cfg.d_model), atol=1e-12
         )
 
-    def test_matches_affine_formula(self, tiny_mcfg, tiny_weights):
-        rng = derive_rng(2, "embed")
-        for pos in range(4):
-            frame = rng.normal(size=tiny_mcfg.input_dim)
+    def test_matches_affine_formula(self, tiny_mcfg):
+        cfg = dataclasses.replace(tiny_mcfg, layers=0)
+        weights = init_weights(cfg, derive_seed(0, "init"))
+        frames = derive_rng(2, "embed").normal(size=(cfg.window, cfg.input_dim))
+        got = encoder_forward(frames, weights)
+        for pos in range(cfg.window):
             expected = (
-                frame @ np.asarray(tiny_weights.embed_w, dtype=np.float64)
-                + np.asarray(tiny_weights.embed_b, dtype=np.float64)
-                + positional_encoding(pos, tiny_mcfg.d_model)
+                frames[pos] @ np.asarray(weights.embed_w, dtype=np.float64)
+                + np.asarray(weights.embed_b, dtype=np.float64)
+                + positional_encoding(pos, cfg.d_model)
             )
-            np.testing.assert_allclose(embed_frame(frame, tiny_weights, pos), expected, atol=1e-12)
+            np.testing.assert_allclose(got[pos], expected, atol=1e-12)
 
-    def test_dimension_mismatch(self, tiny_weights):
+    def test_dimension_mismatch(self, tiny_mcfg, tiny_weights):
         with pytest.raises(ShapeError):
-            embed_frame(np.zeros(99), tiny_weights, 0)
+            encoder_forward(np.zeros((tiny_mcfg.window, 99)), tiny_weights)
 
 
 class TestAttention:
@@ -145,7 +148,7 @@ class TestAttention:
         q = rng.normal(size=(5, 4))
         k = rng.normal(size=(1, 4))
         v = rng.normal(size=(1, 4))
-        out = attention(AttentionTensors(q, k, v, d_k=4))
+        out = attention_weights(q, k, 4) @ v
         np.testing.assert_allclose(out, np.repeat(v, 5, axis=0), atol=1e-12)
 
     def test_identical_keys_average_values(self):
@@ -153,14 +156,14 @@ class TestAttention:
         q = rng.normal(size=(3, 4))
         k = np.tile(rng.normal(size=(1, 4)), (6, 1))
         v = rng.normal(size=(6, 4))
-        out = attention(AttentionTensors(q, k, v, d_k=4))
+        out = attention_weights(q, k, 4) @ v
         np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
     def test_two_by_two_hand_case(self):
         c = 3.0
         q = k = np.eye(2) * c
         v = np.eye(2)
-        out = attention(AttentionTensors(q, k, v, d_k=2))
+        out = attention_weights(q, k, 2) @ v
         w = softmax(np.array([c * c / np.sqrt(2.0), 0.0]))
         expected = np.array([[w[0], w[1]], [w[1], w[0]]])
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -189,7 +192,7 @@ class TestMultiHead:
         rng = derive_rng(6, "mha")
         x = rng.normal(size=(5, 6))
         got = multi_head_attention(x, layer)
-        want = attention(AttentionTensors(x, x, x, d_k=6))
+        want = attention_weights(x, x, 6) @ x
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_zero_value_projection_zero_output(self):
@@ -212,7 +215,7 @@ class TestMultiHead:
             q = x @ np.asarray(layer.wq[h], dtype=np.float64)
             k = x @ np.asarray(layer.wk[h], dtype=np.float64)
             v = x @ np.asarray(layer.wv[h], dtype=np.float64)
-            heads.append(attention(AttentionTensors(q, k, v, d_k=cfg.d_k)))
+            heads.append(attention_weights(q, k, cfg.d_k) @ v)
         want = np.concatenate(heads, axis=1) @ np.asarray(layer.wo, dtype=np.float64)
         np.testing.assert_allclose(multi_head_attention(x, layer), want, atol=1e-12)
 
@@ -260,8 +263,8 @@ class TestEncoderAndClassify:
         weights = init_weights(cfg, 5)
         rng = derive_rng(12, "enc")
         x = rng.normal(size=(3, 4))
-        got = encoder_forward(x, weights)
-        want = np.stack([embed_frame(x[i], weights, i) for i in range(3)])
+        got = encoder_forward(x, weights, use_positions=False)
+        want = x @ np.asarray(weights.embed_w, np.float64) + np.asarray(weights.embed_b, np.float64)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_deterministic(self, tiny_mcfg, tiny_weights):
@@ -305,13 +308,14 @@ class TestEncoderAndClassify:
             assert abs(p.sum() - 1.0) < 1e-9
             assert p.shape == (tiny_mcfg.classes,)
 
-    def test_predict_label_ties_take_lowest(self, tiny_mcfg, tiny_weights):
+    def test_argmax_ties_take_lowest(self, tiny_mcfg, tiny_weights):
         weights = init_weights(tiny_mcfg, 7)
         weights.head_w[:] = 0.0
         weights.head_b[:] = 0.0  # exact tie across classes
         rng = derive_rng(18, "cls")
         x = rng.normal(size=(tiny_mcfg.window, tiny_mcfg.input_dim))
-        assert predict_label(weights, x) == 0
+        assert evaluate_isolated(weights, [IsolatedSample(x, 0)]) == 1.0
+        assert evaluate_isolated(weights, [IsolatedSample(x, 1)]) == 0.0
 
 
 def test_upcast_is_exact(tiny_mcfg, tiny_weights):
@@ -420,3 +424,51 @@ class TestParameterLayout:
         for layers in (0, 1, 3):
             cfg = ModelConfig(layers=layers, heads=2, d_model=8, d_ff=6, window=3, input_dim=5, classes=4)
             assert param_count(cfg) == sum(int(np.prod(s)) for s in param_shapes(cfg).values())
+
+
+class TestFlatBuffer:
+    @staticmethod
+    def _assert_views(weights):
+        flat = weights.flat
+        assert flat.ndim == 1 and flat.size == param_count(weights.config)
+        offset = 0
+        named = weights_to_dict(weights)
+        assert list(named) == list(param_shapes(weights.config))
+        for name, arr in named.items():
+            assert np.shares_memory(arr, flat), name
+            start = flat.__array_interface__["data"][0] + offset * flat.itemsize
+            assert arr.__array_interface__["data"][0] == start, name
+            assert arr.dtype == flat.dtype
+            arr.reshape(-1)[-1] = 7.5  # a write through the view reaches the buffer
+            offset += arr.size
+            assert flat[offset - 1] == 7.5, name
+        assert offset == flat.size
+
+    def test_init_weights_are_views(self, tiny_mcfg):
+        weights = init_weights(tiny_mcfg, 0)
+        assert weights.flat.dtype == np.float32
+        self._assert_views(weights)
+
+    def test_loaded_weights_are_views(self, tiny_weights):
+        weights = load_weights(save_weights(tiny_weights))
+        assert weights.flat.dtype == np.float32
+        self._assert_views(weights)
+
+    def test_upcast_weights_are_views(self, tiny_weights):
+        weights = upcast(tiny_weights)
+        assert weights.flat.dtype == np.float64
+        assert not np.shares_memory(weights.flat, tiny_weights.flat)
+        self._assert_views(weights)
+
+    def test_gradients_are_views(self, tiny_weights, tiny_sample):
+        grads, _ = backward(tiny_sample, tiny_weights)
+        assert grads.flat.dtype == np.float64
+        self._assert_views(grads)
+
+    def test_zero_layers(self):
+        cfg = ModelConfig(layers=0, heads=1, d_model=4, d_ff=4, window=2, input_dim=3, classes=2)
+        self._assert_views(init_weights(cfg, 0))
+
+    def test_wrong_buffer_size_rejected(self, tiny_mcfg):
+        with pytest.raises(ShapeError):
+            ModelWeights(tiny_mcfg, np.zeros(param_count(tiny_mcfg) + 1))

@@ -25,7 +25,6 @@ class TestDefaults:
         assert cfg.data.per_class == 20
         assert cfg.data.dim == 12
         assert cfg.data.noise_sigma == 0.05
-        assert cfg.segmentation.window == 50
         assert cfg.segmentation.stride == 1
         assert cfg.segmentation.threshold == 0.51
         assert cfg.segmentation.n_streams == 20
@@ -45,7 +44,6 @@ class TestOverrides:
     def test_partial_section_keeps_other_defaults(self):
         cfg = load_config(json.dumps({"segmentation": {"stride": 5}}))
         assert cfg.segmentation.stride == 5
-        assert cfg.segmentation.window == 50
         assert cfg.segmentation.threshold == 0.51
 
     def test_top_level_scalars(self):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from signseg import (
     save_weights,
     save_weights_file,
 )
-from signseg.model import weights_to_dict
+from signseg.model import param_count, weights_to_dict
 from signseg.serialize import FORMAT_VERSION, MAGIC
 
 
@@ -32,6 +33,27 @@ def test_round_trip_bit_exact(tiny_mcfg, weights):
     for key in a:
         assert a[key].dtype == b[key].dtype == np.float32
         assert a[key].tobytes() == b[key].tobytes()
+
+
+def test_round_trip_keeps_the_buffer(weights):
+    loaded = load_weights(save_weights(weights))
+    assert loaded.flat.tobytes() == weights.flat.tobytes()
+
+
+def test_load_copies_the_payload_once():
+    # 12-layer default: the payload is 9.8 MB, so a second copy would show
+    cfg = ModelConfig(layers=12, heads=8, d_model=128, d_ff=512, window=50, input_dim=12, classes=10)
+    blob = save_weights(init_weights(cfg, 0))
+    payload = param_count(cfg) * 4
+    load_weights(blob)  # build the cached layout outside the measurement
+    tracemalloc.start()
+    try:
+        loaded = load_weights(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.flat.nbytes == payload
+    assert peak <= 1.2 * payload
 
 
 def test_header_layout(tiny_mcfg, weights):

@@ -18,11 +18,13 @@ from signseg import (
     init_weights,
     lr_at_epoch,
     make_dataset,
+    ModelWeights,
     save_weights,
     split_dataset,
     train,
 )
 from signseg import IsolatedSample
+from signseg.model import upcast
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import STRADDLE_MAJORITY, _epoch_items, draw_straddles, straddle_window
 
@@ -108,51 +110,72 @@ class TestSplit:
             assert sum(s.label == label for s in val) == 1
 
 
+def _grads_like(weights, values):
+    return ModelWeights(weights.config, np.asarray(values, dtype=np.float64))
+
+
 class TestAdam:
-    def test_first_step_collapses_to_sign(self):
+    @pytest.fixture()
+    def params(self, tiny_weights):
+        return upcast(tiny_weights)
+
+    def test_first_step_collapses_to_sign(self, params):
         cfg = dataclasses.replace(default_config(), weight_decay=0.0)
-        params = {"w": np.array([1.0, -2.0])}
-        grads = {"w": np.array([0.5, -0.25])}
-        new, state = adam_step(params, grads, None, lr=0.01, cfg=cfg)
-        np.testing.assert_allclose(new["w"], [1.0 - 0.01, -2.0 + 0.01], atol=0.01 * 1e-6)
+        rng = derive_rng(1, "adam")
+        g = rng.choice([-1.0, 1.0], size=params.flat.size) * rng.uniform(0.25, 1.0, size=params.flat.size)
+        new, state = adam_step(params, _grads_like(params, g), None, lr=0.01, cfg=cfg)
+        np.testing.assert_allclose(new.flat, params.flat - 0.01 * np.sign(g), atol=0.01 * 1e-6)
+        assert state.t == 1
+        assert state.m.shape == state.v.shape == params.flat.shape
+
+    def test_zero_gradient_identity(self, params):
+        cfg = dataclasses.replace(default_config(), weight_decay=0.0)
+        zero = _grads_like(params, np.zeros(params.flat.size))
+        new, state = adam_step(params, zero, None, lr=0.1, cfg=cfg)
+        np.testing.assert_array_equal(new.flat, params.flat)
         assert state.t == 1
 
-    def test_zero_gradient_identity(self):
-        cfg = dataclasses.replace(default_config(), weight_decay=0.0)
-        params = {"w": np.array([3.0, -1.0])}
-        new, state = adam_step(params, {"w": np.zeros(2)}, None, lr=0.1, cfg=cfg)
-        np.testing.assert_array_equal(new["w"], params["w"])
-        assert state.t == 1
-
-    def test_decoupled_decay_applies_before_update(self):
+    def test_decoupled_decay_applies_before_update(self, params):
         cfg = dataclasses.replace(default_config(), weight_decay=0.5)
-        params = {"w": np.array([2.0])}
-        new, _ = adam_step(params, {"w": np.zeros(1)}, None, lr=0.1, cfg=cfg)
-        np.testing.assert_allclose(new["w"], [2.0 * (1 - 0.1 * 0.5)], atol=1e-12)
+        zero = _grads_like(params, np.zeros(params.flat.size))
+        new, _ = adam_step(params, zero, None, lr=0.1, cfg=cfg)
+        np.testing.assert_allclose(new.flat, params.flat * (1 - 0.1 * 0.5), atol=1e-12)
 
-    def test_quadratic_descends(self):
+    def test_quadratic_descends(self, params):
         cfg = dataclasses.replace(default_config(), weight_decay=0.0)
-        w = {"w": np.array([1.0])}
+        w = params
         state = None
-        losses = [1.0]
+        losses = [float((w.flat**2).sum())]
         for _ in range(2):
-            grads = {"w": 2.0 * w["w"]}
-            w, state = adam_step(w, grads, state, lr=0.005, cfg=cfg)
-            losses.append(float(w["w"][0] ** 2))
+            w, state = adam_step(w, _grads_like(w, 2.0 * w.flat), state, lr=0.005, cfg=cfg)
+            losses.append(float((w.flat**2).sum()))
         assert losses[0] > losses[1] > losses[2]
 
-    def test_functional_no_mutation(self):
+    def test_functional_no_mutation(self, params):
         cfg = default_config()
-        params = {"w": np.array([1.0, 2.0])}
-        before = params["w"].copy()
-        adam_step(params, {"w": np.array([0.3, 0.4])}, None, lr=0.01, cfg=cfg)
-        np.testing.assert_array_equal(params["w"], before)
+        before = params.flat.copy()
+        grads = _grads_like(params, np.full(params.flat.size, 0.3))
+        new, _ = adam_step(params, grads, None, lr=0.01, cfg=cfg)
+        np.testing.assert_array_equal(params.flat, before)
+        np.testing.assert_array_equal(grads.flat, 0.3)
+        assert not np.shares_memory(new.flat, params.flat)
 
-    def test_non_finite_gradient_names_parameter(self):
+    def test_keeps_the_parameter_dtype(self, tiny_weights):
+        grads = _grads_like(tiny_weights, np.full(tiny_weights.flat.size, 0.3))
+        new, state = adam_step(tiny_weights, grads, None, lr=0.01, cfg=default_config())
+        assert new.flat.dtype == np.float32
+        assert state.m.dtype == state.v.dtype == np.float64
+
+    def test_non_finite_gradient_names_parameter(self, params):
         cfg = default_config()
+        grads = _grads_like(params, np.ones(params.flat.size))
+        grads.head_w[0, 1] = np.nan
         with pytest.raises(NonFiniteGradientError) as exc:
-            adam_step({"head.w": np.ones(2)}, {"head.w": np.array([1.0, np.nan])}, None, 0.01, cfg)
-        assert "head.w" in str(exc.value)
+            adam_step(params, grads, None, 0.01, cfg)
+        assert "'head.w'" in str(exc.value)
+        grads.layers[1].ff_b1[2] = np.inf
+        with pytest.raises(NonFiniteGradientError, match="'layers.1.ff.b1'"):
+            adam_step(params, grads, None, 0.01, cfg)
 
 
 def small_setup(seed, classes=3, n=8, window=8, dim=4):
@@ -212,6 +235,14 @@ class TestTrainLoop:
         tcfg = TrainConfig(seed=derive_seed(7, "train"), max_epochs=60)
         _, history = train(core, val, mcfg, tcfg)
         assert max(r.val_accuracy for r in history.records) >= 0.95
+
+    def test_nan_frame_names_the_first_parameter(self):
+        core, val, _, mcfg = small_setup(8)
+        frames = core[0].frames.copy()
+        frames[2, 1] = np.nan
+        poisoned = [IsolatedSample(frames, core[0].label)] + core[1:]
+        with pytest.raises(NonFiniteGradientError, match="'embed.w'"):
+            train(poisoned, val, mcfg, TrainConfig(seed=3, max_epochs=2, batch_size=8))
 
     def test_empty_dataset_rejected(self):
         _, val, _, mcfg = small_setup(7)
