@@ -15,6 +15,7 @@ from .model import (
     _encoder_internals,
     _f64,
     _row_mean,
+    forward_probs,
     param_count,
     upcast,
 )
@@ -77,8 +78,10 @@ def backward(
 def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray):
     cfg = weights.config
     caches: list[dict] = []
-    features, frames64 = _encoder_internals(sample.frames, weights, caches=caches)
+    # the forward kernel on a batch of one window
+    features, frames64 = _encoder_internals(_f64(sample.frames)[None], weights, caches=caches)
     probs, flat = _classify_internals(features, weights)
+    probs, flat, frames64 = probs[0], flat[0], frames64[0]
     loss = soft_cross_entropy(probs, target)
 
     # each gradient is written straight into its view of one buffer
@@ -103,7 +106,8 @@ def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray)
         d_act = dr2 @ w2.T
         np.matmul(c["ff_act"].T, dr2, out=g.ff_w2)
         dr2.sum(axis=0, out=g.ff_b2)
-        d_pre = d_act * (c["ff_pre"] > 0.0)
+        # ReLU passed exactly the units its output kept above zero
+        d_pre = d_act * (c["ff_act"] > 0.0)
         np.matmul(c["y1"].T, d_pre, out=g.ff_w1)
         d_pre.sum(axis=0, out=g.ff_b1)
         dy1 += d_pre @ _f64(layer.ff_w1).T
@@ -118,7 +122,7 @@ def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray)
 
         wq, wk, wv = _f64(layer.wq), _f64(layer.wk), _f64(layer.wv)
         # all heads at once, (heads, window, d_k)
-        q, k, v, a = c["qkva"]
+        q, k, v, a = (t[0] for t in c["qkva"])
         d_head = d_concat.reshape(cfg.window, cfg.heads, cfg.d_k).transpose(1, 0, 2)
         da = d_head @ v.transpose(0, 2, 1)
         dv = a.transpose(0, 2, 1) @ d_head
@@ -174,9 +178,7 @@ def gradient_check(
             coords = sorted(derive_rng(seed, "gradient-check").choice(size, size=take, replace=False))
 
     def loss_at() -> float:
-        features = _encoder_internals(sample.frames, probe)[0]
-        probs = _classify_internals(features, probe)[0]
-        return soft_cross_entropy(probs, target)
+        return soft_cross_entropy(forward_probs(probe, sample.frames), target)
 
     worst = 0.0
     for i in coords:

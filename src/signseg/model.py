@@ -6,10 +6,19 @@ scaled dot-product self-attention, then a two-layer ReLU feed-forward
 block, each wrapped in residual + layer norm), and one fully connected
 softmax head over the concatenation of all frame features.
 
+The pass runs over a batch of B windows (B, window, input_dim); one window
+is a batch of one, also in the backward pass. Row-wise products run once
+over all B * window rows, attention per window and head, and the head as
+one matrix-vector product per window, so a window's probabilities are bit
+for bit the same in a batch of any size. Callers classifying many windows
+pass FORWARD_CHUNK per call.
+
 Parameters live in one flat buffer, float32 at rest (the precision of the
-weights file), with a named view per parameter; all math upcasts to
-float64 so analytic gradients agree with central finite differences to
-tight tolerances.
+weights file), with a named view per parameter. All math runs in float64
+so analytic gradients agree with central finite differences to tight
+tolerances: each layer casts its weights once per call, so inference never
+holds a float64 copy of the whole model, and training converts the whole
+buffer once per optimizer step with upcast().
 """
 from __future__ import annotations
 
@@ -27,6 +36,12 @@ from .seeding import derive_rng
 LN_EPS = 1e-5
 PE_BASE = 10000.0
 PROB_CLAMP = 1e-12
+# Windows per forward_probs call when many are classified. Batching cuts the
+# per-call Python and casting work: in chunks of 8, decoding ran 1.4x as
+# fast as one window per call at the gate's shape and the 12-layer default's
+# (BENCH_batched_decode.json). 16 was no faster, and from 32 on the score
+# tensors outgrow the cache.
+FORWARD_CHUNK = 8
 
 _DIM_FIELDS = ("heads", "d_model", "d_ff", "window", "input_dim", "classes")
 
@@ -191,19 +206,34 @@ def _f64(a: np.ndarray) -> np.ndarray:
 def upcast(weights: ModelWeights) -> ModelWeights:
     """The same weights in a float64 buffer of their own.
 
-    Each op upcasts its float32 operands on every call; converting once
-    before a run of forward or backward calls makes those upcasts no-ops.
-    float32 to float64 is exact, so results are bit-identical.
+    The forward pass casts each layer's float32 weights once per call;
+    converting once before a run of forward or backward calls makes those
+    casts no-ops. float32 to float64 is exact, so results are bit-identical.
     """
     return ModelWeights(weights.config, weights.flat.astype(np.float64))
 
 
+def _softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along `axis`, written over x, a float64 array the caller owns."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along `axis`."""
-    x = _f64(x)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return _softmax_(np.array(x, dtype=np.float64), axis)
+
+
+def _sinusoids(pos: np.ndarray, d_model: int) -> np.ndarray:
+    """Position codes of the positions `pos`, shape (len(pos), d_model)."""
+    k = np.arange(0, d_model, 2, dtype=np.float64)
+    angle = pos[:, None] / PE_BASE ** (k / d_model)
+    out = np.empty((pos.shape[0], d_model), dtype=np.float64)
+    out[:, 0::2] = np.sin(angle)
+    out[:, 1::2] = np.cos(angle)
+    return out
 
 
 def positional_encoding(pos: int, d_model: int) -> np.ndarray:
@@ -213,12 +243,7 @@ def positional_encoding(pos: int, d_model: int) -> np.ndarray:
         raise ConfigError(f"d_model must be a positive even number, got {d_model}")
     if pos < 0:
         raise ValueError(f"pos must be >= 0, got {pos}")
-    k = np.arange(0, d_model, 2, dtype=np.float64)
-    angle = pos / PE_BASE ** (k / d_model)
-    out = np.empty(d_model, dtype=np.float64)
-    out[0::2] = np.sin(angle)
-    out[1::2] = np.cos(angle)
-    return out
+    return _sinusoids(np.array([pos], dtype=np.float64), d_model)[0]
 
 
 def positional_encoding_matrix(window: int, d_model: int) -> np.ndarray:
@@ -234,9 +259,15 @@ def positional_encoding_matrix(window: int, d_model: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _position_codes(window: int, d_model: int) -> np.ndarray:
-    codes = np.stack([positional_encoding(pos, d_model) for pos in range(window)])
+    codes = _sinusoids(np.arange(window, dtype=np.float64), d_model)
     codes.setflags(write=False)
     return codes
+
+
+def _attention_(scores: np.ndarray, d_k: int) -> np.ndarray:
+    """softmax(scores / sqrt(d_k)) along the last axis, written over scores."""
+    scores /= math.sqrt(d_k)
+    return _softmax_(scores)
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
@@ -246,7 +277,7 @@ def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
     q, k = _f64(q), _f64(k)
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"query/key feature dims differ: {q.shape} vs {k.shape}")
-    return softmax(q @ k.T / math.sqrt(d_k), axis=-1)
+    return _attention_(q @ k.T, d_k)
 
 
 def _row_mean(x):
@@ -260,7 +291,9 @@ def _layer_norm_fwd(x, gain, bias):
     var = _row_mean(centered**2)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_std
-    return gain * xhat + bias, (xhat, inv_std, gain)
+    out = gain * xhat
+    out += bias
+    return out, (xhat, inv_std, gain)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -270,20 +303,22 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 def multi_head_attention(x: np.ndarray, layer: LayerWeights) -> np.ndarray:
     """Pre-residual multi-head self-attention of x, shape preserved."""
-    return _mha_fwd(_f64(x), layer)[0]
+    x = _f64(x)
+    if x.ndim != 2 or x.shape[1] != layer.wq.shape[1]:
+        raise ShapeError(f"input shape {x.shape} does not match d_model {layer.wq.shape[1]}")
+    return _mha_fwd(x, layer, x.shape[0])[0]
 
 
-def _mha_fwd(x, layer):
+def _mha_fwd(x, layer, window):
+    # x is (B * window, d_model): B windows, one row per frame
     wq, wk, wv, wo = _f64(layer.wq), _f64(layer.wk), _f64(layer.wv), _f64(layer.wo)
-    heads = wq.shape[0]
-    d_k = wq.shape[2]
-    if x.ndim != 2 or x.shape[1] != wq.shape[1]:
-        raise ShapeError(f"input shape {x.shape} does not match d_model {wq.shape[1]}")
-    # all heads at once, (heads, window, d_k); each head's products are the
-    # same BLAS calls as one head at a time
-    q, k, v = x @ wq, x @ wk, x @ wv
-    a = softmax(q @ k.transpose(0, 2, 1) / math.sqrt(d_k), axis=-1)
-    concat = (a @ v).transpose(1, 0, 2).reshape(x.shape[0], heads * d_k)
+    heads, d_model, d_k = wq.shape
+    # all heads of all windows at once, (B, heads, window, d_k); each
+    # window's per-head products are the same BLAS calls as one at a time
+    xb = x.reshape(-1, 1, window, d_model)
+    q, k, v = xb @ wq, xb @ wk, xb @ wv
+    a = _attention_(q @ k.transpose(0, 1, 3, 2), d_k)
+    concat = (a @ v).transpose(0, 2, 1, 3).reshape(x.shape[0], heads * d_k)
     return concat @ wo, ((q, k, v, a), concat)
 
 
@@ -296,38 +331,46 @@ def feed_forward(x: np.ndarray, layer: LayerWeights) -> np.ndarray:
 
 
 def _ff_fwd(x, layer):
-    pre = x @ _f64(layer.ff_w1) + _f64(layer.ff_b1)
-    act = np.maximum(pre, 0.0)
-    return act @ _f64(layer.ff_w2) + _f64(layer.ff_b2), (pre, act)
+    act = x @ _f64(layer.ff_w1)
+    act += _f64(layer.ff_b1)
+    np.maximum(act, 0.0, out=act)
+    out = act @ _f64(layer.ff_w2)
+    out += _f64(layer.ff_b2)
+    return out, act
 
 
 def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True, caches=None):
-    """Forward pass through embedding and all layers. Returns (features,
-    frames64); given a list, appends to it what the backward pass needs of
-    each layer."""
+    """Forward pass of windows (B, window, input_dim) through embedding and
+    all layers. Returns (features (B, window, d_model), frames64); given a
+    list, appends to it what the backward pass needs of each layer."""
     cfg = weights.config
     frames = _f64(frames)
-    if frames.shape != (cfg.window, cfg.input_dim):
-        raise ShapeError(f"frames have shape {frames.shape}, expected ({cfg.window}, {cfg.input_dim})")
-    x = frames @ _f64(weights.embed_w) + _f64(weights.embed_b)
+    if frames.shape[1:] != (cfg.window, cfg.input_dim):
+        raise ShapeError(f"frames have shape {frames.shape[1:]}, expected ({cfg.window}, {cfg.input_dim})")
+    x = frames.reshape(-1, cfg.input_dim) @ _f64(weights.embed_w)
+    x += _f64(weights.embed_b)
     if use_positions:
-        x = x + positional_encoding_matrix(cfg.window, cfg.d_model)
+        windows = x.reshape(-1, cfg.window, cfg.d_model)  # a view: x is fresh and contiguous
+        windows += positional_encoding_matrix(cfg.window, cfg.d_model)
     for layer in weights.layers:
-        x = _layer_fwd(x, layer, caches)
-    return x, frames
+        x = _layer_fwd(x, layer, cfg.window, caches)
+    return x.reshape(-1, cfg.window, cfg.d_model), frames
 
 
-def _layer_fwd(x_in, layer, caches):
-    # a function of its own, so one layer's activations are freed before
-    # the next layer runs unless they go into caches
-    mha, (qkva, concat) = _mha_fwd(x_in, layer)
-    y1, ln1 = _layer_norm_fwd(x_in + mha, _f64(layer.ln1_g), _f64(layer.ln1_b))
-    ff_out, (ff_pre, ff_act) = _ff_fwd(y1, layer)
-    out, ln2 = _layer_norm_fwd(y1 + ff_out, _f64(layer.ln2_g), _f64(layer.ln2_b))
+def _layer_fwd(x_in, layer, window, caches):
+    # a function of its own, so one layer's activations (and float64 copies
+    # of its weights) are freed before the next layer runs unless they go
+    # into caches
+    mha, (qkva, concat) = _mha_fwd(x_in, layer, window)
+    mha += x_in
+    y1, ln1 = _layer_norm_fwd(mha, _f64(layer.ln1_g), _f64(layer.ln1_b))
+    ff_out, ff_act = _ff_fwd(y1, layer)
+    ff_out += y1
+    out, ln2 = _layer_norm_fwd(ff_out, _f64(layer.ln2_g), _f64(layer.ln2_b))
     if caches is not None:
         caches.append(
             {"x_in": x_in, "qkva": qkva, "concat": concat, "ln1": ln1,
-             "y1": y1, "ff_pre": ff_pre, "ff_act": ff_act, "ln2": ln2}
+             "y1": y1, "ff_act": ff_act, "ln2": ln2}
         )
     return out
 
@@ -338,29 +381,41 @@ def encoder_forward(frames: np.ndarray, weights: ModelWeights, use_positions: bo
     With layers == 0 this is just the embedded frames (plus position codes
     unless use_positions is False).
     """
-    return _encoder_internals(frames, weights, use_positions)[0]
+    return _encoder_internals(_f64(frames)[None], weights, use_positions)[0][0]
 
 
 def _classify_internals(features, weights: ModelWeights):
+    """Class probabilities (B, classes) of features (B, window, d_model),
+    and the flattened features (B, window * d_model)."""
+    cfg = weights.config
+    flat = features.reshape(-1, 1, cfg.window * cfg.d_model)
+    # one matrix-vector product per window: a single matrix product over
+    # all windows would round differently from the per-window one
+    logits = (flat @ _f64(weights.head_w)).reshape(-1, cfg.classes)
+    logits += _f64(weights.head_b)
+    return _softmax_(logits), flat.reshape(-1, cfg.window * cfg.d_model)
+
+
+def classify(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """Class probabilities from the flattened window features."""
     cfg = weights.config
     features = _f64(features)
     if features.shape != (cfg.window, cfg.d_model):
         raise ShapeError(
             f"features have shape {features.shape}, expected ({cfg.window}, {cfg.d_model})"
         )
-    flat = features.reshape(-1)
-    logits = flat @ _f64(weights.head_w) + _f64(weights.head_b)
-    return softmax(logits), flat
-
-
-def classify(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """Class probabilities from the flattened window features."""
-    return _classify_internals(features, weights)[0]
+    return _classify_internals(features[None], weights)[0][0]
 
 
 def forward_probs(weights: ModelWeights, frames: np.ndarray) -> np.ndarray:
-    """Full forward pass: frames to class probabilities."""
-    return classify(encoder_forward(frames, weights), weights)
+    """Full forward pass: one window's frames (window, input_dim) to class
+    probabilities (classes,), or a batch (B, window, input_dim) to
+    (B, classes). A window's probabilities are bit for bit the same alone
+    or in a batch of any size."""
+    frames = _f64(frames)
+    batch = frames if frames.ndim == 3 else frames[None]
+    probs = _classify_internals(_encoder_internals(batch, weights)[0], weights)[0]
+    return probs if frames.ndim == 3 else probs[0]
 
 
 def cross_entropy(probs: np.ndarray, label: int) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import StreamTooShortError
 from .keypoints import ContinuousStream
-from .model import ModelWeights, forward_probs
+from .model import FORWARD_CHUNK, ModelWeights, forward_probs
 
 DEFAULT_WINDOW = 50
 DEFAULT_THRESHOLD = 0.51
@@ -108,8 +108,14 @@ def slide(
 
 
 def window_probs(weights: ModelWeights, windows: list[Window]) -> list[WindowProb]:
-    """Classify each window independently."""
-    return [WindowProb(w.start, forward_probs(weights, w.frames)) for w in windows]
+    """Classify each window independently, FORWARD_CHUNK windows per
+    forward pass."""
+    out = []
+    for i in range(0, len(windows), FORWARD_CHUNK):
+        chunk = windows[i : i + FORWARD_CHUNK]
+        probs = forward_probs(weights, np.stack([w.frames for w in chunk]))
+        out += [WindowProb(w.start, p) for w, p in zip(chunk, probs)]
+    return out
 
 
 def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> list[DecodedLabel]:

@@ -10,7 +10,15 @@ import numpy as np
 from .errors import ConfigError, NonFiniteGradientError, ShapeError
 from .gradients import backward, soft_cross_entropy
 from .keypoints import IsolatedSample
-from .model import ModelConfig, ModelWeights, forward_probs, init_weights, upcast, weights_to_dict
+from .model import (
+    FORWARD_CHUNK,
+    ModelConfig,
+    ModelWeights,
+    forward_probs,
+    init_weights,
+    upcast,
+    weights_to_dict,
+)
 from .seeding import derive_rng, derive_seed
 
 
@@ -253,11 +261,25 @@ def _epoch_items(train_set, order, straddle_rng, classes, boundaries):
     return [items[i] for i in straddle_rng.permutation(len(items))]
 
 
+def _probs(weights, samples) -> np.ndarray:
+    """Class probabilities of each sample, (len(samples), classes),
+    FORWARD_CHUNK samples per forward pass."""
+    shape = (weights.config.window, weights.config.input_dim)
+    bad = [np.shape(s.frames) for s in samples if np.shape(s.frames) != shape]
+    if bad:  # stacking mixed shapes would fail with numpy's own error
+        raise ShapeError(f"frames have shape {bad[0]}, expected {shape}")
+    return np.concatenate([
+        forward_probs(weights, np.stack([s.frames for s in samples[i : i + FORWARD_CHUNK]]))
+        for i in range(0, len(samples), FORWARD_CHUNK)
+    ])
+
+
 def _mean_loss(weights, items) -> float:
     """Mean cross-entropy of (sample, target) items; 0.0 for none."""
     if not items:
         return 0.0
-    return sum(soft_cross_entropy(forward_probs(weights, s.frames), t) for s, t in items) / len(items)
+    probs = _probs(weights, [s for s, _ in items])
+    return sum(soft_cross_entropy(p, t) for p, (_, t) in zip(probs, items)) / len(items)
 
 
 def train(
@@ -312,13 +334,13 @@ def train(
     best: EpochRecord | None = None
     best_params = params
     boundaries = False
+    # float64 once per optimizer step, so no op upcasts the float32 params
+    weights = upcast(params)
 
     for epoch in range(tcfg.max_epochs):
         lr = lr_at_epoch(tcfg, epoch)
         order = shuffle_rng.permutation(len(train_set))
         items = _epoch_items(train_set, order, straddle_rng, mcfg.classes, boundaries)
-        # float64 once per optimizer step, so no op upcasts the float32 params
-        weights = upcast(params)
         loss_sum = 0.0
         for start in range(0, len(items), tcfg.batch_size):
             batch = items[start : start + tcfg.batch_size]
@@ -358,15 +380,15 @@ def evaluate_isolated(weights: ModelWeights, samples: list[IsolatedSample]) -> f
     """Fraction of samples whose argmax class matches the label."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
-    probs = [forward_probs(weights, s.frames) for s in samples]
+    probs = _probs(weights, samples)
     hits = sum(int(np.argmax(p)) == int(s.label) for p, s in zip(probs, samples))
     return hits / len(samples)
 
 
 def history_to_csv(history: TrainHistory) -> str:
-    lines = ["epoch,loss,val_accuracy,lr"]
+    lines = ["epoch,loss,val_accuracy,lr,val_straddle_loss"]
     for r in history.records:
-        lines.append(f"{r.epoch},{r.loss!r},{r.val_accuracy!r},{r.lr!r}")
+        lines.append(f"{r.epoch},{r.loss!r},{r.val_accuracy!r},{r.lr!r},{r.val_straddle_loss!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import signseg.segmentation
@@ -66,7 +67,7 @@ class TestTrain:
         _, _, out = workdir
         assert (out / "model.bin").exists()
         history = (out / "history.csv").read_text().strip().split("\n")
-        assert history[0] == "epoch,loss,val_accuracy,lr"
+        assert history[0] == "epoch,loss,val_accuracy,lr,val_straddle_loss"
         assert len(history) >= 2
         summary = json.loads((out / "train.json").read_text())
         assert set(summary) == {"epochs_run", "best_epoch", "best_val_accuracy", "test_accuracy"}
@@ -206,10 +207,11 @@ class TestSegmentStream:
     def test_stream_with_labels_classifies_each_window_once(self, manifest_run, tmp_path, monkeypatch):
         root, cfg, data, run = manifest_run
         stream = _two_sign_stream(data, tmp_path / "stream.jsonl")
-        calls = []
+        calls = []  # windows per call: forward_probs takes one window or a batch
         forward = signseg.segmentation.forward_probs
         monkeypatch.setattr(
-            signseg.segmentation, "forward_probs", lambda w, frames: calls.append(1) or forward(w, frames)
+            signseg.segmentation, "forward_probs",
+            lambda w, frames: calls.append(len(frames) if np.ndim(frames) == 3 else 1) or forward(w, frames),
         )
         seg = tmp_path / "seg"
         rc = main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
@@ -217,7 +219,7 @@ class TestSegmentStream:
         assert rc == 0
         windows = len((seg / "stream_windows.csv").read_text().strip().split("\n")) - 1
         assert windows == 3  # 20 frames, window 10, stride 5
-        assert len(calls) == windows
+        assert sum(calls) == windows
 
     def test_stream_without_labels_writes_windows_only(self, manifest_run, tmp_path):
         root, cfg, data, run = manifest_run

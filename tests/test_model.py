@@ -30,6 +30,8 @@ from signseg import (
 from signseg.model import LN_EPS, param_count, param_shapes, upcast, weights_to_dict
 from signseg.seeding import derive_rng, derive_seed
 
+GATE_MCFG = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
+
 
 class TestConfig:
     def test_d_k(self):
@@ -82,11 +84,13 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigError):
             positional_encoding(0, 5)
 
-    def test_matrix_stacks_rows(self):
-        m = positional_encoding_matrix(5, 6)
-        assert m.shape == (5, 6)
-        for pos in range(5):
-            np.testing.assert_allclose(m[pos], positional_encoding(pos, 6))
+    # the tiny fixture's shape, and the gate's and the default model's
+    @pytest.mark.parametrize("window, d_model", [(5, 6), (4, 8), (50, 64), (50, 128)])
+    def test_matrix_stacks_rows(self, window, d_model):
+        m = positional_encoding_matrix(window, d_model)
+        assert m.shape == (window, d_model)
+        for pos in range(window):
+            np.testing.assert_array_equal(m[pos], positional_encoding(pos, d_model))
 
     def test_matrix_built_once_and_read_only(self):
         m = positional_encoding_matrix(7, 4)
@@ -307,6 +311,16 @@ class TestEncoderAndClassify:
             p = forward_probs(tiny_weights, rng.normal(size=(tiny_mcfg.window, tiny_mcfg.input_dim)))
             assert abs(p.sum() - 1.0) < 1e-9
             assert p.shape == (tiny_mcfg.classes,)
+
+    @pytest.mark.parametrize("batch", [1, 8, 17])
+    @pytest.mark.parametrize("gate", [False, True], ids=["tiny", "gate"])
+    def test_batch_matches_per_window_calls(self, tiny_mcfg, batch, gate):
+        cfg = GATE_MCFG if gate else tiny_mcfg
+        weights = init_weights(cfg, 9)
+        frames = derive_rng(19, "batch").normal(size=(batch, cfg.window, cfg.input_dim))
+        probs = forward_probs(weights, frames)
+        assert probs.shape == (batch, cfg.classes)
+        np.testing.assert_array_equal(probs, np.stack([forward_probs(weights, f) for f in frames]))
 
     def test_argmax_ties_take_lowest(self, tiny_mcfg, tiny_weights):
         weights = init_weights(tiny_mcfg, 7)

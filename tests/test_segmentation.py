@@ -84,12 +84,15 @@ class TestSlide:
 
 
 class TestWindowProbs:
-    def test_matches_per_window_forward(self, tiny_mcfg, tiny_weights):
+    # window counts on both sides of the forward chunk boundaries (1, 8, 9, 17)
+    @pytest.mark.parametrize("n_windows", [1, 8, 9, 17])
+    def test_matches_per_window_forward(self, tiny_mcfg, tiny_weights, n_windows):
         from signseg import forward_probs
 
         rng = derive_rng(2, "wp")
-        stream = rng.normal(size=(12, tiny_mcfg.input_dim))
+        stream = rng.normal(size=(tiny_mcfg.window + 2 * (n_windows - 1), tiny_mcfg.input_dim))
         wins = slide(stream, window=tiny_mcfg.window, stride=2)
+        assert len(wins) == n_windows
         wp = window_probs(tiny_weights, wins)
         assert [w.start for w in wp] == [w.start for w in wins]
         for probs, win in zip(wp, wins):

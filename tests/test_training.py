@@ -7,6 +7,7 @@ from signseg import (
     ConfigError,
     ModelConfig,
     NonFiniteGradientError,
+    ShapeError,
     TrainConfig,
     ablate,
     ablation_to_csv,
@@ -356,13 +357,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_isolated(tiny_weights, [])
 
+    def test_mixed_shapes_rejected_by_name(self, tiny_mcfg, tiny_weights, tiny_sample):
+        short = IsolatedSample(tiny_sample.frames[:-1], 0)
+        with pytest.raises(ShapeError, match=r"frames have shape \(3, 6\), expected \(4, 6\)"):
+            evaluate_isolated(tiny_weights, [tiny_sample, short])
+
 
 def test_history_to_csv_schema():
     core, val, _, mcfg = small_setup(8)
     tcfg = TrainConfig(seed=11, max_epochs=2, batch_size=8)
     _, history = train(core, val, mcfg, tcfg)
     lines = history_to_csv(history).strip().split("\n")
-    assert lines[0] == "epoch,loss,val_accuracy,lr"
+    assert lines[0] == "epoch,loss,val_accuracy,lr,val_straddle_loss"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "0"
