@@ -78,10 +78,12 @@ def backward(
 def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray):
     cfg = weights.config
     caches: list[dict] = []
-    # the forward kernel on a batch of one window
-    features, frames64 = _encoder_internals(_f64(sample.frames)[None], weights, caches=caches)
+    # the forward kernel in float64 on a batch of one window; every product
+    # with a float32 weight promotes it, exactly as an explicit cast would
+    frames64 = _f64(sample.frames)
+    features = _encoder_internals(frames64[None], weights, caches=caches)
     probs, flat = _classify_internals(features, weights)
-    probs, flat, frames64 = probs[0], flat[0], frames64[0]
+    probs, flat = probs[0], flat[0]
     loss = soft_cross_entropy(probs, target)
 
     # each gradient is written straight into its view of one buffer
@@ -90,7 +92,7 @@ def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray)
     dlogits = probs - target
     np.outer(flat, dlogits, out=grads.head_w)
     grads.head_b[...] = dlogits
-    dx = (_f64(weights.head_w) @ dlogits).reshape(cfg.window, cfg.d_model)
+    dx = (weights.head_w @ dlogits).reshape(cfg.window, cfg.d_model)
 
     sqrt_dk = math.sqrt(cfg.d_k)
     for i in reversed(range(cfg.layers)):
@@ -102,25 +104,22 @@ def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray)
         g.ln2_g[...], g.ln2_b[...] = dg2, db2
         dy1 = dr2.copy()
 
-        w2 = _f64(layer.ff_w2)
-        d_act = dr2 @ w2.T
+        d_act = dr2 @ layer.ff_w2.T
         np.matmul(c["ff_act"].T, dr2, out=g.ff_w2)
         dr2.sum(axis=0, out=g.ff_b2)
         # ReLU passed exactly the units its output kept above zero
         d_pre = d_act * (c["ff_act"] > 0.0)
         np.matmul(c["y1"].T, d_pre, out=g.ff_w1)
         d_pre.sum(axis=0, out=g.ff_b1)
-        dy1 += d_pre @ _f64(layer.ff_w1).T
+        dy1 += d_pre @ layer.ff_w1.T
 
         dr1, dg1, db1 = _layer_norm_bwd(dy1, c["ln1"])
         g.ln1_g[...], g.ln1_b[...] = dg1, db1
         dx = dr1.copy()
 
-        wo = _f64(layer.wo)
         np.matmul(c["concat"].T, dr1, out=g.wo)
-        d_concat = dr1 @ wo.T
+        d_concat = dr1 @ layer.wo.T
 
-        wq, wk, wv = _f64(layer.wq), _f64(layer.wk), _f64(layer.wv)
         # all heads at once, (heads, window, d_k)
         q, k, v, a = (t[0] for t in c["qkva"])
         d_head = d_concat.reshape(cfg.window, cfg.heads, cfg.d_k).transpose(1, 0, 2)
@@ -134,7 +133,11 @@ def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray)
         np.matmul(x_in_t, dq, out=g.wq)
         np.matmul(x_in_t, dk_, out=g.wk)
         np.matmul(x_in_t, dv, out=g.wv)
-        d_in = dq @ wq.transpose(0, 2, 1) + dk_ @ wk.transpose(0, 2, 1) + dv @ wv.transpose(0, 2, 1)
+        d_in = (
+            dq @ layer.wq.transpose(0, 2, 1)
+            + dk_ @ layer.wk.transpose(0, 2, 1)
+            + dv @ layer.wv.transpose(0, 2, 1)
+        )
         for h in range(cfg.heads):
             dx += d_in[h]
 

@@ -14,11 +14,15 @@ for bit the same in a batch of any size. Callers classifying many windows
 pass FORWARD_CHUNK per call.
 
 Parameters live in one flat buffer, float32 at rest (the precision of the
-weights file), with a named view per parameter. All math runs in float64
-so analytic gradients agree with central finite differences to tight
-tolerances: each layer casts its weights once per call, so inference never
-holds a float64 copy of the whole model, and training converts the whole
-buffer once per optimizer step with upcast().
+weights file), with a named view per parameter. The pass computes in the
+dtype of the activations it is handed: float32 frames on float32 weights
+run in float32, and float64 frames make numpy promote every product to
+float64, bit for bit as if the weights were cast first. Only the head's
+logits are cast to float64 before the softmax. forward_probs computes in
+the weights' dtype, float32 as stored (half the bytes per elementwise pass)
+and float64 after upcast(). encoder_forward, classify and the backward pass
+always compute in float64, so analytic gradients agree with central finite
+differences to tight tolerances.
 """
 from __future__ import annotations
 
@@ -37,10 +41,12 @@ LN_EPS = 1e-5
 PE_BASE = 10000.0
 PROB_CLAMP = 1e-12
 # Windows per forward_probs call when many are classified. Batching cuts the
-# per-call Python and casting work: in chunks of 8, decoding ran 1.4x as
-# fast as one window per call at the gate's shape and the 12-layer default's
-# (BENCH_batched_decode.json). 16 was no faster, and from 32 on the score
-# tensors outgrow the cache.
+# per-call Python work: in chunks of 8, float64 decoding ran 1.4x as fast as
+# one window per call at the gate's shape and the 12-layer default's
+# (BENCH_batched_decode.json), and from 32 on the score tensors outgrow the
+# cache. In float32, 4 was fastest at the gate's shape (0.44 against 0.52 ms
+# a window) and 16 at the 12-layer default's (5.6 against 5.8 ms), so no
+# size won at both and 8 stays (BENCH_float32_decode.json).
 FORWARD_CHUNK = 8
 
 _DIM_FIELDS = ("heads", "d_model", "d_ff", "window", "input_dim", "classes")
@@ -206,15 +212,16 @@ def _f64(a: np.ndarray) -> np.ndarray:
 def upcast(weights: ModelWeights) -> ModelWeights:
     """The same weights in a float64 buffer of their own.
 
-    The forward pass casts each layer's float32 weights once per call;
-    converting once before a run of forward or backward calls makes those
-    casts no-ops. float32 to float64 is exact, so results are bit-identical.
+    The one way to choose float64 for a whole model: forward_probs then
+    computes in float64. float32 to float64 is exact, so float64 forward
+    and backward results are bit-identical to those on the float32 weights,
+    where numpy promotes each product; converting once saves those casts.
     """
     return ModelWeights(weights.config, weights.flat.astype(np.float64))
 
 
 def _softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along `axis`, written over x, a float64 array the caller owns."""
+    """Softmax along `axis`, written over x, an array the caller owns."""
     x -= x.max(axis=axis, keepdims=True)
     np.exp(x, out=x)
     x /= x.sum(axis=axis, keepdims=True)
@@ -254,12 +261,13 @@ def positional_encoding_matrix(window: int, d_model: int) -> np.ndarray:
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    return _position_codes(window, d_model)
+    return _position_codes(window, d_model, np.dtype(np.float64))
 
 
 @functools.lru_cache(maxsize=16)
-def _position_codes(window: int, d_model: int) -> np.ndarray:
-    codes = _sinusoids(np.arange(window, dtype=np.float64), d_model)
+def _position_codes(window: int, d_model: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only codes in `dtype`, rounded from the float64 ones."""
+    codes = _sinusoids(np.arange(window, dtype=np.float64), d_model).astype(dtype)
     codes.setflags(write=False)
     return codes
 
@@ -311,15 +319,14 @@ def multi_head_attention(x: np.ndarray, layer: LayerWeights) -> np.ndarray:
 
 def _mha_fwd(x, layer, window):
     # x is (B * window, d_model): B windows, one row per frame
-    wq, wk, wv, wo = _f64(layer.wq), _f64(layer.wk), _f64(layer.wv), _f64(layer.wo)
-    heads, d_model, d_k = wq.shape
+    heads, d_model, d_k = layer.wq.shape
     # all heads of all windows at once, (B, heads, window, d_k); each
     # window's per-head products are the same BLAS calls as one at a time
     xb = x.reshape(-1, 1, window, d_model)
-    q, k, v = xb @ wq, xb @ wk, xb @ wv
+    q, k, v = xb @ layer.wq, xb @ layer.wk, xb @ layer.wv
     a = _attention_(q @ k.transpose(0, 1, 3, 2), d_k)
     concat = (a @ v).transpose(0, 2, 1, 3).reshape(x.shape[0], heads * d_k)
-    return concat @ wo, ((q, k, v, a), concat)
+    return concat @ layer.wo, ((q, k, v, a), concat)
 
 
 def feed_forward(x: np.ndarray, layer: LayerWeights) -> np.ndarray:
@@ -331,42 +338,41 @@ def feed_forward(x: np.ndarray, layer: LayerWeights) -> np.ndarray:
 
 
 def _ff_fwd(x, layer):
-    act = x @ _f64(layer.ff_w1)
-    act += _f64(layer.ff_b1)
+    act = x @ layer.ff_w1
+    act += layer.ff_b1
     np.maximum(act, 0.0, out=act)
-    out = act @ _f64(layer.ff_w2)
-    out += _f64(layer.ff_b2)
+    out = act @ layer.ff_w2
+    out += layer.ff_b2
     return out, act
 
 
 def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True, caches=None):
     """Forward pass of windows (B, window, input_dim) through embedding and
-    all layers. Returns (features (B, window, d_model), frames64); given a
-    list, appends to it what the backward pass needs of each layer."""
+    all layers, in the dtype numpy promotes the frames and weights to.
+    Returns features (B, window, d_model); given a list, appends to it what
+    the backward pass needs of each layer."""
     cfg = weights.config
-    frames = _f64(frames)
     if frames.shape[1:] != (cfg.window, cfg.input_dim):
         raise ShapeError(f"frames have shape {frames.shape[1:]}, expected ({cfg.window}, {cfg.input_dim})")
-    x = frames.reshape(-1, cfg.input_dim) @ _f64(weights.embed_w)
-    x += _f64(weights.embed_b)
+    x = frames.reshape(-1, cfg.input_dim) @ weights.embed_w
+    x += weights.embed_b
     if use_positions:
         windows = x.reshape(-1, cfg.window, cfg.d_model)  # a view: x is fresh and contiguous
-        windows += positional_encoding_matrix(cfg.window, cfg.d_model)
+        windows += _position_codes(cfg.window, cfg.d_model, x.dtype)
     for layer in weights.layers:
         x = _layer_fwd(x, layer, cfg.window, caches)
-    return x.reshape(-1, cfg.window, cfg.d_model), frames
+    return x.reshape(-1, cfg.window, cfg.d_model)
 
 
 def _layer_fwd(x_in, layer, window, caches):
-    # a function of its own, so one layer's activations (and float64 copies
-    # of its weights) are freed before the next layer runs unless they go
-    # into caches
+    # a function of its own, so one layer's activations are freed before
+    # the next layer runs unless they go into caches
     mha, (qkva, concat) = _mha_fwd(x_in, layer, window)
     mha += x_in
-    y1, ln1 = _layer_norm_fwd(mha, _f64(layer.ln1_g), _f64(layer.ln1_b))
+    y1, ln1 = _layer_norm_fwd(mha, layer.ln1_g, layer.ln1_b)
     ff_out, ff_act = _ff_fwd(y1, layer)
     ff_out += y1
-    out, ln2 = _layer_norm_fwd(ff_out, _f64(layer.ln2_g), _f64(layer.ln2_b))
+    out, ln2 = _layer_norm_fwd(ff_out, layer.ln2_g, layer.ln2_b)
     if caches is not None:
         caches.append(
             {"x_in": x_in, "qkva": qkva, "concat": concat, "ln1": ln1,
@@ -376,28 +382,31 @@ def _layer_fwd(x_in, layer, window, caches):
 
 
 def encoder_forward(frames: np.ndarray, weights: ModelWeights, use_positions: bool = True) -> np.ndarray:
-    """Per-frame features after the full encoder stack, (window, d_model).
+    """Per-frame features after the full encoder stack, (window, d_model),
+    computed in float64.
 
     With layers == 0 this is just the embedded frames (plus position codes
     unless use_positions is False).
     """
-    return _encoder_internals(_f64(frames)[None], weights, use_positions)[0][0]
+    return _encoder_internals(_f64(frames)[None], weights, use_positions)[0]
 
 
 def _classify_internals(features, weights: ModelWeights):
-    """Class probabilities (B, classes) of features (B, window, d_model),
-    and the flattened features (B, window * d_model)."""
+    """float64 class probabilities (B, classes) of features
+    (B, window, d_model), and the flattened features (B, window * d_model)."""
     cfg = weights.config
     flat = features.reshape(-1, 1, cfg.window * cfg.d_model)
     # one matrix-vector product per window: a single matrix product over
     # all windows would round differently from the per-window one
-    logits = (flat @ _f64(weights.head_w)).reshape(-1, cfg.classes)
-    logits += _f64(weights.head_b)
-    return _softmax_(logits), flat.reshape(-1, cfg.window * cfg.d_model)
+    logits = (flat @ weights.head_w).reshape(-1, cfg.classes)
+    logits += weights.head_b
+    # the softmax in float64 in any case, so rows sum to 1 within 1e-9
+    return _softmax_(logits.astype(np.float64, copy=False)), flat.reshape(-1, cfg.window * cfg.d_model)
 
 
 def classify(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """Class probabilities from the flattened window features."""
+    """Class probabilities from the flattened window features, computed in
+    float64."""
     cfg = weights.config
     features = _f64(features)
     if features.shape != (cfg.window, cfg.d_model):
@@ -410,11 +419,13 @@ def classify(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
 def forward_probs(weights: ModelWeights, frames: np.ndarray) -> np.ndarray:
     """Full forward pass: one window's frames (window, input_dim) to class
     probabilities (classes,), or a batch (B, window, input_dim) to
-    (B, classes). A window's probabilities are bit for bit the same alone
-    or in a batch of any size."""
-    frames = _f64(frames)
+    (B, classes). Computes in the dtype of the weights' buffer, float32 as
+    stored or float64 after upcast(); the probabilities are float64 either
+    way. A window's probabilities are bit for bit the same alone or in a
+    batch of any size."""
+    frames = np.asarray(frames, dtype=weights.flat.dtype)
     batch = frames if frames.ndim == 3 else frames[None]
-    probs = _classify_internals(_encoder_internals(batch, weights)[0], weights)[0]
+    probs = _classify_internals(_encoder_internals(batch, weights), weights)[0]
     return probs if frames.ndim == 3 else probs[0]
 
 

@@ -12,7 +12,7 @@ from signseg import (
     init_weights,
     relative_error,
 )
-from signseg.model import param_shapes, weights_to_dict
+from signseg.model import param_shapes, upcast, weights_to_dict
 from signseg.seeding import derive_rng, derive_seed
 
 
@@ -85,7 +85,7 @@ def test_one_hot_target_is_the_default(tiny_weights, tiny_sample, tiny_mcfg):
 def test_soft_target_loss_and_head_gradient(tiny_mcfg, tiny_weights, tiny_sample):
     target = np.array([0.25, 0.75, 0.0])
     grads, loss = backward(tiny_sample, tiny_weights, target)
-    probs = forward_probs(tiny_weights, tiny_sample.frames)
+    probs = forward_probs(upcast(tiny_weights), tiny_sample.frames)
     np.testing.assert_allclose(loss, -(target * np.log(probs)).sum(), atol=1e-12)
     np.testing.assert_allclose(grads.head_b, probs - target, atol=1e-12)
 

@@ -316,11 +316,14 @@ class TestEncoderAndClassify:
     @pytest.mark.parametrize("gate", [False, True], ids=["tiny", "gate"])
     def test_batch_matches_per_window_calls(self, tiny_mcfg, batch, gate):
         cfg = GATE_MCFG if gate else tiny_mcfg
-        weights = init_weights(cfg, 9)
+        stored = init_weights(cfg, 9)
         frames = derive_rng(19, "batch").normal(size=(batch, cfg.window, cfg.input_dim))
-        probs = forward_probs(weights, frames)
-        assert probs.shape == (batch, cfg.classes)
-        np.testing.assert_array_equal(probs, np.stack([forward_probs(weights, f) for f in frames]))
+        # in float32 as stored and in float64 after upcast; both must be
+        # batch-invariant bit for bit
+        for weights in (stored, upcast(stored)):
+            probs = forward_probs(weights, frames)
+            assert probs.shape == (batch, cfg.classes)
+            np.testing.assert_array_equal(probs, np.stack([forward_probs(weights, f) for f in frames]))
 
     def test_argmax_ties_take_lowest(self, tiny_mcfg, tiny_weights):
         weights = init_weights(tiny_mcfg, 7)
@@ -339,7 +342,9 @@ def test_upcast_is_exact(tiny_mcfg, tiny_weights):
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, value)
     frames = derive_rng(3, "upcast").normal(size=(tiny_mcfg.window, tiny_mcfg.input_dim))
-    assert forward_probs(wide, frames).tobytes() == forward_probs(tiny_weights, frames).tobytes()
+    # float64 math on the float32 weights, where numpy promotes each product
+    promoted = classify(encoder_forward(frames, tiny_weights), tiny_weights)
+    assert forward_probs(wide, frames).tobytes() == promoted.tobytes()
 
 
 def _forward_peak_bytes(layers: int) -> int:

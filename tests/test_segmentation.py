@@ -10,6 +10,7 @@ from signseg import (
     TrainConfig,
     WindowProb,
     avg_recognized_softmax,
+    build_streams,
     carve_validation,
     concat_isolated,
     count_false,
@@ -22,6 +23,7 @@ from signseg import (
     train,
     window_probs,
 )
+from signseg.model import upcast
 from signseg.segmentation import report_aggregate_json, report_summary_csv, windows_csv
 from signseg.seeding import derive_rng, derive_seed
 
@@ -93,11 +95,13 @@ class TestWindowProbs:
         stream = rng.normal(size=(tiny_mcfg.window + 2 * (n_windows - 1), tiny_mcfg.input_dim))
         wins = slide(stream, window=tiny_mcfg.window, stride=2)
         assert len(wins) == n_windows
-        wp = window_probs(tiny_weights, wins)
-        assert [w.start for w in wp] == [w.start for w in wins]
-        for probs, win in zip(wp, wins):
-            np.testing.assert_array_equal(probs.probs, forward_probs(tiny_weights, win.frames))
-            assert abs(probs.probs.sum() - 1.0) < 1e-9
+        # in float32 as stored and in float64 after upcast
+        for weights in (tiny_weights, upcast(tiny_weights)):
+            wp = window_probs(weights, wins)
+            assert [w.start for w in wp] == [w.start for w in wins]
+            for probs, win in zip(wp, wins):
+                np.testing.assert_array_equal(probs.probs, forward_probs(weights, win.frames))
+                assert abs(probs.probs.sum() - 1.0) < 1e-9
 
     def test_empty(self, tiny_weights):
         assert window_probs(tiny_weights, []) == []
@@ -272,6 +276,30 @@ class TestSegmentReport:
                 assert 0.0 <= mismatch.recognized_softmax <= 1.0
             if mismatch.gt_class is not None and mismatch.gt_softmax is not None:
                 assert 0.0 <= mismatch.gt_softmax <= 1.0
+
+
+def test_float32_decode_matches_float64_reference():
+    # the gate's shapes and streams, with weights trained briefly; stored
+    # float32 weights decode in float32, upcast ones in float64
+    seed = 42
+    data = make_dataset(
+        seed=derive_seed(seed, "data"), classes=10, n_per_class=20, dim=12, window=50, noise_sigma=0.05
+    )
+    train_all, test_set = split_dataset(data, 0.8, derive_seed(seed, "split"))
+    core, val = carve_validation(train_all, 0.1, derive_seed(seed, "val"))
+    mcfg = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
+    weights, _ = train(core, val, mcfg, TrainConfig(seed=derive_seed(seed, "train"), max_epochs=10))
+    streams = build_streams(test_set, n_streams=20, signs_per_stream=10, seed=derive_seed(seed, "streams"))
+    stored = segment_report(weights, streams, window=50, stride=1, threshold=0.51)
+    reference = segment_report(upcast(weights), streams, window=50, stride=1, threshold=0.51)
+    for got, want in zip(stored.rows, reference.rows):
+        assert [(d.label, d.window_index) for d in got.decoded] == [
+            (d.label, d.window_index) for d in want.decoded
+        ], f"stream {got.index} decodes differently in float32"
+        p32 = np.stack([w.probs for w in got.window_probs])
+        p64 = np.stack([w.probs for w in want.window_probs])
+        assert np.abs(p32 - p64).max() <= 5e-5
+        assert np.abs(p32.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 class TestEmitters:

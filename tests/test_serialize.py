@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signseg import (
     ModelConfig,
@@ -134,3 +136,32 @@ def test_huge_layer_count_in_header_fails_fast():
     with pytest.raises(WeightsTruncationError):
         load_weights(header)
     assert time.monotonic() - start < 0.5
+
+
+_FUZZ_BLOB = save_weights(
+    init_weights(ModelConfig(layers=1, heads=2, d_model=4, d_ff=3, window=2, input_dim=2, classes=2), 5)
+)
+
+
+def _flip_bit(bit: int) -> bytes:
+    blob = bytearray(_FUZZ_BLOB)
+    blob[bit // 8] ^= 1 << (bit % 8)
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 8 * len(_FUZZ_BLOB) - 1).map(_flip_bit),
+        st.integers(0, len(_FUZZ_BLOB) - 1).map(lambda cut: _FUZZ_BLOB[:cut]),
+    )
+)
+def test_damaged_blob_loads_whole_or_raises_a_format_error(blob):
+    # one flipped bit or a cut anywhere: a model of the declared size, or a
+    # WeightsFormatError subclass, never another exception
+    try:
+        loaded = load_weights(blob)
+    except WeightsFormatError:
+        return
+    assert loaded.flat.shape == (param_count(loaded.config),)
+    assert len(blob) == 36 + 4 * param_count(loaded.config)  # header, then float32s
