@@ -19,7 +19,6 @@ from .gradients import backward, gradient_check, relative_error
 from .keypoints import (
     ContinuousStream,
     IsolatedSample,
-    RawHandFrame,
     build_streams,
     concat_isolated,
     load_isolated_dataset,

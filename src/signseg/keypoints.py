@@ -4,10 +4,12 @@ Recordings arrive as JSON Lines, one frame per non-empty line:
 
     {"hands": [[[x, y, z], ...21 points], ...]}
 
-with one or two hands per frame. Each hand is made translation and scale
+with one or two hands per frame. A parsed recording is one float64 array
+of shape (frames, hands, 21, 3). Each hand is made translation and scale
 invariant by subtracting the wrist (keypoint 0), dropping it, and dividing
 by the largest remaining keypoint radius, which leaves 60 features per
-hand. Sequences are then linearly resampled to a fixed window length, and
+hand; normalize_frame does this for one frame or a whole recording at
+once. Sequences are then linearly resampled to a fixed window length, and
 isolated samples can be concatenated into continuous streams that keep
 their ground-truth label order.
 """
@@ -31,13 +33,8 @@ from .seeding import derive_rng
 KEYPOINTS_PER_HAND = 21
 FEATURES_PER_HAND = 60  # 20 keypoints x 3 coordinates once the wrist is dropped
 MIN_HAND_SCALE = 1e-9
-
-
-@dataclass
-class RawHandFrame:
-    """One camera frame of raw keypoints, shape (hands, 21, 3)."""
-
-    hands: np.ndarray
+_NUMBER_TYPES = {int, float}  # bool is a subclass of int, so compare exact types
+_HAND_SCHEMA = f"each hand must be {KEYPOINTS_PER_HAND} [x, y, z] numbers"
 
 
 @dataclass
@@ -61,14 +58,15 @@ class ContinuousStream:
     boundaries: list[tuple[int, int]] | None = None
 
 
-def parse_keypoint_file(data: bytes | str) -> list[RawHandFrame]:
+def parse_keypoint_file(data: bytes | str) -> np.ndarray:
     """Parse a JSON Lines keypoint recording.
 
     Args:
         data: file content, bytes (UTF-8) or already-decoded text.
 
     Returns:
-        One RawHandFrame per non-empty line, in file order.
+        A float64 array (frames, hands, 21, 3), one frame per non-empty
+        line in file order; (0, 0, 21, 3) when no line holds a frame.
 
     Raises:
         KeypointParseError: a line is not valid JSON or violates the frame
@@ -83,8 +81,7 @@ def parse_keypoint_file(data: bytes | str) -> list[RawHandFrame]:
     else:
         text = data
 
-    frames: list[RawHandFrame] = []
-    hand_count: int | None = None
+    frames: list[np.ndarray] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -92,64 +89,56 @@ def parse_keypoint_file(data: bytes | str) -> list[RawHandFrame]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise KeypointParseError(line_number, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer longer than Python's int-digit limit
+            raise KeypointParseError(line_number, str(exc)) from exc
         if not isinstance(obj, dict) or "hands" not in obj:
             raise KeypointParseError(line_number, 'expected an object with a "hands" key')
         hands = obj["hands"]
         if not isinstance(hands, list) or not 1 <= len(hands) <= 2:
             raise KeypointParseError(line_number, "hands must be a list of 1 or 2 hands")
-        arr = np.empty((len(hands), KEYPOINTS_PER_HAND, 3), dtype=np.float64)
-        for hand_index, hand in enumerate(hands):
-            if not isinstance(hand, list) or len(hand) != KEYPOINTS_PER_HAND:
-                count = len(hand) if isinstance(hand, list) else "no"
-                raise KeypointParseError(
-                    line_number,
-                    f"hand {hand_index} has {count} keypoints, expected {KEYPOINTS_PER_HAND}",
-                )
-            for kp_index, point in enumerate(hand):
-                if (
-                    not isinstance(point, list)
-                    or len(point) != 3
-                    or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in point)
-                ):
-                    raise KeypointParseError(
-                        line_number,
-                        f"hand {hand_index} keypoint {kp_index} must be [x, y, z] numbers",
-                    )
-                arr[hand_index, kp_index] = point
+        try:
+            arr = np.array(hands, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise KeypointParseError(line_number, f"{_HAND_SCHEMA}: {exc}") from exc
+        # np.array also takes true and "1.5", so the types are checked as well
+        if arr.shape != (len(hands), KEYPOINTS_PER_HAND, 3) or not (
+            {type(c) for hand in hands for point in hand for c in point} <= _NUMBER_TYPES
+        ):
+            raise KeypointParseError(line_number, _HAND_SCHEMA)
         if not np.all(np.isfinite(arr)):
             raise KeypointParseError(line_number, "non-finite coordinate")
-        if hand_count is None:
-            hand_count = len(hands)
-        elif len(hands) != hand_count:
+        if frames and len(hands) != len(frames[0]):
             raise HandCountError(
-                f"line {line_number}: frame has {len(hands)} hands, previous frames have {hand_count}"
+                f"line {line_number}: frame has {len(hands)} hands, previous frames have {len(frames[0])}"
             )
-        frames.append(RawHandFrame(hands=arr))
-    return frames
+        frames.append(arr)
+    return np.stack(frames) if frames else np.empty((0, 0, KEYPOINTS_PER_HAND, 3))
 
 
-def normalize_frame(raw: RawHandFrame | np.ndarray) -> np.ndarray:
-    """Reduce one raw frame to wrist-relative, scale-normalized features.
+def normalize_frame(raw: np.ndarray) -> np.ndarray:
+    """Reduce raw keypoints to wrist-relative, scale-normalized features.
 
+    Takes one frame (hands, 21, 3) or a recording (frames, hands, 21, 3).
     Per hand: subtract keypoint 0, drop it, divide the remaining 20 points
-    by the largest Euclidean radius. Hands are flattened in order, so the
-    result has 60 features per hand.
+    by the largest Euclidean radius. Hands are flattened in order, so a
+    frame becomes 60 features per hand and a recording (frames, 60 * hands).
 
     Raises:
         DegenerateFrameError: every keypoint of a hand sits on the wrist
-            (max radius below 1e-9), so no scale exists.
+            (max radius below 1e-9), so no scale exists. The message names
+            the first such hand, and its 0-based frame for a recording.
     """
-    hands = raw.hands if isinstance(raw, RawHandFrame) else np.asarray(raw, dtype=np.float64)
-    if hands.ndim != 3 or hands.shape[1:] != (KEYPOINTS_PER_HAND, 3):
-        raise ShapeError(f"expected (hands, {KEYPOINTS_PER_HAND}, 3) keypoints, got {hands.shape}")
-    parts = []
-    for hand in hands:
-        relative = hand[1:] - hand[0]
-        scale = float(np.sqrt((relative**2).sum(axis=1)).max())
-        if scale < MIN_HAND_SCALE:
-            raise DegenerateFrameError("all keypoints coincide with the wrist")
-        parts.append((relative / scale).reshape(-1))
-    return np.concatenate(parts)
+    points = np.asarray(raw, dtype=np.float64)
+    if points.ndim not in (3, 4) or points.shape[-2:] != (KEYPOINTS_PER_HAND, 3):
+        raise ShapeError(f"expected ([frames,] hands, {KEYPOINTS_PER_HAND}, 3) keypoints, got {points.shape}")
+    relative = points[..., 1:, :] - points[..., :1, :]
+    scale = np.sqrt((relative**2).sum(axis=-1)).max(axis=-1)
+    degenerate = np.argwhere(scale < MIN_HAND_SCALE)
+    if len(degenerate):
+        *frame, hand = degenerate[0]
+        where = f"frame {frame[0]}, hand {hand}" if frame else f"hand {hand}"
+        raise DegenerateFrameError(f"{where}: all keypoints coincide with the wrist")
+    return (relative / scale[..., None, None]).reshape(*points.shape[:-3], -1)
 
 
 def resample_sequence(frames: np.ndarray, target: int) -> np.ndarray:
@@ -242,36 +231,34 @@ def build_streams(
 def load_isolated_dataset(manifest_path: str | Path, window: int) -> list[IsolatedSample]:
     """Load a labelled dataset from a manifest of keypoint recordings.
 
-    The manifest is a JSON array of {"file": path, "label": int}; file
-    paths are resolved relative to the manifest location. Each recording
-    is parsed, normalized per frame, and resampled to `window` frames.
+    The manifest is a UTF-8 JSON array of {"file": path, "label": int};
+    file paths are resolved relative to the manifest location. Each
+    recording is loaded as by load_stream_features and resampled to
+    `window` frames.
     """
     manifest_path = Path(manifest_path)
     try:
-        entries = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        entries = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past the int-digit limit
         raise ConfigError(f"manifest {manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise ConfigError(f"manifest {manifest_path}: expected a JSON array")
     samples = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "file" not in entry or "label" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str) or "label" not in entry:
             raise ConfigError(f"manifest entry {i}: expected an object with file and label")
         label = entry["label"]
         if not isinstance(label, int) or isinstance(label, bool) or label < 0:
             raise ConfigError(f"manifest entry {i}: label must be a non-negative integer")
-        path = manifest_path.parent / entry["file"]
-        frames = parse_keypoint_file(path.read_bytes())
-        if not frames:
-            raise ConfigError(f"manifest entry {i}: {path} holds no frames")
-        features = np.stack([normalize_frame(f) for f in frames])
+        features = load_stream_features(manifest_path.parent / entry["file"])
         samples.append(IsolatedSample(frames=resample_sequence(features, window), label=label))
     return samples
 
 
 def load_stream_features(path: str | Path) -> np.ndarray:
-    """Parse and normalize a continuous recording, without resampling."""
-    frames = parse_keypoint_file(Path(path).read_bytes())
-    if not frames:
-        raise ValueError(f"{path} holds no frames")
-    return np.stack([normalize_frame(f) for f in frames])
+    """Parse and normalize a keypoint recording, without resampling; one
+    with no frames raises KeypointParseError."""
+    raw = parse_keypoint_file(Path(path).read_bytes())
+    if not len(raw):
+        raise KeypointParseError(0, f"{path} holds no frames")
+    return normalize_frame(raw)

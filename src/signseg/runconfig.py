@@ -92,11 +92,9 @@ def load_config(source: bytes | str | None) -> RunConfig:
     cfg = RunConfig()
     if source is None:
         return cfg
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
-        obj = json.loads(source)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past the int-digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config top level must be a JSON object")

@@ -245,6 +245,19 @@ class TestSegmentStream:
         assert "stream has 3 frames, one window needs 10" in capsys.readouterr().err
         assert not (tmp_path / "seg" / "stream_windows.csv").exists()
 
+    def test_huge_coordinate_exits_1(self, manifest_run, tmp_path, capsys):
+        root, cfg, data, run = manifest_run
+        manifest = json.loads((data / "manifest.json").read_text())
+        lines = (data / manifest[0]["file"]).read_text().strip().split("\n")
+        point = "[" + "1" + "0" * 400 + ", 0.0, 0.0]"  # past float range: OverflowError in numpy
+        lines[2] = '{"hands": [[' + ", ".join([point] + ["[0.0, 0.0, 1.0]"] * 20) + "]]}"
+        bad = tmp_path / "huge.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
+                   "--stream", str(bad), "--out", str(tmp_path / "seg")])
+        assert rc == 1
+        assert "line 3:" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_unknown_config_key_exits_1(self, tmp_path):

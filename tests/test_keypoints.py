@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signseg import (
+    ConfigError,
     DegenerateFrameError,
     HandCountError,
     IsolatedSample,
@@ -12,6 +15,7 @@ from signseg import (
     build_streams,
     concat_isolated,
     load_isolated_dataset,
+    load_stream_features,
     normalize_frame,
     parse_keypoint_file,
     resample_sequence,
@@ -28,16 +32,71 @@ def make_hand(rng, scale=1.0, offset=0.0):
     return rng.normal(size=(KEYPOINTS_PER_HAND, 3)) * scale + offset
 
 
+MARKER = 12345.678  # a coordinate value that no make_hand draw prints as
+
+
+def with_literal(hand, literal, point, coord):
+    """A one-hand frame line whose coordinate (point, coord) is the raw JSON `literal`."""
+    hand = np.array(hand)
+    hand[point, coord] = MARKER
+    return frame_line([hand]).replace(repr(MARKER), literal)
+
+
+BAD_LITERALS = ['"1.5"', "true", "false", "null", "1" + "0" * 400, "9" * 5000, "NaN", "Infinity", "-Infinity"]
+MUTATIONS = [
+    "drop keypoint", "extra keypoint", "drop coordinate", "extra coordinate",
+    "bad value", "extra hand", "drop hand", "truncate",
+]
+
+
+@st.composite
+def mutated_recordings(draw):
+    """(text, expected error or None, 1-based line of the error) for a valid
+    recording with one mutation applied to one line."""
+    n_hands = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.normal(size=(draw(st.integers(1, 4)), n_hands, KEYPOINTS_PER_HAND, 3)).tolist()
+    line = draw(st.integers(0, len(frames) - 1))
+    hand = frames[line][draw(st.integers(0, n_hands - 1))]
+    point = draw(st.integers(0, KEYPOINTS_PER_HAND - 1))
+    coord = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(MUTATIONS))
+    expected = KeypointParseError
+    if kind == "drop keypoint":
+        del hand[point]
+    elif kind == "extra keypoint":
+        hand.append([0.5, 0.5, 0.5])
+    elif kind == "drop coordinate":
+        del hand[point][coord]
+    elif kind == "extra coordinate":
+        hand[point].append(0.5)
+    elif kind == "bad value":
+        hand[point][coord] = MARKER
+    elif kind == "extra hand":
+        frames[line].append(hand)
+    elif kind == "drop hand":
+        del frames[line][0]
+    if kind.endswith(" hand") and 1 <= len(frames[line]) <= 2:
+        # a valid frame whose hand count differs from the other lines'
+        expected = HandCountError if len(frames) > 1 else None
+    lines = [json.dumps({"hands": f}) for f in frames]
+    if kind == "bad value":
+        lines[line] = lines[line].replace(repr(MARKER), draw(st.sampled_from(BAD_LITERALS)))
+    elif kind == "truncate":
+        lines[line] = lines[line][: draw(st.integers(1, len(lines[line]) - 1))]
+    error_line = max(line, 1) + 1 if expected is HandCountError else line + 1
+    return "\n".join(lines), expected, error_line
+
+
 class TestParse:
     def test_round_trip_single_hand(self):
         rng = derive_rng(1, "parse")
         hands = [make_hand(rng) for _ in range(3)]
         text = "\n".join(frame_line([h]) for h in hands)
         frames = parse_keypoint_file(text)
-        assert len(frames) == 3
+        assert frames.shape == (3, 1, 21, 3)
         for got, want in zip(frames, hands):
-            assert got.hands.shape == (1, 21, 3)
-            np.testing.assert_allclose(got.hands[0], want)
+            np.testing.assert_allclose(got[0], want)
 
     def test_blank_lines_skipped(self):
         rng = derive_rng(2, "parse")
@@ -73,6 +132,41 @@ class TestParse:
         rng = derive_rng(6, "parse")
         with pytest.raises(KeypointParseError):
             parse_keypoint_file(frame_line([make_hand(rng)] * 3))
+
+    @pytest.mark.parametrize(
+        "literal", ["1" + "0" * 400, "9" * 5000], ids=["overflows_float", "past_int_digit_limit"]
+    )
+    def test_huge_integer_coordinate_names_line(self, literal):
+        rng = derive_rng(19, "parse")
+        text = frame_line([make_hand(rng)]) + "\n" + with_literal(make_hand(rng), literal, 4, 2)
+        with pytest.raises(KeypointParseError) as exc:
+            parse_keypoint_file(text)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("literal", ['"1.5"', "true", "null"])
+    def test_non_number_coordinate_rejected(self, literal):
+        rng = derive_rng(20, "parse")
+        with pytest.raises(KeypointParseError):
+            parse_keypoint_file(with_literal(make_hand(rng), literal, 7, 1))
+
+    def test_empty_input_is_an_empty_recording(self):
+        assert parse_keypoint_file("\n\n").shape == (0, 0, KEYPOINTS_PER_HAND, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_recordings())
+    def test_fuzzed_lines_parse_or_raise_a_named_error(self, case):
+        text, expected, error_line = case
+        if expected is None:
+            out = parse_keypoint_file(text)
+            assert out.dtype == np.float64 and out.ndim == 4 and out.shape[2:] == (KEYPOINTS_PER_HAND, 3)
+            assert out.shape[0] == len(text.splitlines()) and out.shape[1] in (1, 2)
+            return
+        with pytest.raises(expected) as exc:
+            parse_keypoint_file(text)
+        if expected is KeypointParseError:
+            assert exc.value.line_number == error_line
+        else:
+            assert str(exc.value).startswith(f"line {error_line}:")
 
 
 class TestNormalize:
@@ -122,6 +216,31 @@ class TestNormalize:
         assert out.shape == (2 * FEATURES_PER_HAND,)
         np.testing.assert_allclose(out[:FEATURES_PER_HAND], normalize_frame(a[None]))
         np.testing.assert_allclose(out[FEATURES_PER_HAND:], normalize_frame(b[None]))
+
+    @pytest.mark.parametrize("n_hands", [1, 2])
+    def test_recording_matches_per_frame_calls(self, n_hands):
+        rng = derive_rng(21, "norm")
+        raw = rng.normal(size=(40, n_hands, KEYPOINTS_PER_HAND, 3))
+        raw *= 10.0 ** rng.uniform(-6, 6, size=(40, n_hands, 1, 1))
+        out = normalize_frame(raw)
+        assert out.shape == (40, n_hands * FEATURES_PER_HAND)
+        np.testing.assert_array_equal(out, np.stack([normalize_frame(frame) for frame in raw]))
+
+    def test_degenerate_names_frame_and_hand(self):
+        rng = derive_rng(22, "norm")
+        raw = rng.normal(size=(6, 2, KEYPOINTS_PER_HAND, 3))
+        raw[3, 1] = raw[3, 1, 0]
+        raw[5, 0] = raw[5, 0, 0]
+        with pytest.raises(DegenerateFrameError, match="frame 3, hand 1:"):
+            normalize_frame(raw)
+        with pytest.raises(DegenerateFrameError, match="^hand 1:"):
+            normalize_frame(raw[3])
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ShapeError):
+            normalize_frame(np.ones((2, 20, 3)))
+        with pytest.raises(ShapeError):
+            normalize_frame(np.ones((1, 1, 1, KEYPOINTS_PER_HAND, 3)))
 
 
 class TestResample:
@@ -251,3 +370,24 @@ def test_load_isolated_dataset(tmp_path):
     for s in samples:
         assert s.frames.shape == (12, FEATURES_PER_HAND)
         assert np.isfinite(s.frames).all()
+
+
+def test_empty_recording_names_the_file(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    with pytest.raises(KeypointParseError, match="empty.jsonl holds no frames"):
+        load_stream_features(empty)
+    (tmp_path / "manifest.json").write_text(json.dumps([{"file": "empty.jsonl", "label": 0}]))
+    with pytest.raises(KeypointParseError, match="empty.jsonl holds no frames"):
+        load_isolated_dataset(tmp_path / "manifest.json", window=8)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe[]", b'[{"file": "a.jsonl", "label": ' + b"9" * 5000 + b"}]", b'[{"file": 5, "label": 0}]'],
+    ids=["not_utf8", "past_int_digit_limit", "file_not_a_string"],
+)
+def test_bad_manifest_is_config_error(tmp_path, content):
+    (tmp_path / "manifest.json").write_bytes(content)
+    with pytest.raises(ConfigError, match="manifest"):
+        load_isolated_dataset(tmp_path / "manifest.json", window=8)

@@ -94,6 +94,13 @@ class TestRejection:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config("{nope")
 
+    @pytest.mark.parametrize(
+        "source", [b"\xff\xfe", '{"seed": ' + "9" * 5000 + "}"], ids=["not_utf8", "past_int_digit_limit"]
+    )
+    def test_undecodable_input_is_config_error(self, source):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(source)
+
     def test_non_object_top_level(self):
         with pytest.raises(ConfigError, match="top level"):
             load_config("[1, 2]")

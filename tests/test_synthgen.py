@@ -124,9 +124,8 @@ def test_jsonl_round_trip_preserves_features():
     proto = make_class_prototype(6, 0, 12)
     sample = sample_instance(proto, 77, 0.01, 10)
     frames = parse_keypoint_file(sample_to_jsonl(sample))
-    assert len(frames) == 10
-    assert frames[0].hands.shape == (1, 21, 3)
-    got = frames[0].hands[0]
+    assert frames.shape == (10, 1, 21, 3)
+    got = frames[0, 0]
     np.testing.assert_allclose(got[0], 0.0, atol=1e-12)  # wrist pinned at origin
     np.testing.assert_allclose(got[1:5].reshape(-1), sample.frames[0], atol=1e-12)
     np.testing.assert_allclose(got[5:], 0.0, atol=1e-12)  # padding keypoints
