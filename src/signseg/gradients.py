@@ -22,17 +22,13 @@ from .model import (
 from .seeding import derive_rng
 
 
-def _layer_norm_bwd(dy, cache):
+def _layer_norm_bwd(dy, cache, dgain, dbias):
+    """The input's gradient; the gain's and bias's are added into dgain and dbias."""
     xhat, inv_std, gain = cache
-    dgain = (dy * xhat).sum(axis=0)
-    dbias = dy.sum(axis=0)
+    dgain += (dy * xhat).sum(axis=0)
+    dbias += dy.sum(axis=0)
     dxhat = dy * gain
-    dx = inv_std * (
-        dxhat
-        - _row_mean(dxhat)
-        - xhat * _row_mean(dxhat * xhat)
-    )
-    return dx, dgain, dbias
+    return inv_std * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
 
 
 def _check_target(target, classes: int) -> np.ndarray:
@@ -62,7 +58,10 @@ def _resolve_target(sample: IsolatedSample, target, classes: int) -> np.ndarray:
 
 
 def backward(
-    sample: IsolatedSample, weights: ModelWeights, target: np.ndarray | None = None
+    sample: IsolatedSample,
+    weights: ModelWeights,
+    target: np.ndarray | None = None,
+    add_to: ModelWeights | None = None,
 ) -> tuple[ModelWeights, float]:
     """Loss and exact gradients of the cross-entropy for one sample.
 
@@ -70,54 +69,51 @@ def backward(
     target distribution t over the classes gives -sum t ln p instead.
     Returns (gradients, loss); the gradients are a ModelWeights over a
     float64 buffer in the parameters' layout, each view holding the
-    gradient of the parameter of the same name.
+    gradient of the parameter of the same name. Given `add_to`, a float64
+    ModelWeights of the same config, the gradients are added into its
+    views and `add_to` is returned; otherwise into a fresh zeroed buffer.
     """
-    return _backward(sample, weights, _resolve_target(sample, target, weights.config.classes))
-
-
-def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray):
     cfg = weights.config
+    target = _resolve_target(sample, target, cfg.classes)
+    if add_to is None:
+        add_to = ModelWeights(cfg, np.zeros(param_count(cfg)))
+    elif add_to.config != cfg or add_to.flat.dtype != np.float64:
+        raise ShapeError("add_to must be a float64 ModelWeights of the weights' config")
     caches: list[dict] = []
     # the forward kernel in float64 on a batch of one window; every product
     # with a float32 weight promotes it, exactly as an explicit cast would
     frames64 = _f64(sample.frames)
     features = _encoder_internals(frames64[None], weights, caches=caches)
-    probs, flat = _classify_internals(features, weights)
-    probs, flat = probs[0], flat[0]
+    probs, flat = (a[0] for a in _classify_internals(features, weights))
     loss = soft_cross_entropy(probs, target)
 
-    # each gradient is written straight into its view of one buffer
-    grads = ModelWeights(cfg, np.empty(param_count(cfg)))
-    # softmax + cross-entropy collapse to p - target at the logits
+    # each gradient is added into its view of add_to, never stored alone.
+    # Softmax + cross-entropy collapse to p - target at the logits
     dlogits = probs - target
-    np.outer(flat, dlogits, out=grads.head_w)
-    grads.head_b[...] = dlogits
+    add_to.head_w += np.outer(flat, dlogits)
+    add_to.head_b += dlogits
     dx = (weights.head_w @ dlogits).reshape(cfg.window, cfg.d_model)
 
     sqrt_dk = math.sqrt(cfg.d_k)
     for i in reversed(range(cfg.layers)):
         layer = weights.layers[i]
         c = caches[i]
-        g = grads.layers[i]
+        g = add_to.layers[i]
 
-        dr2, dg2, db2 = _layer_norm_bwd(dx, c["ln2"])
-        g.ln2_g[...], g.ln2_b[...] = dg2, db2
-        dy1 = dr2.copy()
-
+        dr2 = _layer_norm_bwd(dx, c["ln2"], g.ln2_g, g.ln2_b)
         d_act = dr2 @ layer.ff_w2.T
-        np.matmul(c["ff_act"].T, dr2, out=g.ff_w2)
-        dr2.sum(axis=0, out=g.ff_b2)
+        g.ff_w2 += c["ff_act"].T @ dr2
+        g.ff_b2 += dr2.sum(axis=0)
         # ReLU passed exactly the units its output kept above zero
         d_pre = d_act * (c["ff_act"] > 0.0)
-        np.matmul(c["y1"].T, d_pre, out=g.ff_w1)
-        d_pre.sum(axis=0, out=g.ff_b1)
-        dy1 += d_pre @ layer.ff_w1.T
+        g.ff_w1 += c["y1"].T @ d_pre
+        g.ff_b1 += d_pre.sum(axis=0)
+        dy1 = dr2 + d_pre @ layer.ff_w1.T
 
-        dr1, dg1, db1 = _layer_norm_bwd(dy1, c["ln1"])
-        g.ln1_g[...], g.ln1_b[...] = dg1, db1
+        dr1 = _layer_norm_bwd(dy1, c["ln1"], g.ln1_g, g.ln1_b)
         dx = dr1.copy()
 
-        np.matmul(c["concat"].T, dr1, out=g.wo)
+        g.wo += c["concat"].T @ dr1
         d_concat = dr1 @ layer.wo.T
 
         # all heads at once, (heads, window, d_k)
@@ -130,9 +126,9 @@ def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray)
         dq = ds @ k / sqrt_dk
         dk_ = ds.transpose(0, 2, 1) @ q / sqrt_dk
         x_in_t = c["x_in"].T
-        np.matmul(x_in_t, dq, out=g.wq)
-        np.matmul(x_in_t, dk_, out=g.wk)
-        np.matmul(x_in_t, dv, out=g.wv)
+        g.wq += x_in_t @ dq
+        g.wk += x_in_t @ dk_
+        g.wv += x_in_t @ dv
         d_in = (
             dq @ layer.wq.transpose(0, 2, 1)
             + dk_ @ layer.wk.transpose(0, 2, 1)
@@ -141,9 +137,9 @@ def _backward(sample: IsolatedSample, weights: ModelWeights, target: np.ndarray)
         for h in range(cfg.heads):
             dx += d_in[h]
 
-    np.matmul(frames64.T, dx, out=grads.embed_w)
-    dx.sum(axis=0, out=grads.embed_b)
-    return grads, loss
+    add_to.embed_w += frames64.T @ dx
+    add_to.embed_b += dx.sum(axis=0)
+    return add_to, loss
 
 
 def relative_error(a: float, b: float) -> float:
@@ -170,7 +166,7 @@ def gradient_check(
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     target = _resolve_target(sample, target, weights.config.classes)
-    grads, _ = _backward(sample, weights, target)
+    grads, _ = backward(sample, weights, target)
     probe = upcast(weights)
 
     size = probe.flat.size

@@ -234,7 +234,8 @@ def load_isolated_dataset(manifest_path: str | Path, window: int) -> list[Isolat
     The manifest is a UTF-8 JSON array of {"file": path, "label": int};
     file paths are resolved relative to the manifest location. Each
     recording is loaded as by load_stream_features and resampled to
-    `window` frames.
+    `window` frames. A recording's own error is raised as the same class,
+    its message prefixed with the manifest entry and file.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -250,7 +251,11 @@ def load_isolated_dataset(manifest_path: str | Path, window: int) -> list[Isolat
         label = entry["label"]
         if not isinstance(label, int) or isinstance(label, bool) or label < 0:
             raise ConfigError(f"manifest entry {i}: label must be a non-negative integer")
-        features = load_stream_features(manifest_path.parent / entry["file"])
+        try:
+            features = load_stream_features(manifest_path.parent / entry["file"])
+        except (KeypointParseError, HandCountError, DegenerateFrameError) as exc:
+            exc.args = (f"manifest entry {i} ({entry['file']}): {exc}",)
+            raise
         samples.append(IsolatedSample(frames=resample_sequence(features, window), label=label))
     return samples
 

@@ -108,8 +108,7 @@ def carve_validation(
     samples: list[IsolatedSample], fraction: float = 0.1, seed: int = 0
 ) -> tuple[list[IsolatedSample], list[IsolatedSample]]:
     """Split a training set into (core, validation) stratified by class."""
-    core, val = split_dataset(samples, 1.0 - fraction, seed)
-    return core, val
+    return split_dataset(samples, 1.0 - fraction, seed)
 
 
 @dataclass
@@ -304,16 +303,16 @@ def train(
     first learning-rate decay.
 
     Per epoch: a seeded shuffle and seeded straddle draws, mini-batches of
-    tcfg.batch_size (gradients averaged in a fixed order), one adam_step
-    per batch, then validation. The best epoch has the highest accuracy on
-    the clean validation samples; among epochs tied on it, the lowest loss
-    on a fixed set of straddling validation windows, one per validation
-    sample (a gain must exceed TIE_LOSS_MARGIN), which prefers a later
-    epoch trained on boundaries. Stops early
-    after early_stop_patience epochs without a new best. max_epochs=0
-    returns the initial weights and an empty history. Bit-reproducible for
-    fixed (configs, data): shuffling and straddles draw from
-    their own seeded streams.
+    tcfg.batch_size (each item's gradient added in item order into one
+    float64 sum, then averaged), one adam_step per batch, then validation.
+    The best epoch has the highest accuracy on the clean validation
+    samples; among epochs tied on it, the lowest loss on a fixed set of
+    straddling validation windows, one per validation sample (a gain must
+    exceed TIE_LOSS_MARGIN), which prefers a later epoch trained on
+    boundaries. Stops early after early_stop_patience epochs without a
+    new best. max_epochs=0 returns the initial weights and an empty
+    history. Bit-reproducible for fixed (configs, data): shuffling and
+    straddles draw from their own seeded streams.
     """
     if not train_set:
         raise ValueError("train_set must not be empty")
@@ -336,6 +335,7 @@ def train(
     boundaries = False
     # float64 once per optimizer step, so no op upcasts the float32 params
     weights = upcast(params)
+    grad_sum = ModelWeights(mcfg, np.zeros(params.flat.size))
 
     for epoch in range(tcfg.max_epochs):
         lr = lr_at_epoch(tcfg, epoch)
@@ -344,13 +344,12 @@ def train(
         loss_sum = 0.0
         for start in range(0, len(items), tcfg.batch_size):
             batch = items[start : start + tcfg.batch_size]
-            results = [backward(s, weights, t) for s, t in batch]
-            grad_sum = np.zeros(params.flat.size)
-            for grads, loss in results:
-                grad_sum += grads.flat
-                loss_sum += loss
-            mean_grads = ModelWeights(mcfg, grad_sum / len(batch))
-            params, state = adam_step(params, mean_grads, state, lr, tcfg)
+            # every item's gradient is added, in item order, into one sum
+            grad_sum.flat.fill(0.0)
+            for s, t in batch:
+                loss_sum += backward(s, weights, t, add_to=grad_sum)[1]
+            grad_sum.flat /= len(batch)
+            params, state = adam_step(params, grad_sum, state, lr, tcfg)
             weights = upcast(params)
         val_acc = evaluate_isolated(weights, val_set)
         record = EpochRecord(epoch, loss_sum / len(items), val_acc, lr, _mean_loss(weights, val_straddles))

@@ -4,6 +4,7 @@ import pytest
 from signseg import (
     IsolatedSample,
     ModelConfig,
+    ModelWeights,
     ShapeError,
     backward,
     cross_entropy,
@@ -12,8 +13,9 @@ from signseg import (
     init_weights,
     relative_error,
 )
-from signseg.model import param_shapes, upcast, weights_to_dict
+from signseg.model import param_count, param_shapes, upcast, weights_to_dict
 from signseg.seeding import derive_rng, derive_seed
+from signseg.training import draw_straddles
 
 
 def test_gradient_shapes_mirror_parameters(tiny_mcfg, tiny_weights, tiny_sample):
@@ -39,6 +41,47 @@ def test_backward_loss_matches_forward(tiny_weights, tiny_sample):
     _, loss = backward(tiny_sample, tiny_weights)
     probs = forward_probs(tiny_weights, tiny_sample.frames)
     np.testing.assert_allclose(loss, cross_entropy(probs, tiny_sample.label), atol=1e-12)
+
+
+def test_adding_into_one_buffer_equals_the_list_then_sum(tiny_mcfg, tiny_weights):
+    rng = derive_rng(3, "grad-sum")
+    pool = [
+        IsolatedSample(rng.normal(size=(tiny_mcfg.window, tiny_mcfg.input_dim)), label % tiny_mcfg.classes)
+        for label in range(6)
+    ]
+    items = [(s, None) for s in pool[:4]] + draw_straddles(pool, 3, rng, tiny_mcfg.classes)
+    weights = upcast(tiny_weights)
+
+    results = [backward(s, weights, t) for s, t in items]
+    listed = np.zeros(param_count(tiny_mcfg))
+    for grads, _ in results:
+        listed += grads.flat
+    added = ModelWeights(tiny_mcfg, np.zeros(param_count(tiny_mcfg)))
+    losses = []
+    for s, t in items:
+        out, loss = backward(s, weights, t, add_to=added)
+        assert out is added
+        losses.append(loss)
+    assert added.flat.tobytes() == listed.tobytes()
+    assert losses == [loss for _, loss in results]
+
+
+def test_backward_without_add_to_returns_a_fresh_buffer(tiny_weights, tiny_sample):
+    a, _ = backward(tiny_sample, tiny_weights)
+    b, _ = backward(tiny_sample, tiny_weights)
+    assert a.flat.dtype == np.float64
+    assert not np.shares_memory(a.flat, b.flat)
+    a.flat[:] = 0.0
+    assert np.array_equal(b.flat, backward(tiny_sample, tiny_weights)[0].flat)
+
+
+def test_add_to_must_be_float64_of_the_same_config(tiny_mcfg, tiny_weights, tiny_sample):
+    single = ModelWeights(tiny_mcfg, np.zeros(param_count(tiny_mcfg), dtype=np.float32))
+    other_cfg = ModelConfig(layers=1, heads=2, d_model=8, d_ff=16, window=4, input_dim=6, classes=3)
+    other = ModelWeights(other_cfg, np.zeros(param_count(other_cfg)))
+    for add_to in (single, other):
+        with pytest.raises(ShapeError):
+            backward(tiny_sample, tiny_weights, add_to=add_to)
 
 
 def test_head_gradient_closed_form():

@@ -382,6 +382,23 @@ def test_empty_recording_names_the_file(tmp_path):
         load_isolated_dataset(tmp_path / "manifest.json", window=8)
 
 
+def test_bad_recording_names_the_manifest_entry(tmp_path):
+    rng = derive_rng(19, "dataset")
+    manifest = []
+    for i in range(9):
+        lines = [frame_line([make_hand(rng)]) for _ in range(6)]
+        if i == 7:
+            lines[4] = lines[4][: len(lines[4]) // 2]  # a truncated fifth line
+        name = f"sample_{i:05d}.jsonl"
+        (tmp_path / name).write_text("\n".join(lines))
+        manifest.append({"file": name, "label": i % 2})
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(KeypointParseError) as info:
+        load_isolated_dataset(tmp_path / "manifest.json", window=8)
+    assert str(info.value).startswith("manifest entry 7 (sample_00007.jsonl): line 5: invalid JSON")
+    assert info.value.line_number == 5
+
+
 @pytest.mark.parametrize(
     "content",
     [b"\xff\xfe[]", b'[{"file": "a.jsonl", "label": ' + b"9" * 5000 + b"}]", b'[{"file": 5, "label": 0}]'],

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from signseg import (
     train,
 )
 from signseg import IsolatedSample
-from signseg.model import upcast
+from signseg.model import param_count, upcast
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import STRADDLE_MAJORITY, _epoch_items, draw_straddles, straddle_window
 
@@ -244,6 +245,22 @@ class TestTrainLoop:
         poisoned = [IsolatedSample(frames, core[0].label)] + core[1:]
         with pytest.raises(NonFiniteGradientError, match="'embed.w'"):
             train(poisoned, val, mcfg, TrainConfig(seed=3, max_epochs=2, batch_size=8))
+
+    def test_peak_memory_stays_a_few_parameter_buffers(self):
+        """A step adds every item's gradient into one float64 sum; one buffer
+        per item made the peak of two epochs at the gate's shape 109x the
+        float64 parameter buffer."""
+        mcfg = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
+        data = make_dataset(derive_seed(9, "data"), 10, 20, mcfg.input_dim, mcfg.window, 0.05)
+        train_set, _ = split_dataset(data, 0.8, derive_seed(9, "split"))
+        core, val = carve_validation(train_set, 0.1, derive_seed(9, "val"))
+        tracemalloc.start()
+        try:
+            train(core, val, mcfg, TrainConfig(seed=9, max_epochs=2, batch_size=50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * param_count(mcfg) * 8
 
     def test_empty_dataset_rejected(self):
         _, val, _, mcfg = small_setup(7)
