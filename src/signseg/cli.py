@@ -23,7 +23,15 @@ from .keypoints import (
 )
 from .runconfig import RunConfig, load_config, validate_config
 from .seeding import derive_seed
-from .segmentation import report_aggregate_json, report_summary_csv, segment_report, windows_csv
+from .segmentation import (
+    post_process,
+    report_aggregate_json,
+    report_summary_csv,
+    segment_report,
+    slide,
+    window_probs,
+    windows_csv,
+)
 from .serialize import load_weights_file, save_weights_file
 from .synthgen import make_dataset, sample_to_jsonl
 from .training import (
@@ -242,13 +250,17 @@ def _cmd_segment(args) -> int:
     if args.stream is not None:
         gt = [] if args.labels is None else _parse_int_list(args.labels, "--labels")
         stream = ContinuousStream(frames=load_stream_features(args.stream), gt_labels=gt)
-        report = segment_report(weights, [stream], window, seg.stride, seg.threshold)
-        row = report.rows[0]
-        if row.error is not None:
-            raise StreamTooShortError(row.error)
-        csv = windows_csv(row.window_probs, row.decoded, seg.threshold)
-        atomic_write_text(out / "stream_windows.csv", csv)
-        print(f"decoded {len(row.decoded)} labels: {[d.label for d in row.decoded]}")
+        if args.labels is None:  # nothing to score: decode only
+            wp = window_probs(weights, slide(stream, window, seg.stride))
+            decoded = post_process(wp, seg.threshold)
+        else:
+            report = segment_report(weights, [stream], window, seg.stride, seg.threshold)
+            row = report.rows[0]
+            if row.error is not None:
+                raise StreamTooShortError(row.error)
+            wp, decoded = row.window_probs, row.decoded
+        atomic_write_text(out / "stream_windows.csv", windows_csv(wp, decoded, seg.threshold))
+        print(f"decoded {len(decoded)} labels: {[d.label for d in decoded]}")
         if args.labels is not None:
             atomic_write_text(out / "segment_summary.csv", report_summary_csv(report))
             atomic_write_text(out / "segment.json", report_aggregate_json(report))

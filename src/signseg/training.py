@@ -114,11 +114,18 @@ def carve_validation(
 @dataclass
 class AdamState:
     """First/second moment vectors (float64, in the layout of the flat
-    parameter buffer) and the step counter."""
+    parameter buffer) and the step counter; adam_step updates all three
+    in place."""
 
     m: np.ndarray
     v: np.ndarray
     t: int
+
+
+# Elements per block of the Adam update. Its scratch is three float64 arrays
+# of this length (768 KiB) whatever the model's size, and a block's operands
+# stay in cache across the dozen elementwise passes made over them.
+ADAM_BLOCK = 1 << 15
 
 
 def adam_step(
@@ -131,26 +138,71 @@ def adam_step(
     """One Adam update with bias correction and decoupled weight decay.
 
     Decay shrinks the parameters by lr * weight_decay before the Adam
-    update itself. The update runs elementwise over the flat buffers;
-    moments are kept in float64, and the updated parameters are cast back
-    to the dtype of params.flat. Inputs are not mutated.
+    update itself. The moments are float64 and updated in place: the
+    returned state is `state` (a new one when it is None), with t
+    advanced. The updated parameters are a fresh buffer in the dtype of
+    params.flat; params and grads are not mutated. A non-finite gradient
+    raises NonFiniteGradientError before anything is written, so the
+    state is left as it was.
     """
     if grads.config != params.config:
         raise ShapeError("parameters and gradients have different configs")
-    g = np.asarray(grads.flat, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
+    g = grads.flat
+    if not np.all(np.isfinite(g)):  # before any write, so an error leaves the state as it was
         named = weights_to_dict(grads)
         raise NonFiniteGradientError(next(k for k, a in named.items() if not np.all(np.isfinite(a))))
     if state is None:
         state = AdamState(m=np.zeros(g.size), v=np.zeros(g.size), t=0)
-    t = state.t + 1
-    p = params.flat.astype(np.float64)
-    if cfg.weight_decay:
-        p = p - lr * cfg.weight_decay * p
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
-    p = p - lr * (m / (1.0 - cfg.beta1**t)) / (np.sqrt(v / (1.0 - cfg.beta2**t)) + cfg.adam_eps)
-    return ModelWeights(params.config, p.astype(params.flat.dtype)), AdamState(m, v, t)
+    return ModelWeights(params.config, _adam_update(params.flat, g, state, lr, cfg)), state
+
+
+def _adam_update(p_in: np.ndarray, g_in: np.ndarray, state: AdamState, lr: float, cfg: TrainConfig) -> np.ndarray:
+    """The Adam update of the flat parameters `p_in`, in a fresh buffer of
+    their dtype. Advances state.t and updates state.m and state.v in
+    place, ADAM_BLOCK elements at a time.
+
+    Each block applies the elementwise operations of the whole-buffer
+    expression
+
+        p = p - lr * weight_decay * p  (when weight_decay)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p = p - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+
+    to the same operands in the same order, in float64, so the result is
+    bit-identical to it.
+    """
+    state.t += 1
+    out = np.empty_like(p_in)
+    n = min(ADAM_BLOCK, p_in.size)
+    p_buf, a_buf, b_buf = np.empty(n), np.empty(n), np.empty(n)
+    decay = lr * cfg.weight_decay
+    c1, c2 = 1.0 - cfg.beta1**state.t, 1.0 - cfg.beta2**state.t
+    for i in range(0, p_in.size, ADAM_BLOCK):
+        j = min(i + ADAM_BLOCK, p_in.size)
+        p, a, b = p_buf[: j - i], a_buf[: j - i], b_buf[: j - i]
+        m, v = state.m[i:j], state.v[i:j]
+        g = np.asarray(g_in[i:j], dtype=np.float64)
+        p[...] = p_in[i:j]
+        if cfg.weight_decay:
+            np.multiply(decay, p, out=a)
+            p -= a
+        m *= cfg.beta1
+        np.multiply(1.0 - cfg.beta1, g, out=a)
+        m += a
+        v *= cfg.beta2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - cfg.beta2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.adam_eps
+        a /= b
+        p -= a
+        out[i:j] = p
+    return out
 
 
 @dataclass(frozen=True)
@@ -333,7 +385,8 @@ def train(
     best: EpochRecord | None = None
     best_params = params
     boundaries = False
-    # float64 once per optimizer step, so no op upcasts the float32 params
+    # a float64 mirror of params, refreshed in place after every optimizer
+    # step, so no op upcasts the float32 params
     weights = upcast(params)
     grad_sum = ModelWeights(mcfg, np.zeros(params.flat.size))
 
@@ -350,7 +403,7 @@ def train(
                 loss_sum += backward(s, weights, t, add_to=grad_sum)[1]
             grad_sum.flat /= len(batch)
             params, state = adam_step(params, grad_sum, state, lr, tcfg)
-            weights = upcast(params)
+            weights.flat[...] = params.flat
         val_acc = evaluate_isolated(weights, val_set)
         record = EpochRecord(epoch, loss_sum / len(items), val_acc, lr, _mean_loss(weights, val_straddles))
         records.append(record)

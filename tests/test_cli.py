@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import signseg.cli
 import signseg.segmentation
+from signseg import ContinuousStream, load_stream_features, load_weights_file, segment_report
 from signseg.cli import main
+from signseg.segmentation import windows_csv
 
 FAST = {
     "model": {"layers": 1, "heads": 2, "d_model": 16, "d_ff": 32, "window": 10},
@@ -232,6 +235,35 @@ class TestSegmentStream:
         assert rc == 0
         assert (seg / "stream_windows.csv").exists()
         assert not (seg / "segment.json").exists()
+
+    def test_stream_without_labels_decodes_without_scoring(self, manifest_run, tmp_path, monkeypatch, capsys):
+        root, cfg, data, run = manifest_run
+        stream = _two_sign_stream(data, tmp_path / "stream.jsonl")
+        # what the scoring path writes against an empty ground truth
+        weights = load_weights_file(run / "model.bin")
+        seg_cfg = MANIFEST_CFG["segmentation"]
+        row = segment_report(
+            weights, [ContinuousStream(load_stream_features(stream), [])], weights.config.window,
+            seg_cfg["stride"], seg_cfg["threshold"],
+        ).rows[0]
+        expected_csv = windows_csv(row.window_probs, row.decoded, seg_cfg["threshold"]).encode()
+        expected_out = f"decoded {len(row.decoded)} labels: {[d.label for d in row.decoded]}\n"
+
+        monkeypatch.setattr(signseg.cli, "segment_report", None)  # any call fails
+        calls = []
+        forward = signseg.segmentation.forward_probs
+        monkeypatch.setattr(
+            signseg.segmentation, "forward_probs", lambda w, frames: calls.append(len(frames)) or forward(w, frames)
+        )
+        capsys.readouterr()
+        seg = tmp_path / "seg"
+        rc = main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
+                   "--stream", str(stream), "--out", str(seg)])
+        assert rc == 0
+        assert (seg / "stream_windows.csv").read_bytes() == expected_csv
+        assert capsys.readouterr().out == expected_out
+        assert sum(calls) == len(row.window_probs) == 3  # one forward pass per window
+        assert sorted(p.name for p in seg.iterdir()) == ["stream_windows.csv"]
 
     def test_too_short_stream_exits_1(self, manifest_run, tmp_path, capsys):
         root, cfg, data, run = manifest_run

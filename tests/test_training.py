@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signseg import (
     ConfigError,
@@ -28,7 +30,15 @@ from signseg import (
 from signseg import IsolatedSample
 from signseg.model import param_count, upcast
 from signseg.seeding import derive_rng, derive_seed
-from signseg.training import STRADDLE_MAJORITY, _epoch_items, draw_straddles, straddle_window
+from signseg.training import (
+    ADAM_BLOCK,
+    STRADDLE_MAJORITY,
+    AdamState,
+    _adam_update,
+    _epoch_items,
+    draw_straddles,
+    straddle_window,
+)
 
 
 class TestDefaults:
@@ -178,6 +188,84 @@ class TestAdam:
         grads.layers[1].ff_b1[2] = np.inf
         with pytest.raises(NonFiniteGradientError, match="'layers.1.ff.b1'"):
             adam_step(params, grads, None, 0.01, cfg)
+
+    def test_non_finite_gradient_leaves_the_state_as_it_was(self):
+        # the gate's shape spans several blocks; the NaN sits in the last one
+        mcfg = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
+        params = init_weights(mcfg, 0)
+        assert params.flat.size > 3 * ADAM_BLOCK
+        cfg = default_config()
+        rng = derive_rng(2, "adam")
+        _, state = adam_step(params, _grads_like(params, rng.normal(size=params.flat.size)), None, 0.01, cfg)
+        m, v = state.m.copy(), state.v.copy()
+        grads = _grads_like(params, rng.normal(size=params.flat.size))
+        grads.head_b[-1] = np.nan
+        with pytest.raises(NonFiniteGradientError, match="'head.b'"):
+            adam_step(params, grads, state, 0.01, cfg)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        assert state.t == 1
+
+    def test_one_step_at_the_cli_default_peaks_under_the_float64_buffer(self):
+        """Moments are updated in place and scratch is one block long; the
+        whole-buffer update peaked at 6x the float64 parameter buffer."""
+        mcfg = ModelConfig(layers=12, heads=8, d_model=128, d_ff=512, window=50, input_dim=12, classes=10)
+        params = init_weights(mcfg, 0)
+        grads = _grads_like(params, derive_rng(3, "adam").normal(size=params.flat.size))
+        cfg = default_config()
+        _, state = adam_step(params, grads, None, 0.005, cfg)  # the moments exist before the traced step
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, 0.005, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * param_count(mcfg) * 8
+
+
+def _whole_buffer_adam(p, g, m, v, t, lr, cfg):
+    """Adam as one whole-buffer expression, as adam_step computed it before
+    it walked the buffer in blocks; returns (params, m, v)."""
+    p = p.astype(np.float64)
+    if cfg.weight_decay:
+        p = p - lr * cfg.weight_decay * p
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+    p = p - lr * (m / (1.0 - cfg.beta1**t)) / (np.sqrt(v / (1.0 - cfg.beta2**t)) + cfg.adam_eps)
+    return p, m, v
+
+
+_BLOCK_EDGES = [k * ADAM_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 3 * ADAM_BLOCK + 100)),
+    weight_decay=st.sampled_from([0.0, 1e-4, 0.3]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_update_equals_the_whole_buffer_expression(size, weight_decay, dtype, seed):
+    cfg = dataclasses.replace(default_config(), weight_decay=weight_decay)
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-1.0, 1.0, size).astype(dtype)
+    state = AdamState(np.zeros(size), np.zeros(size), 0)
+    ref_p, ref_m, ref_v = p, np.zeros(size), np.zeros(size)
+    for t in (1, 2, 3):
+        # gradients over many scales, so eps matters for some entries
+        g = rng.normal(size=size) * 10.0 ** rng.integers(-9, 3, size)
+        lr = float(10.0 ** rng.uniform(-4, -1))
+        p_before, g_before = p.copy(), g.copy()
+        new = _adam_update(p, g, state, lr, cfg)
+        np.testing.assert_array_equal(p, p_before)  # inputs are not mutated
+        np.testing.assert_array_equal(g, g_before)
+        p = new
+        ref_p, ref_m, ref_v = _whole_buffer_adam(ref_p, g, ref_m, ref_v, t, lr, cfg)
+        ref_p = ref_p.astype(dtype)
+        assert p.dtype == dtype and state.t == t
+        np.testing.assert_array_equal(p, ref_p)
+        np.testing.assert_array_equal(state.m, ref_m)
+        np.testing.assert_array_equal(state.v, ref_v)
 
 
 def small_setup(seed, classes=3, n=8, window=8, dim=4):
