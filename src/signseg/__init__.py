@@ -32,16 +32,9 @@ from .model import (
     ModelConfig,
     ModelWeights,
     attention_weights,
-    classify,
-    cross_entropy,
     encoder_forward,
-    feed_forward,
     forward_probs,
     init_weights,
-    layer_norm,
-    multi_head_attention,
-    positional_encoding,
-    positional_encoding_matrix,
     softmax,
 )
 from .runconfig import RunConfig, load_config, validate_config

@@ -24,12 +24,10 @@ from .keypoints import (
 from .runconfig import RunConfig, load_config, validate_config
 from .seeding import derive_seed
 from .segmentation import (
-    post_process,
+    _decode_stream,
     report_aggregate_json,
     report_summary_csv,
     segment_report,
-    slide,
-    window_probs,
     windows_csv,
 )
 from .serialize import load_weights_file, save_weights_file
@@ -251,8 +249,7 @@ def _cmd_segment(args) -> int:
         gt = [] if args.labels is None else _parse_int_list(args.labels, "--labels")
         stream = ContinuousStream(frames=load_stream_features(args.stream), gt_labels=gt)
         if args.labels is None:  # nothing to score: decode only
-            wp = window_probs(weights, slide(stream, window, seg.stride))
-            decoded = post_process(wp, seg.threshold)
+            _, wp, decoded = _decode_stream(weights, stream, window, seg.stride, seg.threshold)
         else:
             report = segment_report(weights, [stream], window, seg.stride, seg.threshold)
             row = report.rows[0]

@@ -20,8 +20,8 @@ run in float32, and float64 frames make numpy promote every product to
 float64, bit for bit as if the weights were cast first. Only the head's
 logits are cast to float64 before the softmax. forward_probs computes in
 the weights' dtype, float32 as stored (half the bytes per elementwise pass)
-and float64 after upcast(). encoder_forward, classify and the backward pass
-always compute in float64, so analytic gradients agree with central finite
+and float64 after upcast(). encoder_forward and the backward pass always
+compute in float64, so analytic gradients agree with central finite
 differences to tight tolerances.
 """
 from __future__ import annotations
@@ -243,27 +243,6 @@ def _sinusoids(pos: np.ndarray, d_model: int) -> np.ndarray:
     return out
 
 
-def positional_encoding(pos: int, d_model: int) -> np.ndarray:
-    """Sinusoidal position code: entry 2k is sin(pos / PE_BASE^(2k/d_model)),
-    entry 2k+1 the matching cosine."""
-    if d_model < 2 or d_model % 2 != 0:
-        raise ConfigError(f"d_model must be a positive even number, got {d_model}")
-    if pos < 0:
-        raise ValueError(f"pos must be >= 0, got {pos}")
-    return _sinusoids(np.array([pos], dtype=np.float64), d_model)[0]
-
-
-def positional_encoding_matrix(window: int, d_model: int) -> np.ndarray:
-    """Position codes for all window positions, shape (window, d_model).
-
-    Built once per (window, d_model) and shared between calls, so the
-    returned array is read-only.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    return _position_codes(window, d_model, np.dtype(np.float64))
-
-
 @functools.lru_cache(maxsize=16)
 def _position_codes(window: int, d_model: int, dtype: np.dtype) -> np.ndarray:
     """Read-only codes in `dtype`, rounded from the float64 ones."""
@@ -304,19 +283,6 @@ def _layer_norm_fwd(x, gain, bias):
     return out, (xhat, inv_std, gain)
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Row-wise layer norm with learnable gain and bias (eps 1e-5)."""
-    return _layer_norm_fwd(_f64(x), _f64(gain), _f64(bias))[0]
-
-
-def multi_head_attention(x: np.ndarray, layer: LayerWeights) -> np.ndarray:
-    """Pre-residual multi-head self-attention of x, shape preserved."""
-    x = _f64(x)
-    if x.ndim != 2 or x.shape[1] != layer.wq.shape[1]:
-        raise ShapeError(f"input shape {x.shape} does not match d_model {layer.wq.shape[1]}")
-    return _mha_fwd(x, layer, x.shape[0])[0]
-
-
 def _mha_fwd(x, layer, window):
     # x is (B * window, d_model): B windows, one row per frame
     heads, d_model, d_k = layer.wq.shape
@@ -327,14 +293,6 @@ def _mha_fwd(x, layer, window):
     a = _attention_(q @ k.transpose(0, 1, 3, 2), d_k)
     concat = (a @ v).transpose(0, 2, 1, 3).reshape(x.shape[0], heads * d_k)
     return concat @ layer.wo, ((q, k, v, a), concat)
-
-
-def feed_forward(x: np.ndarray, layer: LayerWeights) -> np.ndarray:
-    """Pre-residual position-wise feed-forward block: affine, ReLU, affine."""
-    x = _f64(x)
-    if x.ndim != 2 or x.shape[1] != layer.ff_w1.shape[0]:
-        raise ShapeError(f"input shape {x.shape} does not match d_model {layer.ff_w1.shape[0]}")
-    return _ff_fwd(x, layer)[0]
 
 
 def _ff_fwd(x, layer):
@@ -404,18 +362,6 @@ def _classify_internals(features, weights: ModelWeights):
     return _softmax_(logits.astype(np.float64, copy=False)), flat.reshape(-1, cfg.window * cfg.d_model)
 
 
-def classify(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """Class probabilities from the flattened window features, computed in
-    float64."""
-    cfg = weights.config
-    features = _f64(features)
-    if features.shape != (cfg.window, cfg.d_model):
-        raise ShapeError(
-            f"features have shape {features.shape}, expected ({cfg.window}, {cfg.d_model})"
-        )
-    return _classify_internals(features[None], weights)[0][0]
-
-
 def forward_probs(weights: ModelWeights, frames: np.ndarray) -> np.ndarray:
     """Full forward pass: one window's frames (window, input_dim) to class
     probabilities (classes,), or a batch (B, window, input_dim) to
@@ -427,13 +373,3 @@ def forward_probs(weights: ModelWeights, frames: np.ndarray) -> np.ndarray:
     batch = frames if frames.ndim == 3 else frames[None]
     probs = _classify_internals(_encoder_internals(batch, weights), weights)[0]
     return probs if frames.ndim == 3 else probs[0]
-
-
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """-ln p[label], with p clamped below at 1e-12 before the log."""
-    probs = _f64(probs)
-    if probs.ndim != 1:
-        raise ShapeError(f"expected a probability vector, got shape {probs.shape}")
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range [0, {probs.shape[0]})")
-    return float(-np.log(max(float(probs[label]), PROB_CLAMP)))

@@ -1,11 +1,13 @@
 """Sliding-window decoding of continuous streams.
 
-A trained isolated-sign classifier is slid across the stream. Each window
-emits its argmax class when that probability reaches the threshold and
-Blank otherwise; Blank windows are discarded and consecutive duplicate
-labels collapse to the first surviving window. With the default 0.51
-threshold at most one class can clear the bar per window, because the
-probabilities sum to one.
+A trained isolated-sign classifier is slid across the stream, a view of
+its frames, into one (n_windows, classes) probability array. The decode
+rule (CTC's best path) runs once over that array: each window emits its
+argmax class when that probability reaches the threshold and Blank
+otherwise (NaN never reaches it); Blanks are discarded and consecutive
+duplicate labels collapse to the first surviving window. With the default
+0.51 threshold at most one class can clear the bar per window, because
+the probabilities sum to one.
 
 False recognitions are counted positionally against the ground-truth
 label list, plus the absolute length difference; an edit distance is
@@ -16,24 +18,17 @@ collapse) for comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import StreamTooShortError
+from .errors import ShapeError, StreamTooShortError
 from .keypoints import ContinuousStream
 from .model import FORWARD_CHUNK, ModelWeights, forward_probs
 
 DEFAULT_WINDOW = 50
 DEFAULT_THRESHOLD = 0.51
-
-
-@dataclass(frozen=True)
-class Window:
-    """One window of stream frames and its start offset."""
-
-    start: int
-    frames: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,17 +64,19 @@ class Mismatch:
 
 @dataclass
 class StreamRow:
+    """One stream's decode; an errored stream keeps the empty defaults."""
+
     index: int
     gt_labels: list[int]
-    decoded: list[DecodedLabel]
-    window_probs: list[WindowProb]
-    avg_softmax: float  # over thresholded windows; 0.0 when none survive
-    survivor_count: int
-    avg_softmax_raw: float  # over every window, no threshold
-    false_count: int
-    false_count_raw: int
-    edit_dist: int
-    mismatches: list[Mismatch]
+    decoded: list[DecodedLabel] = field(default_factory=list)
+    window_probs: list[WindowProb] = field(default_factory=list)  # rows of one (n, C) array
+    avg_softmax: float = 0.0  # over thresholded windows; 0.0 when none survive
+    survivor_count: int = 0
+    avg_softmax_raw: float = 0.0  # over every window, no threshold
+    false_count: int = 0
+    false_count_raw: int = 0
+    edit_dist: int = 0
+    mismatches: list[Mismatch] = field(default_factory=list)
     error: str | None = None
 
 
@@ -94,28 +91,56 @@ class SegmentReport:
 
 def slide(
     stream: ContinuousStream | np.ndarray, window: int = DEFAULT_WINDOW, stride: int = 1
-) -> list[Window]:
-    """All full windows of the stream: floor((n - window) / stride) + 1."""
+) -> np.ndarray:
+    """All full windows of the stream's (n, dim) frames as a read-only view
+    (floor((n - window) / stride) + 1, window, dim); window i starts at
+    frame i * stride."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     frames = stream.frames if isinstance(stream, ContinuousStream) else np.asarray(stream)
+    if frames.ndim != 2:
+        raise ShapeError(f"stream frames have shape {frames.shape}, expected (frames, dim)")
     n = frames.shape[0]
     if n < window:
         raise StreamTooShortError(f"stream has {n} frames, one window needs {window}")
-    return [Window(s, frames[s : s + window]) for s in range(0, n - window + 1, stride)]
+    return sliding_window_view(frames, (window, frames.shape[1]))[::stride, 0]
 
 
-def window_probs(weights: ModelWeights, windows: list[Window]) -> list[WindowProb]:
-    """Classify each window independently, FORWARD_CHUNK windows per
-    forward pass."""
-    out = []
+def window_probs(weights: ModelWeights, windows: np.ndarray) -> np.ndarray:
+    """float64 class probabilities (n, classes) of windows (n, window,
+    input_dim), FORWARD_CHUNK windows per forward pass; only the chunk in
+    hand is converted to the weights' dtype."""
+    probs = np.empty((len(windows), weights.config.classes))
     for i in range(0, len(windows), FORWARD_CHUNK):
-        chunk = windows[i : i + FORWARD_CHUNK]
-        probs = forward_probs(weights, np.stack([w.frames for w in chunk]))
-        out += [WindowProb(w.start, p) for w, p in zip(chunk, probs)]
-    return out
+        probs[i : i + FORWARD_CHUNK] = forward_probs(weights, windows[i : i + FORWARD_CHUNK])
+    return probs
+
+
+def _decode(probs: np.ndarray, threshold: float):
+    """The decode rule over (n, C) rows: each row's argmax label and its
+    probability, the mask of rows where that reaches the threshold (NaN
+    does not), and the rows that emit: the first of each run of one label
+    among the survivors."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    labels = probs.argmax(axis=1)
+    tops = np.take_along_axis(probs, labels[:, None], axis=1)[:, 0]
+    keep = tops >= threshold
+    survivors = np.flatnonzero(keep)
+    heads = survivors[np.diff(labels[survivors], prepend=-1) != 0]
+    return labels, tops, keep, heads
+
+
+def _rows(wp: list[WindowProb]) -> np.ndarray:
+    # in float64, so a float32 row meets the threshold as the float it converts to
+    return np.array([w.probs for w in wp], dtype=np.float64) if wp else np.empty((0, 1))
+
+
+def _survivor_mean(tops: np.ndarray, keep: np.ndarray) -> tuple[float, int]:
+    count = int(keep.sum())
+    return (float(tops[keep].mean()), count) if count else (0.0, 0)
 
 
 def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> list[DecodedLabel]:
@@ -125,19 +150,8 @@ def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> 
     threshold, otherwise Blank. Blanks are dropped, and among the
     survivors each run of equal labels keeps only its first window.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    out: list[DecodedLabel] = []
-    previous: int | None = None
-    for index, w in enumerate(wp):
-        label = int(np.argmax(w.probs))
-        prob = float(w.probs[label])
-        if prob < threshold:
-            continue
-        if label != previous:
-            out.append(DecodedLabel(label, index, prob))
-        previous = label
-    return out
+    labels, tops, _, heads = _decode(_rows(wp), threshold)
+    return [DecodedLabel(int(labels[i]), int(i), float(tops[i])) for i in heads]
 
 
 def avg_recognized_softmax(
@@ -147,10 +161,8 @@ def avg_recognized_softmax(
 
     Returns (mean, survivor_count); (0.0, 0) flags that nothing survived.
     """
-    tops = [float(w.probs.max()) for w in wp if float(w.probs.max()) >= threshold]
-    if not tops:
-        return 0.0, 0
-    return float(np.mean(tops)), len(tops)
+    _, tops, keep, _ = _decode(_rows(wp), threshold)
+    return _survivor_mean(tops, keep)
 
 
 def count_false(decoded, gt_labels: list[int]) -> int:
@@ -178,11 +190,18 @@ def edit_distance(decoded, gt_labels: list[int]) -> int:
     return previous[len(b)]
 
 
-def _stream_row(index, wp, gt_labels, threshold) -> StreamRow:
-    decoded = post_process(wp, threshold)
-    avg, survivors = avg_recognized_softmax(wp, threshold)
-    avg_raw = float(np.mean([w.probs.max() for w in wp]))
-    raw_labels = [int(np.argmax(w.probs)) for w in wp]
+def _decode_stream(weights, stream, window, stride, threshold):
+    """One stream through slide, window_probs and post_process: its (n, C)
+    probabilities, a WindowProb per window holding a row of them, and the
+    decoded labels."""
+    probs = window_probs(weights, slide(stream, window, stride))
+    wp = [WindowProb(i * stride, row) for i, row in enumerate(probs)]
+    return probs, wp, post_process(wp, threshold)
+
+
+def _stream_row(index, probs, wp, decoded, gt_labels, threshold) -> StreamRow:
+    labels, tops, keep, _ = _decode(probs, threshold)
+    avg, survivors = _survivor_mean(tops, keep)
 
     mismatches: list[Mismatch] = []
     matched = min(len(decoded), len(gt_labels))
@@ -191,8 +210,7 @@ def _stream_row(index, wp, gt_labels, threshold) -> StreamRow:
         gt = gt_labels[pos]
         if d.label == gt:
             continue
-        probs = wp[d.window_index].probs
-        gt_prob = float(probs[gt]) if 0 <= gt < probs.shape[0] else None
+        gt_prob = float(probs[d.window_index, gt]) if 0 <= gt < probs.shape[1] else None
         mismatches.append(Mismatch(pos, gt, gt_prob, d.label, d.prob, d.window_index))
     for pos in range(matched, len(decoded)):
         d = decoded[pos]
@@ -204,12 +222,12 @@ def _stream_row(index, wp, gt_labels, threshold) -> StreamRow:
         index=index,
         gt_labels=list(gt_labels),
         decoded=decoded,
-        window_probs=list(wp),
+        window_probs=wp,
         avg_softmax=avg,
         survivor_count=survivors,
-        avg_softmax_raw=avg_raw,
+        avg_softmax_raw=float(tops.mean()),
         false_count=count_false(decoded, gt_labels),
-        false_count_raw=count_false(raw_labels, gt_labels),
+        false_count_raw=count_false(labels.tolist(), gt_labels),
         edit_dist=edit_distance(decoded, gt_labels),
         mismatches=mismatches,
     )
@@ -234,27 +252,11 @@ def segment_report(
     rows: list[StreamRow] = []
     for index, stream in enumerate(streams):
         try:
-            windows = slide(stream, window, stride)
+            probs, wp, decoded = _decode_stream(weights, stream, window, stride, threshold)
         except StreamTooShortError as exc:
-            rows.append(
-                StreamRow(
-                    index=index,
-                    gt_labels=list(stream.gt_labels),
-                    decoded=[],
-                    window_probs=[],
-                    avg_softmax=0.0,
-                    survivor_count=0,
-                    avg_softmax_raw=0.0,
-                    false_count=0,
-                    false_count_raw=0,
-                    edit_dist=0,
-                    mismatches=[],
-                    error=str(exc),
-                )
-            )
+            rows.append(StreamRow(index, list(stream.gt_labels), error=str(exc)))
             continue
-        wp = window_probs(weights, windows)
-        rows.append(_stream_row(index, wp, list(stream.gt_labels), threshold))
+        rows.append(_stream_row(index, probs, wp, decoded, list(stream.gt_labels), threshold))
 
     scored = [r for r in rows if r.error is None]
     return SegmentReport(
@@ -269,18 +271,15 @@ def segment_report(
 def windows_csv(wp: list[WindowProb], decoded: list[DecodedLabel], threshold: float) -> str:
     """Per-window trace: start, argmax class, top probability, and what the
     decoder emitted there (a label, Blank, or nothing when collapsed)."""
-    emitted = {d.window_index: d.label for d in decoded}
+    labels, tops, keep, _ = _decode(_rows(wp), threshold)
+    emitted = ["" if k else "Blank" for k in keep.tolist()]
+    for d in decoded:
+        emitted[d.window_index] = str(d.label)
     lines = ["window_start,argmax_class,max_prob,emitted_label"]
-    for index, w in enumerate(wp):
-        label = int(np.argmax(w.probs))
-        top = float(w.probs[label])
-        if index in emitted:
-            emit = str(emitted[index])
-        elif top < threshold:
-            emit = "Blank"
-        else:
-            emit = ""
-        lines.append(f"{w.start},{label},{top!r},{emit}")
+    lines += [
+        f"{w.start},{label},{top!r},{emit}"
+        for w, label, top, emit in zip(wp, labels.tolist(), tops.tolist(), emitted)
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -7,12 +7,12 @@ from signseg import (
     ModelWeights,
     ShapeError,
     backward,
-    cross_entropy,
     forward_probs,
     gradient_check,
     init_weights,
     relative_error,
 )
+from signseg.gradients import soft_cross_entropy
 from signseg.model import param_count, param_shapes, upcast, weights_to_dict
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import draw_straddles
@@ -40,7 +40,9 @@ def test_backward_deterministic(tiny_weights, tiny_sample):
 def test_backward_loss_matches_forward(tiny_weights, tiny_sample):
     _, loss = backward(tiny_sample, tiny_weights)
     probs = forward_probs(tiny_weights, tiny_sample.frames)
-    np.testing.assert_allclose(loss, cross_entropy(probs, tiny_sample.label), atol=1e-12)
+    target = np.zeros(len(probs))
+    target[tiny_sample.label] = 1.0
+    np.testing.assert_allclose(loss, soft_cross_entropy(probs, target), atol=1e-12)
 
 
 def test_adding_into_one_buffer_equals_the_list_then_sum(tiny_mcfg, tiny_weights):

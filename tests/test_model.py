@@ -12,25 +12,45 @@ from signseg import (
     ShapeError,
     attention_weights,
     backward,
-    classify,
-    cross_entropy,
     encoder_forward,
     evaluate_isolated,
-    feed_forward,
     forward_probs,
     init_weights,
-    layer_norm,
     load_weights,
-    multi_head_attention,
-    positional_encoding,
-    positional_encoding_matrix,
     save_weights,
     softmax,
 )
-from signseg.model import LN_EPS, param_count, param_shapes, upcast, weights_to_dict
+from signseg.gradients import soft_cross_entropy
+from signseg.model import (
+    LN_EPS,
+    _classify_internals,
+    _ff_fwd,
+    _layer_norm_fwd,
+    _mha_fwd,
+    _position_codes,
+    _sinusoids,
+    param_count,
+    param_shapes,
+    upcast,
+    weights_to_dict,
+)
 from signseg.seeding import derive_rng, derive_seed
 
 GATE_MCFG = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
+
+
+F64 = np.dtype(np.float64)
+
+
+def code_at(pos, d_model):
+    """The sinusoidal position code of one position."""
+    return _sinusoids(np.array([pos], dtype=np.float64), d_model)[0]
+
+
+def one_hot(label, classes):
+    target = np.zeros(classes)
+    target[label] = 1.0
+    return target
 
 
 class TestConfig:
@@ -56,11 +76,11 @@ class TestConfig:
 
 class TestPositionalEncoding:
     def test_position_zero_alternates(self):
-        np.testing.assert_allclose(positional_encoding(0, 8), [0, 1, 0, 1, 0, 1, 0, 1])
+        np.testing.assert_allclose(code_at(0, 8), [0, 1, 0, 1, 0, 1, 0, 1])
 
     def test_position_one_two_dims(self):
         np.testing.assert_allclose(
-            positional_encoding(1, 2), [np.sin(1.0), np.cos(1.0)], atol=1e-12
+            code_at(1, 2), [np.sin(1.0), np.cos(1.0)], atol=1e-12
         )
 
     def test_values_bounded(self):
@@ -68,33 +88,29 @@ class TestPositionalEncoding:
         for _ in range(40):
             pos = int(rng.integers(0, 10_000))
             d_model = int(rng.integers(1, 64)) * 2
-            enc = positional_encoding(pos, d_model)
+            enc = code_at(pos, d_model)
             assert enc.shape == (d_model,)
             assert (np.abs(enc) <= 1.0).all()
 
     def test_pair_frequencies_shared(self):
         # sin and cos of one pair use the same wavelength
-        enc = positional_encoding(37, 16)
+        enc = code_at(37, 16)
         for k in range(8):
             angle = 37 / 10000 ** (2 * k / 16)
             np.testing.assert_allclose(enc[2 * k], np.sin(angle), atol=1e-12)
             np.testing.assert_allclose(enc[2 * k + 1], np.cos(angle), atol=1e-12)
 
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(ConfigError):
-            positional_encoding(0, 5)
-
     # the tiny fixture's shape, and the gate's and the default model's
     @pytest.mark.parametrize("window, d_model", [(5, 6), (4, 8), (50, 64), (50, 128)])
     def test_matrix_stacks_rows(self, window, d_model):
-        m = positional_encoding_matrix(window, d_model)
+        m = _position_codes(window, d_model, F64)
         assert m.shape == (window, d_model)
         for pos in range(window):
-            np.testing.assert_array_equal(m[pos], positional_encoding(pos, d_model))
+            np.testing.assert_array_equal(m[pos], code_at(pos, d_model))
 
     def test_matrix_built_once_and_read_only(self):
-        m = positional_encoding_matrix(7, 4)
-        assert positional_encoding_matrix(7, 4) is m
+        m = _position_codes(7, 4, F64)
+        assert _position_codes(7, 4, F64) is m
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
 
@@ -125,7 +141,7 @@ class TestEmbed:
         zeroed = ModelWeights(cfg, np.zeros(param_count(cfg), dtype=np.float32))
         frames = np.zeros((cfg.window, cfg.input_dim))
         np.testing.assert_allclose(
-            encoder_forward(frames, zeroed), positional_encoding_matrix(cfg.window, cfg.d_model), atol=1e-12
+            encoder_forward(frames, zeroed), _position_codes(cfg.window, cfg.d_model, F64), atol=1e-12
         )
 
     def test_matches_affine_formula(self, tiny_mcfg):
@@ -137,7 +153,7 @@ class TestEmbed:
             expected = (
                 frames[pos] @ np.asarray(weights.embed_w, dtype=np.float64)
                 + np.asarray(weights.embed_b, dtype=np.float64)
-                + positional_encoding(pos, cfg.d_model)
+                + code_at(pos, cfg.d_model)
             )
             np.testing.assert_allclose(got[pos], expected, atol=1e-12)
 
@@ -195,7 +211,7 @@ class TestMultiHead:
         layer.wo[:] = eye
         rng = derive_rng(6, "mha")
         x = rng.normal(size=(5, 6))
-        got = multi_head_attention(x, layer)
+        got = _mha_fwd(x, layer, x.shape[0])[0]
         want = attention_weights(x, x, 6) @ x
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -205,7 +221,7 @@ class TestMultiHead:
         layer = weights.layers[0]
         layer.wv[:] = 0.0
         rng = derive_rng(7, "mha")
-        out = multi_head_attention(rng.normal(size=(4, 8)), layer)
+        out = _mha_fwd(rng.normal(size=(4, 8)), layer, 4)[0]
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_matches_per_head_oracle(self):
@@ -221,7 +237,7 @@ class TestMultiHead:
             v = x @ np.asarray(layer.wv[h], dtype=np.float64)
             heads.append(attention_weights(q, k, cfg.d_k) @ v)
         want = np.concatenate(heads, axis=1) @ np.asarray(layer.wo, dtype=np.float64)
-        np.testing.assert_allclose(multi_head_attention(x, layer), want, atol=1e-12)
+        np.testing.assert_allclose(_mha_fwd(x, layer, x.shape[0])[0], want, atol=1e-12)
 
 
 class TestFeedForwardAndNorm:
@@ -232,7 +248,7 @@ class TestFeedForwardAndNorm:
         layer.ff_w1[:] = 0.0
         layer.ff_b1[:] = -1.0  # ReLU kills every unit
         rng = derive_rng(9, "ff")
-        out = feed_forward(rng.normal(size=(3, 4)), layer)
+        out = _ff_fwd(rng.normal(size=(3, 4)), layer)[0]
         np.testing.assert_allclose(out, np.tile(layer.ff_b2, (3, 1)), atol=1e-12)
 
     def test_matches_straight_line_formula(self):
@@ -245,18 +261,18 @@ class TestFeedForwardAndNorm:
         want = np.maximum(pre, 0.0) @ np.asarray(layer.ff_w2, np.float64) + np.asarray(
             layer.ff_b2, np.float64
         )
-        np.testing.assert_allclose(feed_forward(x, layer), want, atol=1e-12)
+        np.testing.assert_allclose(_ff_fwd(x, layer)[0], want, atol=1e-12)
 
     def test_layer_norm_statistics(self):
         rng = derive_rng(11, "ln")
         x = rng.normal(size=(5, 16)) * 3 + 2
-        out = layer_norm(x, np.ones(16), np.zeros(16))
+        out = _layer_norm_fwd(x, np.ones(16), np.zeros(16))[0]
         np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-3)  # eps shifts it slightly
 
     def test_layer_norm_constant_row(self):
         # a constant row has zero variance; eps keeps it finite
-        out = layer_norm(np.full((1, 8), 4.2), np.ones(8), np.zeros(8))
+        out = _layer_norm_fwd(np.full((1, 8), 4.2), np.ones(8), np.zeros(8))[0]
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, 0.0, atol=np.sqrt(LN_EPS))
 
@@ -295,7 +311,8 @@ class TestEncoderAndClassify:
         weights.head_b[:] = 0.0
         rng = derive_rng(15, "cls")
         feats = encoder_forward(rng.normal(size=(tiny_mcfg.window, tiny_mcfg.input_dim)), weights)
-        np.testing.assert_allclose(classify(feats, weights), 1.0 / tiny_mcfg.classes, atol=1e-12)
+        probs = _classify_internals(feats[None], weights)[0][0]
+        np.testing.assert_allclose(probs, 1.0 / tiny_mcfg.classes, atol=1e-12)
 
     def test_classify_flatten_order(self, tiny_mcfg, tiny_weights):
         rng = derive_rng(16, "cls")
@@ -303,7 +320,8 @@ class TestEncoderAndClassify:
         logits = feats.reshape(-1) @ np.asarray(tiny_weights.head_w, np.float64) + np.asarray(
             tiny_weights.head_b, np.float64
         )
-        np.testing.assert_allclose(classify(feats, tiny_weights), softmax(logits), atol=1e-12)
+        probs = _classify_internals(feats[None], tiny_weights)[0][0]
+        np.testing.assert_allclose(probs, softmax(logits), atol=1e-12)
 
     def test_forward_probs_sum(self, tiny_mcfg, tiny_weights):
         rng = derive_rng(17, "cls")
@@ -343,7 +361,7 @@ def test_upcast_is_exact(tiny_mcfg, tiny_weights):
         np.testing.assert_array_equal(got, value)
     frames = derive_rng(3, "upcast").normal(size=(tiny_mcfg.window, tiny_mcfg.input_dim))
     # float64 math on the float32 weights, where numpy promotes each product
-    promoted = classify(encoder_forward(frames, tiny_weights), tiny_weights)
+    promoted = _classify_internals(encoder_forward(frames, tiny_weights)[None], tiny_weights)[0][0]
     assert forward_probs(wide, frames).tobytes() == promoted.tobytes()
 
 
@@ -367,19 +385,15 @@ def test_inference_keeps_no_per_layer_caches():
 
 class TestCrossEntropy:
     def test_certain_prediction(self):
-        assert cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
+        assert soft_cross_entropy(np.array([0.0, 1.0, 0.0]), one_hot(1, 3)) == 0.0
 
     def test_uniform_hundred(self):
         p = np.full(100, 0.01)
-        np.testing.assert_allclose(cross_entropy(p, 7), np.log(100.0), atol=1e-12)
+        np.testing.assert_allclose(soft_cross_entropy(p, one_hot(7, len(p))), np.log(100.0), atol=1e-12)
 
     def test_clamped_zero(self):
         p = np.array([1.0, 0.0])
-        np.testing.assert_allclose(cross_entropy(p, 1), -np.log(1e-12), atol=1e-9)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+        np.testing.assert_allclose(soft_cross_entropy(p, one_hot(1, len(p))), -np.log(1e-12), atol=1e-9)
 
 
 class TestInit:

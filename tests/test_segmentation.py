@@ -1,11 +1,17 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from signseg import (
+    ContinuousStream,
     DecodedLabel,
     ModelConfig,
+    ShapeError,
     StreamTooShortError,
     TrainConfig,
     WindowProb,
@@ -23,7 +29,7 @@ from signseg import (
     train,
     window_probs,
 )
-from signseg.model import upcast
+from signseg.model import FORWARD_CHUNK, upcast
 from signseg.segmentation import report_aggregate_json, report_summary_csv, windows_csv
 from signseg.seeding import derive_rng, derive_seed
 
@@ -56,14 +62,34 @@ def reference_decode(rows, threshold):
 
 class TestSlide:
     def test_three_windows(self):
-        rng = derive_rng(0, "slide")
-        wins = slide(rng.normal(size=(150, 4)), window=50, stride=50)
-        assert [w.start for w in wins] == [0, 50, 100]
-        assert all(w.frames.shape == (50, 4) for w in wins)
+        frames = derive_rng(0, "slide").normal(size=(150, 4))
+        wins = slide(frames, window=50, stride=50)
+        assert wins.shape == (3, 50, 4)
+        for i, start in enumerate([0, 50, 100]):
+            np.testing.assert_array_equal(wins[i], frames[start : start + 50])
 
     def test_exact_fit(self):
-        wins = slide(np.zeros((50, 3)), window=50, stride=1)
-        assert len(wins) == 1 and wins[0].start == 0
+        frames = derive_rng(0, "fit").normal(size=(50, 3))
+        wins = slide(frames, window=50, stride=1)
+        assert wins.shape == (1, 50, 3)
+        np.testing.assert_array_equal(wins[0], frames)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_read_only_view_of_the_frames(self, stride):
+        frames = derive_rng(3, "view").normal(size=(40, 5))
+        for stream in (frames, ContinuousStream(frames, [])):
+            wins = slide(stream, window=7, stride=stride)
+            assert np.shares_memory(wins, frames)
+            assert not wins.flags.writeable
+            with pytest.raises(ValueError):
+                wins[0, 0, 0] = 1.0
+            for i, win in enumerate(wins):
+                np.testing.assert_array_equal(win, frames[i * stride : i * stride + 7])
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 4, 2), ()], ids=["1-D", "3-D", "scalar"])
+    def test_frames_not_2d_raise_shape_error(self, shape):
+        with pytest.raises(ShapeError):
+            slide(np.zeros(shape), window=2)
 
     def test_too_short(self):
         with pytest.raises(StreamTooShortError):
@@ -97,14 +123,32 @@ class TestWindowProbs:
         assert len(wins) == n_windows
         # in float32 as stored and in float64 after upcast
         for weights in (tiny_weights, upcast(tiny_weights)):
-            wp = window_probs(weights, wins)
-            assert [w.start for w in wp] == [w.start for w in wins]
-            for probs, win in zip(wp, wins):
-                np.testing.assert_array_equal(probs.probs, forward_probs(weights, win.frames))
-                assert abs(probs.probs.sum() - 1.0) < 1e-9
+            probs = window_probs(weights, wins)
+            assert probs.shape == (n_windows, tiny_mcfg.classes) and probs.dtype == np.float64
+            for row, win in zip(probs, wins):
+                np.testing.assert_array_equal(row, forward_probs(weights, win))
+                assert abs(row.sum() - 1.0) < 1e-9
 
-    def test_empty(self, tiny_weights):
-        assert window_probs(tiny_weights, []) == []
+    def test_empty(self, tiny_mcfg, tiny_weights):
+        windows = np.empty((0, tiny_mcfg.window, tiny_mcfg.input_dim))
+        assert window_probs(tiny_weights, windows).shape == (0, tiny_mcfg.classes)
+
+    def test_memory_beyond_the_output_does_not_grow_with_the_stream(self, tiny_mcfg, tiny_weights):
+        # no per-window objects and no copy of the whole strided view: a
+        # float32 copy of 20,000 tiny windows alone would be 1.9 MB
+        def overhead(n_windows):
+            frames = derive_rng(5, "memory").normal(size=(n_windows + tiny_mcfg.window - 1, tiny_mcfg.input_dim))
+            window_probs(tiny_weights, slide(frames, tiny_mcfg.window)[:FORWARD_CHUNK])  # warm caches
+            tracemalloc.start()
+            try:
+                window_probs(tiny_weights, slide(frames, tiny_mcfg.window, 1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - n_windows * tiny_mcfg.classes * 8
+
+        small, large = overhead(1_000), overhead(20_000)
+        assert abs(large - small) < 500_000, f"{small} B at 1,000 windows, {large} B at 20,000"
 
 
 class TestPostProcess:
@@ -143,6 +187,16 @@ class TestPostProcess:
         with pytest.raises(ValueError):
             post_process([], 0.0)
 
+    def test_nan_row_is_blank(self):
+        # a NaN top probability never reaches the threshold, so the class-0
+        # window after it is the run head, in the decode, the survivor mean
+        # and the trace alike
+        wp = [WindowProb(0, np.array([math.nan, math.nan, math.nan])), WindowProb(1, np.array([0.9, 0.05, 0.05]))]
+        decoded = post_process(wp, 0.51)
+        assert decoded == [DecodedLabel(0, 1, 0.9)]
+        assert avg_recognized_softmax(wp, 0.51) == (0.9, 1)
+        assert windows_csv(wp, decoded, 0.51).split("\n")[1:3] == ["0,0,nan,Blank", "1,0,0.9,0"]
+
     def test_matches_reference_on_random_corpus(self):
         rng = derive_rng(4, "decoder")
         for case in range(1000):
@@ -179,6 +233,49 @@ class TestPostProcess:
         for _ in range(200):
             rows = random_prob_rows(rng, int(rng.integers(1, 60)), int(rng.choice([3, 10, 100])))
             assert ((rows >= 0.51).sum(axis=1) <= 1).all()
+
+
+def brute_force_decode(rows, threshold):
+    """Per-row restatement of the whole decode: labels, survivor mean and
+    count, and the per-window trace; a NaN top probability is Blank."""
+    decoded, tops, lines = [], [], ["window_start,argmax_class,max_prob,emitted_label"]
+    previous = None
+    for index, row in enumerate(rows):
+        label = int(np.argmax(row))
+        top = float(row[label])
+        emit = "Blank"
+        if top >= threshold:
+            tops.append(top)
+            emit = ""
+            if label != previous:
+                decoded.append((label, index, top))
+                emit = str(label)
+            previous = label
+        lines.append(f"{index},{label},{top!r},{emit}")
+    mean = (float(np.mean(tops)), len(tops)) if tops else (0.0, 0)
+    return decoded, mean, "\n".join(lines) + "\n"
+
+
+@st.composite
+def decoder_inputs(draw):
+    threshold = draw(st.sampled_from([0.2, 0.5, 0.51, 0.9]) | st.floats(0.01, 0.99))
+    classes = draw(st.integers(1, 12))
+    # values at the threshold, repeated values that tie, and NaN
+    value = st.sampled_from([0.0, threshold, 0.25, 0.5, 1.0, math.nan]) | st.floats(0.0, 1.0)
+    row = st.lists(value, min_size=classes, max_size=classes) | st.just([math.nan] * classes)
+    rows = draw(st.lists(row, min_size=1, max_size=60))
+    return np.array(rows, dtype=np.float64), threshold
+
+
+@given(decoder_inputs())
+def test_vectorized_decode_equals_the_per_row_loop(case):
+    rows, threshold = case
+    wp = wp_from_rows(rows)
+    want_decoded, want_mean, want_csv = brute_force_decode(rows, threshold)
+    decoded = post_process(wp, threshold)
+    assert [(d.label, d.window_index, d.prob) for d in decoded] == want_decoded
+    assert avg_recognized_softmax(wp, threshold) == want_mean
+    assert windows_csv(wp, decoded, threshold) == want_csv
 
 
 class TestMetrics:
