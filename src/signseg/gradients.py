@@ -3,6 +3,7 @@ checker to verify them coordinate by coordinate."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -13,8 +14,8 @@ from .model import (
     ModelWeights,
     _classify_internals,
     _encoder_internals,
-    _f64,
     _row_mean,
+    _stack_windows,
     forward_probs,
     param_count,
     upcast,
@@ -31,18 +32,9 @@ def _layer_norm_bwd(dy, cache, dgain, dbias):
     return inv_std * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
 
 
-def _check_target(target, classes: int) -> np.ndarray:
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (classes,):
-        raise ShapeError(f"target has shape {target.shape}, expected ({classes},)")
-    if not (np.all(target >= 0.0) and abs(float(target.sum()) - 1.0) <= 1e-9):
-        raise ValueError("target must be a probability distribution (non-negative, summing to 1)")
-    return target
-
-
 def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
     """-sum t ln p against a target distribution t, with p clamped below at
-    1e-12 before the log."""
+    1e-12 before the log; for rows (n, classes), summed over the rows."""
     return float(-(target * np.log(np.maximum(probs, PROB_CLAMP))).sum())
 
 
@@ -51,93 +43,94 @@ def _resolve_target(sample: IsolatedSample, target, classes: int) -> np.ndarray:
     # -ln p[label] and p - t subtracts 0.0 off the label, so both match the
     # plain cross-entropy bit for bit
     if target is None:
-        target = np.zeros(classes)
-        target[sample.label] = 1.0
-        return target
-    return _check_target(target, classes)
+        return np.eye(classes)[sample.label]
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != (classes,):
+        raise ShapeError(f"target has shape {target.shape}, expected ({classes},)")
+    if not (np.all(target >= 0.0) and abs(float(target.sum()) - 1.0) <= 1e-9):
+        raise ValueError("target must be a probability distribution (non-negative, summing to 1)")
+    return target
 
 
 def backward(
-    sample: IsolatedSample,
+    samples: IsolatedSample | Sequence[IsolatedSample],
     weights: ModelWeights,
-    target: np.ndarray | None = None,
+    targets=None,
     add_to: ModelWeights | None = None,
 ) -> tuple[ModelWeights, float]:
-    """Loss and exact gradients of the cross-entropy for one sample.
+    """Loss and exact gradients of the cross-entropy, summed over a batch.
 
-    The target is the one-hot label by default, giving -ln p[label]; a
-    target distribution t over the classes gives -sum t ln p instead.
-    Returns (gradients, loss); the gradients are a ModelWeights over a
-    float64 buffer in the parameters' layout, each view holding the
+    `samples` is one IsolatedSample, with `targets` its target, or a
+    sequence of them, with `targets` None or one target per sample. A
+    target of None is the one-hot label, giving -ln p[label]; a target
+    distribution t over the classes gives -sum t ln p instead. The pass
+    runs all samples through the batch-first forward kernel at once and
+    computes in the dtype of the weights' buffer, like forward_probs:
+    float32 as stored, float64 after upcast().
+
+    Returns (gradients, summed loss); the gradients are a ModelWeights over
+    a float64 buffer in the parameters' layout, each view holding the
     gradient of the parameter of the same name. Given `add_to`, a float64
     ModelWeights of the same config, the gradients are added into its
     views and `add_to` is returned; otherwise into a fresh zeroed buffer.
     """
     cfg = weights.config
-    target = _resolve_target(sample, target, cfg.classes)
+    if isinstance(samples, IsolatedSample):
+        samples, targets = [samples], [targets]
+    elif targets is None:
+        targets = [None] * len(samples)
+    if not samples or len(targets) != len(samples):
+        raise ShapeError(f"need one target per sample, got {len(targets)} for {len(samples)} samples")
+    target = np.stack([_resolve_target(s, t, cfg.classes) for s, t in zip(samples, targets)])
     if add_to is None:
         add_to = ModelWeights(cfg, np.zeros(param_count(cfg)))
     elif add_to.config != cfg or add_to.flat.dtype != np.float64:
         raise ShapeError("add_to must be a float64 ModelWeights of the weights' config")
+    frames = _stack_windows([s.frames for s in samples], weights)
     caches: list[dict] = []
-    # the forward kernel in float64 on a batch of one window; every product
-    # with a float32 weight promotes it, exactly as an explicit cast would
-    frames64 = _f64(sample.frames)
-    features = _encoder_internals(frames64[None], weights, caches=caches)
-    probs, flat = (a[0] for a in _classify_internals(features, weights))
+    probs, flat = _classify_internals(_encoder_internals(frames, weights, caches=caches), weights)
     loss = soft_cross_entropy(probs, target)
 
     # each gradient is added into its view of add_to, never stored alone.
     # Softmax + cross-entropy collapse to p - target at the logits
-    dlogits = probs - target
-    add_to.head_w += np.outer(flat, dlogits)
-    add_to.head_b += dlogits
-    dx = (weights.head_w @ dlogits).reshape(cfg.window, cfg.d_model)
+    dlogits = (probs - target).astype(weights.flat.dtype, copy=False)
+    add_to.head_w += flat.T @ dlogits
+    add_to.head_b += dlogits.sum(axis=0)
+    dx = (dlogits @ weights.head_w.T).reshape(-1, cfg.d_model)  # (B * window, d_model)
 
-    sqrt_dk = math.sqrt(cfg.d_k)
-    for i in reversed(range(cfg.layers)):
-        layer = weights.layers[i]
-        c = caches[i]
-        g = add_to.layers[i]
-
+    rows, sqrt_dk = dx.shape[0], math.sqrt(cfg.d_k)
+    for layer, g in zip(reversed(weights.layers), reversed(add_to.layers)):
+        c = caches.pop()  # this layer's activations go once its backward is done
         dr2 = _layer_norm_bwd(dx, c["ln2"], g.ln2_g, g.ln2_b)
-        d_act = dr2 @ layer.ff_w2.T
         g.ff_w2 += c["ff_act"].T @ dr2
         g.ff_b2 += dr2.sum(axis=0)
         # ReLU passed exactly the units its output kept above zero
-        d_pre = d_act * (c["ff_act"] > 0.0)
+        d_pre = (dr2 @ layer.ff_w2.T) * (c["ff_act"] > 0.0)
         g.ff_w1 += c["y1"].T @ d_pre
         g.ff_b1 += d_pre.sum(axis=0)
         dy1 = dr2 + d_pre @ layer.ff_w1.T
 
-        dr1 = _layer_norm_bwd(dy1, c["ln1"], g.ln1_g, g.ln1_b)
-        dx = dr1.copy()
+        dx = _layer_norm_bwd(dy1, c["ln1"], g.ln1_g, g.ln1_b)
+        g.wo += c["concat"].T @ dx
+        d_concat = dx @ layer.wo.T
 
-        g.wo += c["concat"].T @ dr1
-        d_concat = dr1 @ layer.wo.T
-
-        # all heads at once, (heads, window, d_k)
-        q, k, v, a = (t[0] for t in c["qkva"])
-        d_head = d_concat.reshape(cfg.window, cfg.heads, cfg.d_k).transpose(1, 0, 2)
-        da = d_head @ v.transpose(0, 2, 1)
-        dv = a.transpose(0, 2, 1) @ d_head
+        # all heads of all windows at once, (B, heads, window, d_k)
+        q, k, v, a = c["qkva"]
+        d_head = d_concat.reshape(-1, cfg.window, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
+        da = d_head @ v.transpose(0, 1, 3, 2)
+        dv = a.transpose(0, 1, 3, 2) @ d_head
         # row-wise softmax jacobian
         ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
         dq = ds @ k / sqrt_dk
-        dk_ = ds.transpose(0, 2, 1) @ q / sqrt_dk
+        dk = ds.transpose(0, 1, 3, 2) @ q / sqrt_dk
         x_in_t = c["x_in"].T
-        g.wq += x_in_t @ dq
-        g.wk += x_in_t @ dk_
-        g.wv += x_in_t @ dv
-        d_in = (
-            dq @ layer.wq.transpose(0, 2, 1)
-            + dk_ @ layer.wk.transpose(0, 2, 1)
-            + dv @ layer.wv.transpose(0, 2, 1)
-        )
-        for h in range(cfg.heads):
-            dx += d_in[h]
+        for d, w, gw in ((dq, layer.wq, g.wq), (dk, layer.wk, g.wk), (dv, layer.wv, g.wv)):
+            # per head, (d_model, B * window) @ (B * window, d_k)
+            gw += x_in_t @ d.transpose(1, 0, 2, 3).reshape(cfg.heads, rows, cfg.d_k)
+            # the residual's gradient plus every head's: (B * window, heads * d_k) @ (heads * d_k, d_model)
+            dx += d.transpose(0, 2, 1, 3).reshape(rows, -1) @ w.transpose(0, 2, 1).reshape(-1, cfg.d_model)
 
-    add_to.embed_w += frames64.T @ dx
+    add_to.embed_w += frames.reshape(rows, cfg.input_dim).T @ dx
     add_to.embed_b += dx.sum(axis=0)
     return add_to, loss
 
@@ -158,16 +151,17 @@ def gradient_check(
     """Max relative error between analytic and central-difference gradients.
 
     Sweeps every parameter coordinate, or a seeded subsample of at least
-    200 coordinates when max_coords caps the sweep. Finite differences are
-    taken in float64 on a private copy of the weights. The loss is the one
+    200 coordinates when max_coords caps the sweep. Both gradients are taken
+    in float64 on a private upcast() copy of the weights, whatever their
+    stored dtype. The loss is the one
     backward differentiates: against the one-hot label, or against
     `target` when one is given.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     target = _resolve_target(sample, target, weights.config.classes)
-    grads, _ = backward(sample, weights, target)
     probe = upcast(weights)
+    grads, _ = backward(sample, probe, target)
 
     size = probe.flat.size
     coords = range(size)

@@ -18,11 +18,12 @@ weights file), with a named view per parameter. The pass computes in the
 dtype of the activations it is handed: float32 frames on float32 weights
 run in float32, and float64 frames make numpy promote every product to
 float64, bit for bit as if the weights were cast first. Only the head's
-logits are cast to float64 before the softmax. forward_probs computes in
-the weights' dtype, float32 as stored (half the bytes per elementwise pass)
-and float64 after upcast(). encoder_forward and the backward pass always
-compute in float64, so analytic gradients agree with central finite
-differences to tight tolerances.
+logits are cast to float64 before the softmax. forward_probs and the
+backward pass compute in the weights' dtype, float32 as stored (half the
+bytes per elementwise pass) and float64 after upcast(); encoder_forward
+always computes in float64. gradient_check differentiates upcast() weights,
+so analytic gradients agree with central finite differences to tight
+tolerances.
 """
 from __future__ import annotations
 
@@ -212,10 +213,9 @@ def _f64(a: np.ndarray) -> np.ndarray:
 def upcast(weights: ModelWeights) -> ModelWeights:
     """The same weights in a float64 buffer of their own.
 
-    The one way to choose float64 for a whole model: forward_probs then
-    computes in float64. float32 to float64 is exact, so float64 forward
-    and backward results are bit-identical to those on the float32 weights,
-    where numpy promotes each product; converting once saves those casts.
+    The one way to choose float64 for a whole model: forward_probs and
+    backward then compute in float64. float32 to float64 is exact, so the
+    wide weights hold the same values; only the arithmetic widens.
     """
     return ModelWeights(weights.config, weights.flat.astype(np.float64))
 
@@ -360,6 +360,15 @@ def _classify_internals(features, weights: ModelWeights):
     logits += weights.head_b
     # the softmax in float64 in any case, so rows sum to 1 within 1e-9
     return _softmax_(logits.astype(np.float64, copy=False)), flat.reshape(-1, cfg.window * cfg.d_model)
+
+
+def _stack_windows(windows, weights: ModelWeights) -> np.ndarray:
+    """Windows (window, input_dim) as one batch in the weights' dtype."""
+    shape = (weights.config.window, weights.config.input_dim)
+    bad = [np.shape(w) for w in windows if np.shape(w) != shape]
+    if bad:  # stacking mixed shapes would fail with numpy's own error
+        raise ShapeError(f"frames have shape {bad[0]}, expected {shape}")
+    return np.array(windows, dtype=weights.flat.dtype)
 
 
 def forward_probs(weights: ModelWeights, frames: np.ndarray) -> np.ndarray:

@@ -14,9 +14,9 @@ from .model import (
     FORWARD_CHUNK,
     ModelConfig,
     ModelWeights,
+    _stack_windows,
     forward_probs,
     init_weights,
-    upcast,
     weights_to_dict,
 )
 from .seeding import derive_rng, derive_seed
@@ -315,13 +315,10 @@ def _epoch_items(train_set, order, straddle_rng, classes, boundaries):
 def _probs(weights, samples) -> np.ndarray:
     """Class probabilities of each sample, (len(samples), classes),
     FORWARD_CHUNK samples per forward pass."""
-    shape = (weights.config.window, weights.config.input_dim)
-    bad = [np.shape(s.frames) for s in samples if np.shape(s.frames) != shape]
-    if bad:  # stacking mixed shapes would fail with numpy's own error
-        raise ShapeError(f"frames have shape {bad[0]}, expected {shape}")
+    frames = [s.frames for s in samples]
     return np.concatenate([
-        forward_probs(weights, np.stack([s.frames for s in samples[i : i + FORWARD_CHUNK]]))
-        for i in range(0, len(samples), FORWARD_CHUNK)
+        forward_probs(weights, _stack_windows(frames[i : i + FORWARD_CHUNK], weights))
+        for i in range(0, len(frames), FORWARD_CHUNK)
     ])
 
 
@@ -330,7 +327,7 @@ def _mean_loss(weights, items) -> float:
     if not items:
         return 0.0
     probs = _probs(weights, [s for s, _ in items])
-    return sum(soft_cross_entropy(p, t) for p, (_, t) in zip(probs, items)) / len(items)
+    return soft_cross_entropy(probs, np.stack([t for _, t in items])) / len(items)
 
 
 def train(
@@ -355,8 +352,10 @@ def train(
     first learning-rate decay.
 
     Per epoch: a seeded shuffle and seeded straddle draws, mini-batches of
-    tcfg.batch_size (each item's gradient added in item order into one
-    float64 sum, then averaged), one adam_step per batch, then validation.
+    tcfg.batch_size (one backward call per FORWARD_CHUNK items, in float32
+    on the stored parameters, adding into one float64 sum, then averaged),
+    one adam_step per batch with float64 moments, then validation on the
+    same float32 parameters, which are the weights returned.
     The best epoch has the highest accuracy on the clean validation
     samples; among epochs tied on it, the lowest loss on a fixed set of
     straddling validation windows, one per validation sample (a gain must
@@ -385,9 +384,6 @@ def train(
     best: EpochRecord | None = None
     best_params = params
     boundaries = False
-    # a float64 mirror of params, refreshed in place after every optimizer
-    # step, so no op upcasts the float32 params
-    weights = upcast(params)
     grad_sum = ModelWeights(mcfg, np.zeros(params.flat.size))
 
     for epoch in range(tcfg.max_epochs):
@@ -397,15 +393,15 @@ def train(
         loss_sum = 0.0
         for start in range(0, len(items), tcfg.batch_size):
             batch = items[start : start + tcfg.batch_size]
-            # every item's gradient is added, in item order, into one sum
+            # one backward call per FORWARD_CHUNK items, all adding into one sum
             grad_sum.flat.fill(0.0)
-            for s, t in batch:
-                loss_sum += backward(s, weights, t, add_to=grad_sum)[1]
+            for i in range(0, len(batch), FORWARD_CHUNK):
+                samples, targets = zip(*batch[i : i + FORWARD_CHUNK])
+                loss_sum += backward(samples, params, targets, add_to=grad_sum)[1]
             grad_sum.flat /= len(batch)
             params, state = adam_step(params, grad_sum, state, lr, tcfg)
-            weights.flat[...] = params.flat
-        val_acc = evaluate_isolated(weights, val_set)
-        record = EpochRecord(epoch, loss_sum / len(items), val_acc, lr, _mean_loss(weights, val_straddles))
+        val_acc = evaluate_isolated(params, val_set)
+        record = EpochRecord(epoch, loss_sum / len(items), val_acc, lr, _mean_loss(params, val_straddles))
         records.append(record)
         if on_epoch is not None:
             on_epoch(record)

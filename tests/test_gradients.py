@@ -13,7 +13,7 @@ from signseg import (
     relative_error,
 )
 from signseg.gradients import soft_cross_entropy
-from signseg.model import param_count, param_shapes, upcast, weights_to_dict
+from signseg.model import FORWARD_CHUNK, param_count, param_shapes, upcast, weights_to_dict
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import draw_straddles
 
@@ -84,12 +84,57 @@ def test_add_to_must_be_float64_of_the_same_config(tiny_mcfg, tiny_weights, tiny
     for add_to in (single, other):
         with pytest.raises(ShapeError):
             backward(tiny_sample, tiny_weights, add_to=add_to)
+        with pytest.raises(ShapeError):
+            backward([tiny_sample, tiny_sample], tiny_weights, add_to=add_to)
+
+
+def _items(mcfg, count, seed):
+    """`count` (sample, target) items: plain samples, then straddling windows."""
+    rng = derive_rng(seed, "batch")
+    pool = [
+        IsolatedSample(rng.normal(size=(mcfg.window, mcfg.input_dim)), label % mcfg.classes)
+        for label in range(count)
+    ]
+    straddles = draw_straddles(pool, count - count // 2, rng, mcfg.classes)
+    return [(s, None) for s in pool[: count // 2]] + straddles
+
+
+def test_a_batch_adds_what_its_items_add_one_by_one(tiny_mcfg, tiny_weights):
+    items = _items(tiny_mcfg, 7, 5)
+    weights = upcast(tiny_weights)
+    one_by_one = ModelWeights(tiny_mcfg, np.zeros(param_count(tiny_mcfg)))
+    losses = [backward(s, weights, t, add_to=one_by_one)[1] for s, t in items]
+    samples, targets = zip(*items)
+    batched, loss = backward(samples, weights, targets)
+    assert np.abs(batched.flat - one_by_one.flat).max() <= 1e-12 * np.abs(one_by_one.flat).max()
+    np.testing.assert_allclose(loss, sum(losses), rtol=1e-12)
+    # one sample is a batch of one
+    alone, alone_loss = backward(samples[-1], weights, targets[-1])
+    of_one, of_one_loss = backward(samples[-1:], weights, targets[-1:])
+    assert alone.flat.tobytes() == of_one.flat.tobytes() and alone_loss == of_one_loss
+
+
+def test_float32_batch_agrees_with_float64_at_the_gate_shape():
+    mcfg = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
+    weights = init_weights(mcfg, derive_seed(12, "init"))
+    samples, targets = zip(*_items(mcfg, FORWARD_CHUNK, 12))
+    narrow, narrow_loss = backward(samples, weights, targets)
+    wide, wide_loss = backward(samples, upcast(weights), targets)
+    assert narrow.flat.dtype == np.float64
+    assert np.abs(narrow.flat - wide.flat).max() <= 1e-5 * np.abs(wide.flat).max()
+    np.testing.assert_allclose(narrow_loss, wide_loss, rtol=1e-5)
+
+
+def test_one_target_per_sample(tiny_weights, tiny_sample):
+    for samples, targets in (([tiny_sample] * 2, [None]), ([], None)):
+        with pytest.raises(ShapeError):
+            backward(samples, tiny_weights, targets)
 
 
 def test_head_gradient_closed_form():
     """With zero layers the head gradient is outer(flattened features, p - onehot)."""
     cfg = ModelConfig(layers=0, heads=1, d_model=4, d_ff=4, window=3, input_dim=4, classes=3)
-    weights = init_weights(cfg, derive_seed(1, "init"))
+    weights = upcast(init_weights(cfg, derive_seed(1, "init")))
     rng = derive_rng(1, "head-grad")
     sample = IsolatedSample(rng.normal(size=(3, 4)), label=2)
     grads, _ = backward(sample, weights)
@@ -129,8 +174,9 @@ def test_one_hot_target_is_the_default(tiny_weights, tiny_sample, tiny_mcfg):
 
 def test_soft_target_loss_and_head_gradient(tiny_mcfg, tiny_weights, tiny_sample):
     target = np.array([0.25, 0.75, 0.0])
-    grads, loss = backward(tiny_sample, tiny_weights, target)
-    probs = forward_probs(upcast(tiny_weights), tiny_sample.frames)
+    weights = upcast(tiny_weights)
+    grads, loss = backward(tiny_sample, weights, target)
+    probs = forward_probs(weights, tiny_sample.frames)
     np.testing.assert_allclose(loss, -(target * np.log(probs)).sum(), atol=1e-12)
     np.testing.assert_allclose(grads.head_b, probs - target, atol=1e-12)
 

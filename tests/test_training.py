@@ -28,7 +28,7 @@ from signseg import (
     train,
 )
 from signseg import IsolatedSample
-from signseg.model import param_count, upcast
+from signseg.model import FORWARD_CHUNK, param_count, upcast
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import (
     ADAM_BLOCK,
@@ -36,6 +36,7 @@ from signseg.training import (
     AdamState,
     _adam_update,
     _epoch_items,
+    _mean_loss,
     draw_straddles,
     straddle_window,
 )
@@ -350,6 +351,28 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert peak < 20 * param_count(mcfg) * 8
 
+    def test_step_peak_does_not_grow_with_the_batch(self):
+        """backward holds the activations of one FORWARD_CHUNK of items at a
+        time, so a 64-item step peaks within one chunk's of an 8-item step."""
+        mcfg = ModelConfig(layers=2, heads=4, d_model=32, d_ff=64, window=16, input_dim=6, classes=4)
+        data = make_dataset(derive_seed(10, "data"), mcfg.classes, 20, mcfg.input_dim, mcfg.window, 0.05)
+        core, val = carve_validation(data, 0.1, derive_seed(10, "val"))
+
+        def peak(batch_size):
+            tracemalloc.start()
+            try:
+                train(core, val, mcfg, TrainConfig(seed=10, max_epochs=1, batch_size=batch_size))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # float32 caches per window and layer: eight (window, d_model)
+        # arrays, the attention weights and the feed-forward activations
+        per_window = mcfg.layers * mcfg.window * (8 * mcfg.d_model + mcfg.heads * mcfg.window + mcfg.d_ff) * 4
+        assert len(core) >= 64
+        peak(8)  # first-call allocations (caches, lazy imports) stay out of the comparison
+        assert peak(64) <= peak(8) + FORWARD_CHUNK * per_window
+
     def test_empty_dataset_rejected(self):
         _, val, _, mcfg = small_setup(7)
         with pytest.raises(ValueError):
@@ -445,7 +468,11 @@ class TestSelection:
         assert chosen.epoch > first.epoch
         assert chosen.val_accuracy == best
         assert chosen.val_straddle_loss < first.val_straddle_loss
+        # the record scores exactly the float32 weights that are returned
+        assert weights.flat.dtype == np.float32
         assert evaluate_isolated(weights, val) == best
+        val_straddles = draw_straddles(val, len(val), derive_rng(tcfg.seed, "val-straddle"), mcfg.classes)
+        assert _mean_loss(weights, val_straddles) == chosen.val_straddle_loss
 
 
 class TestEvaluate:
