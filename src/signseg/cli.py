@@ -217,15 +217,9 @@ def _cmd_ablate(args) -> int:
     tcfg = cfg.train_config()
     train_all, test = split_dataset(samples, cfg.data.split_ratio, derive_seed(cfg.seed, "split"))
 
-    rows = ablate(
-        layer_choices,
-        head_choices,
-        [("synthetic" if cfg.data.manifest is None else "manifest", train_all, test)],
-        mcfg,
-        tcfg,
-        val_fraction=cfg.data.val_fraction,
-    )
     names = ["synthetic" if cfg.data.manifest is None else "manifest"]
+    datasets = [(names[0], train_all, test)]
+    rows = ablate(layer_choices, head_choices, datasets, mcfg, tcfg, val_fraction=cfg.data.val_fraction)
     csv = ablation_to_csv(rows, names)
     out = Path(cfg.out_dir)
     atomic_write_text(out / "ablation.csv", csv)

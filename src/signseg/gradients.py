@@ -12,6 +12,7 @@ from .keypoints import IsolatedSample
 from .model import (
     PROB_CLAMP,
     ModelWeights,
+    Workspace,
     _classify_internals,
     _encoder_internals,
     _row_mean,
@@ -23,13 +24,20 @@ from .model import (
 from .seeding import derive_rng
 
 
-def _layer_norm_bwd(dy, cache, dgain, dbias):
-    """The input's gradient; the gain's and bias's are added into dgain and dbias."""
-    xhat, inv_std, gain = cache
-    dgain += (dy * xhat).sum(axis=0)
+def _layer_norm_bwd(dy, xhat, inv_std, gain, dgain, dbias, tmp):
+    """The input's gradient, written over dy (and xhat and tmp); dgain and dbias are added to."""
+    dgain += np.multiply(dy, xhat, out=tmp).sum(axis=0)
     dbias += dy.sum(axis=0)
-    dxhat = dy * gain
-    return inv_std * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
+    dy *= gain  # the gradient at xhat from here on
+    xhat *= _row_mean(np.multiply(dy, xhat, out=tmp))
+    dy -= _row_mean(dy)
+    dy -= xhat
+    return np.multiply(dy, inv_std, out=dy)
+
+
+def _add_product(g, a, b, ws: Workspace) -> None:
+    """g += a @ b, the product taken in a buffer shared by all gradients of g's shape."""
+    g += np.matmul(a, b, out=ws(("grad", g.shape), g.shape, a.dtype))
 
 
 def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
@@ -57,6 +65,8 @@ def backward(
     weights: ModelWeights,
     targets=None,
     add_to: ModelWeights | None = None,
+    *,
+    scratch: Workspace | None = None,
 ) -> tuple[ModelWeights, float]:
     """Loss and exact gradients of the cross-entropy, summed over a batch.
 
@@ -73,6 +83,9 @@ def backward(
     gradient of the parameter of the same name. Given `add_to`, a float64
     ModelWeights of the same config, the gradients are added into its
     views and `add_to` is returned; otherwise into a fresh zeroed buffer.
+    `scratch`, a Workspace the caller keeps across calls, holds this call's
+    activations and scratch; without one the call makes its own. The
+    result is the same bit for bit, and nothing returned lives in it.
     """
     cfg = weights.config
     if isinstance(samples, IsolatedSample):
@@ -86,51 +99,64 @@ def backward(
         add_to = ModelWeights(cfg, np.zeros(param_count(cfg)))
     elif add_to.config != cfg or add_to.flat.dtype != np.float64:
         raise ShapeError("add_to must be a float64 ModelWeights of the weights' config")
+    ws = Workspace() if scratch is None else scratch
     frames = _stack_windows([s.frames for s in samples], weights)
-    caches: list[dict] = []
-    probs, flat = _classify_internals(_encoder_internals(frames, weights, caches=caches), weights)
+    dtype, rows = frames.dtype, frames.shape[0] * cfg.window
+    probs, flat = _classify_internals(_encoder_internals(frames, weights, ws=ws), weights)
     loss = soft_cross_entropy(probs, target)
 
     # each gradient is added into its view of add_to, never stored alone.
     # Softmax + cross-entropy collapse to p - target at the logits
-    dlogits = (probs - target).astype(weights.flat.dtype, copy=False)
-    add_to.head_w += flat.T @ dlogits
+    dlogits = (probs - target).astype(dtype, copy=False)
+    _add_product(add_to.head_w, flat.T, dlogits, ws)
     add_to.head_b += dlogits.sum(axis=0)
-    dx = (dlogits @ weights.head_w.T).reshape(-1, cfg.d_model)  # (B * window, d_model)
+    dx = ws("dx", (rows, cfg.d_model), dtype)  # (B * window, d_model)
+    np.matmul(dlogits, weights.head_w.T, out=dx.reshape(-1, cfg.window * cfg.d_model))
+    mask = ws("mask", (rows, cfg.d_ff), np.bool_)
 
-    rows, sqrt_dk = dx.shape[0], math.sqrt(cfg.d_k)
-    for layer, g in zip(reversed(weights.layers), reversed(add_to.layers)):
-        c = caches.pop()  # this layer's activations go once its backward is done
-        dr2 = _layer_norm_bwd(dx, c["ln2"], g.ln2_g, g.ln2_b)
-        g.ff_w2 += c["ff_act"].T @ dr2
+    # most gradients go over activations their layer has read for the last time
+    sqrt_dk = math.sqrt(cfg.d_k)
+    for i in reversed(range(cfg.layers)):
+        layer, g, c = weights.layers[i], add_to.layers[i], ws.layer(i, cfg, rows, dtype)
+        tmp = c["out"]  # scratch: the head or the layer above has read it for the last time
+        dr2 = _layer_norm_bwd(dx, c["xhat2"], c["inv2"], layer.ln2_g, g.ln2_g, g.ln2_b, tmp)
+        _add_product(g.ff_w2, c["act"].T, dr2, ws)
         g.ff_b2 += dr2.sum(axis=0)
         # ReLU passed exactly the units its output kept above zero
-        d_pre = (dr2 @ layer.ff_w2.T) * (c["ff_act"] > 0.0)
-        g.ff_w1 += c["y1"].T @ d_pre
+        np.greater(c["act"], 0.0, out=mask)
+        d_pre = np.matmul(dr2, layer.ff_w2.T, out=c["act"])
+        d_pre *= mask
+        _add_product(g.ff_w1, c["y1"].T, d_pre, ws)
         g.ff_b1 += d_pre.sum(axis=0)
-        dy1 = dr2 + d_pre @ layer.ff_w1.T
+        dr2 += np.matmul(d_pre, layer.ff_w1.T, out=c["y1"])  # dr2 becomes dy1
 
-        dx = _layer_norm_bwd(dy1, c["ln1"], g.ln1_g, g.ln1_b)
-        g.wo += c["concat"].T @ dx
-        d_concat = dx @ layer.wo.T
+        dx = _layer_norm_bwd(dr2, c["xhat1"], c["inv1"], layer.ln1_g, g.ln1_g, g.ln1_b, tmp)
+        _add_product(g.wo, c["concat"].T, dx, ws)
+        d_concat = np.matmul(dx, layer.wo.T, out=c["concat"])
 
         # all heads of all windows at once, (B, heads, window, d_k)
-        q, k, v, a = c["qkva"]
+        q, k, v, a = c["q"], c["k"], c["v"], c["a"]
         d_head = d_concat.reshape(-1, cfg.window, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
-        da = d_head @ v.transpose(0, 1, 3, 2)
-        dv = a.transpose(0, 1, 3, 2) @ d_head
+        da = np.matmul(d_head, v.transpose(0, 1, 3, 2), out=ws("da", a.shape, dtype))
+        dv = np.matmul(a.transpose(0, 1, 3, 2), d_head, out=v)
         # row-wise softmax jacobian
-        ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
-        dq = ds @ k / sqrt_dk
-        dk = ds.transpose(0, 1, 3, 2) @ q / sqrt_dk
-        x_in_t = c["x_in"].T
+        da -= np.multiply(da, a, out=ws("da*a", a.shape, dtype)).sum(axis=-1, keepdims=True)
+        ds = np.multiply(a, da, out=a)
+        dq = np.matmul(ds, k, out=d_concat.reshape(q.shape))
+        dq /= sqrt_dk
+        dk = np.matmul(ds.transpose(0, 1, 3, 2), q, out=k)
+        dk /= sqrt_dk
+        x_in_t = ws(("out", i - 1), dx.shape, dtype).T
         for d, w, gw in ((dq, layer.wq, g.wq), (dk, layer.wk, g.wk), (dv, layer.wv, g.wv)):
-            # per head, (d_model, B * window) @ (B * window, d_k)
-            gw += x_in_t @ d.transpose(1, 0, 2, 3).reshape(cfg.heads, rows, cfg.d_k)
+            # q is dead, so its buffer takes d in the layout each product needs.
+            # Per head, (d_model, B * window) @ (B * window, d_k)
+            np.copyto(q.reshape(cfg.heads, -1, cfg.window, cfg.d_k), d.transpose(1, 0, 2, 3))
+            _add_product(gw, x_in_t, q.reshape(cfg.heads, rows, cfg.d_k), ws)
             # the residual's gradient plus every head's: (B * window, heads * d_k) @ (heads * d_k, d_model)
-            dx += d.transpose(0, 2, 1, 3).reshape(rows, -1) @ w.transpose(0, 2, 1).reshape(-1, cfg.d_model)
+            np.copyto(q.reshape(-1, cfg.window, cfg.heads, cfg.d_k), d.transpose(0, 2, 1, 3))
+            dx += np.matmul(q.reshape(rows, -1), w.transpose(0, 2, 1).reshape(-1, cfg.d_model), out=tmp)
 
-    add_to.embed_w += frames.reshape(rows, cfg.input_dim).T @ dx
+    _add_product(add_to.embed_w, frames.reshape(rows, cfg.input_dim).T, dx, ws)
     add_to.embed_b += dx.sum(axis=0)
     return add_to, loss
 
@@ -163,12 +189,10 @@ def gradient_check(
     probe = upcast(weights)
     grads, _ = backward(sample, probe, target)
 
-    size = probe.flat.size
+    size, take = probe.flat.size, max(200, max_coords or 0)
     coords = range(size)
-    if max_coords is not None and max_coords < size:
-        take = max(200, max_coords)
-        if take < size:
-            coords = sorted(derive_rng(seed, "gradient-check").choice(size, size=take, replace=False))
+    if max_coords is not None and take < size:
+        coords = sorted(derive_rng(seed, "gradient-check").choice(size, size=take, replace=False))
 
     def loss_at() -> float:
         return soft_cross_entropy(forward_probs(probe, sample.frames), target)

@@ -13,6 +13,13 @@ one matrix-vector product per window, so a window's probabilities are bit
 for bit the same in a batch of any size. Callers classifying many windows
 pass FORWARD_CHUNK per call.
 
+Each layer writes its activations into the arrays of a Workspace, which
+inference makes afresh per layer. backward() writes most of its scratch
+over activations it has read for the last time. train() owns one
+Workspace per run for every backward call: a FORWARD_CHUNK's activations
+and one layer's scratch in the parameters' dtype, allocated by the first
+step and reused (a short chunk as leading-axis views) by every later one.
+
 Parameters live in one flat buffer, float32 at rest (the precision of the
 weights file), with a named view per parameter. The pass computes in the
 dtype of the activations it is handed: float32 frames on float32 weights
@@ -206,10 +213,6 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     return weights
 
 
-def _f64(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64)
-
-
 def upcast(weights: ModelWeights) -> ModelWeights:
     """The same weights in a float64 buffer of their own.
 
@@ -261,7 +264,7 @@ def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
     """Row-stochastic attention matrix softmax(q k^T / sqrt(d_k))."""
     if d_k < 1:
         raise ValueError(f"d_k must be >= 1, got {d_k}")
-    q, k = _f64(q), _f64(k)
+    q, k = np.asarray(q, dtype=np.float64), np.asarray(k, dtype=np.float64)
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"query/key feature dims differ: {q.shape} vs {k.shape}")
     return _attention_(q @ k.T, d_k)
@@ -272,71 +275,87 @@ def _row_mean(x):
     return x.sum(axis=-1, keepdims=True) / x.shape[-1]
 
 
-def _layer_norm_fwd(x, gain, bias):
-    mu = _row_mean(x)
-    centered = x - mu
-    var = _row_mean(centered**2)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv_std
-    out = gain * xhat
-    out += bias
-    return out, (xhat, inv_std, gain)
+def _layer_norm_fwd(x, gain, bias, xhat, inv_std):
+    """Layer norm of x's rows, written over x; xhat and inv_std are kept."""
+    x -= _row_mean(x)
+    np.add(_row_mean(np.square(x, out=xhat)), LN_EPS, out=inv_std)
+    np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
+    np.multiply(x, inv_std, out=xhat)
+    np.multiply(gain, xhat, out=x)
+    return np.add(x, bias, out=x)
 
 
-def _mha_fwd(x, layer, window):
-    # x is (B * window, d_model): B windows, one row per frame
-    heads, d_model, d_k = layer.wq.shape
+def _mha_fwd(x, layer, c):
+    """Attention of x (B * window, d_model) into c["y1"], the rest kept in c."""
+    q, k, v, a = c["q"], c["k"], c["v"], c["a"]
+    b, heads, window, d_k = q.shape
     # all heads of all windows at once, (B, heads, window, d_k); each
     # window's per-head products are the same BLAS calls as one at a time
-    xb = x.reshape(-1, 1, window, d_model)
-    q, k, v = xb @ layer.wq, xb @ layer.wk, xb @ layer.wv
-    a = _attention_(q @ k.transpose(0, 1, 3, 2), d_k)
-    concat = (a @ v).transpose(0, 2, 1, 3).reshape(x.shape[0], heads * d_k)
-    return concat @ layer.wo, ((q, k, v, a), concat)
+    xb = x.reshape(b, 1, window, -1)
+    for w, out in ((layer.wq, q), (layer.wk, k), (layer.wv, v)):
+        np.matmul(xb, w, out=out)
+    _attention_(np.matmul(q, k.transpose(0, 1, 3, 2), out=a), d_k)
+    # each head's a @ v straight into its columns of concat
+    np.matmul(a, v, out=c["concat"].reshape(b, window, heads, d_k).transpose(0, 2, 1, 3))
+    return np.matmul(c["concat"], layer.wo, out=c["y1"])
 
 
-def _ff_fwd(x, layer):
-    act = x @ layer.ff_w1
+def _ff_fwd(x, layer, act, out):
+    """The feed-forward block of x into out, its ReLU output into act."""
+    np.matmul(x, layer.ff_w1, out=act)
     act += layer.ff_b1
     np.maximum(act, 0.0, out=act)
-    out = act @ layer.ff_w2
-    out += layer.ff_b2
-    return out, act
+    return np.add(np.matmul(act, layer.ff_w2, out=out), layer.ff_b2, out=out)
 
 
-def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True, caches=None):
+class Workspace(dict):
+    """Arrays by name, kept from one call to the next: ws(key, shape, dtype)
+    is the leading shape[0] rows of ws[key], allocated again only for
+    another dtype or trailing shape or more rows."""
+
+    def __call__(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        buf = self.get(key)
+        if buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+            buf = self[key] = np.empty(shape, dtype)
+        return buf[: shape[0]]
+
+    def layer(self, i: int, cfg: ModelConfig, rows: int, dtype) -> dict[str, np.ndarray]:
+        """Layer i's arrays for `rows` frames, under (name, i). Its input is
+        layer i - 1's "out", and the embedding's output is ("out", -1)."""
+        head, rd = (rows // cfg.window, cfg.heads, cfg.window, cfg.d_k), (rows, cfg.d_model)
+        shapes = dict(q=head, k=head, v=head, a=(*head[:3], cfg.window), concat=rd, y1=rd, xhat1=rd,
+                      inv1=(rows, 1), act=(rows, cfg.d_ff), xhat2=rd, inv2=(rows, 1), out=rd)
+        return {name: self((name, i), shape, dtype) for name, shape in shapes.items()}
+
+
+def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True, ws=None):
     """Forward pass of windows (B, window, input_dim) through embedding and
     all layers, in the dtype numpy promotes the frames and weights to.
-    Returns features (B, window, d_model); given a list, appends to it what
-    the backward pass needs of each layer."""
+    Returns features (B, window, d_model); given ws, each layer's
+    activations stay in it for the backward pass."""
     cfg = weights.config
     if frames.shape[1:] != (cfg.window, cfg.input_dim):
         raise ShapeError(f"frames have shape {frames.shape[1:]}, expected ({cfg.window}, {cfg.input_dim})")
-    x = frames.reshape(-1, cfg.input_dim) @ weights.embed_w
+    rows, dtype = frames.shape[0] * cfg.window, np.result_type(frames, weights.flat)
+    x = (Workspace() if ws is None else ws)(("out", -1), (rows, cfg.d_model), dtype)
+    np.matmul(frames.reshape(-1, cfg.input_dim), weights.embed_w, out=x)
     x += weights.embed_b
     if use_positions:
-        windows = x.reshape(-1, cfg.window, cfg.d_model)  # a view: x is fresh and contiguous
+        windows = x.reshape(-1, cfg.window, cfg.d_model)  # a view: x is contiguous
         windows += _position_codes(cfg.window, cfg.d_model, x.dtype)
-    for layer in weights.layers:
-        x = _layer_fwd(x, layer, cfg.window, caches)
+    for i, layer in enumerate(weights.layers):
+        x = _layer_fwd(x, layer, (Workspace() if ws is None else ws).layer(i, cfg, rows, dtype))
     return x.reshape(-1, cfg.window, cfg.d_model)
 
 
-def _layer_fwd(x_in, layer, window, caches):
-    # a function of its own, so one layer's activations are freed before
-    # the next layer runs unless they go into caches
-    mha, (qkva, concat) = _mha_fwd(x_in, layer, window)
-    mha += x_in
-    y1, ln1 = _layer_norm_fwd(mha, layer.ln1_g, layer.ln1_b)
-    ff_out, ff_act = _ff_fwd(y1, layer)
-    ff_out += y1
-    out, ln2 = _layer_norm_fwd(ff_out, layer.ln2_g, layer.ln2_b)
-    if caches is not None:
-        caches.append(
-            {"x_in": x_in, "qkva": qkva, "concat": concat, "ln1": ln1,
-             "y1": y1, "ff_act": ff_act, "ln2": ln2}
-        )
-    return out
+def _layer_fwd(x_in, layer, c):
+    """One encoder layer of x_in into c["out"], its activations into c."""
+    y1 = _mha_fwd(x_in, layer, c)
+    y1 += x_in
+    _layer_norm_fwd(y1, layer.ln1_g, layer.ln1_b, c["xhat1"], c["inv1"])
+    out = _ff_fwd(y1, layer, c["act"], c["out"])
+    out += y1
+    return _layer_norm_fwd(out, layer.ln2_g, layer.ln2_b, c["xhat2"], c["inv2"])
 
 
 def encoder_forward(frames: np.ndarray, weights: ModelWeights, use_positions: bool = True) -> np.ndarray:
@@ -346,7 +365,7 @@ def encoder_forward(frames: np.ndarray, weights: ModelWeights, use_positions: bo
     With layers == 0 this is just the embedded frames (plus position codes
     unless use_positions is False).
     """
-    return _encoder_internals(_f64(frames)[None], weights, use_positions)[0]
+    return _encoder_internals(np.asarray(frames, dtype=np.float64)[None], weights, use_positions)[0]
 
 
 def _classify_internals(features, weights: ModelWeights):

@@ -14,6 +14,7 @@ from .model import (
     FORWARD_CHUNK,
     ModelConfig,
     ModelWeights,
+    Workspace,
     _stack_windows,
     forward_probs,
     init_weights,
@@ -353,7 +354,8 @@ def train(
 
     Per epoch: a seeded shuffle and seeded straddle draws, mini-batches of
     tcfg.batch_size (one backward call per FORWARD_CHUNK items, in float32
-    on the stored parameters, adding into one float64 sum, then averaged),
+    on the stored parameters, adding into one float64 sum, then averaged;
+    the run's one Workspace holds a chunk's activations for every call),
     one adam_step per batch with float64 moments, then validation on the
     same float32 parameters, which are the weights returned.
     The best epoch has the highest accuracy on the clean validation
@@ -385,6 +387,7 @@ def train(
     best_params = params
     boundaries = False
     grad_sum = ModelWeights(mcfg, np.zeros(params.flat.size))
+    scratch = Workspace()  # one chunk's activations, reused by every backward call
 
     for epoch in range(tcfg.max_epochs):
         lr = lr_at_epoch(tcfg, epoch)
@@ -397,7 +400,7 @@ def train(
             grad_sum.flat.fill(0.0)
             for i in range(0, len(batch), FORWARD_CHUNK):
                 samples, targets = zip(*batch[i : i + FORWARD_CHUNK])
-                loss_sum += backward(samples, params, targets, add_to=grad_sum)[1]
+                loss_sum += backward(samples, params, targets, add_to=grad_sum, scratch=scratch)[1]
             grad_sum.flat /= len(batch)
             params, state = adam_step(params, grad_sum, state, lr, tcfg)
         val_acc = evaluate_isolated(params, val_set)

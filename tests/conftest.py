@@ -28,9 +28,16 @@ def tiny_sample(tiny_mcfg):
     return IsolatedSample(frames=frames, label=1)
 
 
-def random_prob_rows(rng, count: int, classes: int) -> np.ndarray:
-    """Rows on the simplex, occasionally spiked so argmax clears 0.51."""
-    raw = rng.uniform(size=(count, classes))
-    spike = rng.uniform(size=count) < 0.5
-    raw[spike, rng.integers(classes, size=spike.sum())] += rng.uniform(1.0, 6.0, size=spike.sum())
-    return raw / raw.sum(axis=1, keepdims=True)
+@pytest.fixture(scope="session")
+def random_prob_rows():
+    """A fixture, not an import, so no other test directory's conftest can
+    shadow it when several are collected in one run."""
+
+    def make(rng, count: int, classes: int) -> np.ndarray:
+        """Rows on the simplex, occasionally spiked so argmax clears 0.51."""
+        raw = rng.uniform(size=(count, classes))
+        spike = rng.uniform(size=count) < 0.5
+        raw[spike, rng.integers(classes, size=spike.sum())] += rng.uniform(1.0, 6.0, size=spike.sum())
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    return make

@@ -35,8 +35,6 @@ from signseg.seeding import derive_rng, derive_seed
 from signseg.serialize import load_weights, save_weights
 from signseg.training import ablate, ablation_to_csv, carve_validation
 
-from conftest import random_prob_rows
-
 
 def test_gradients_match_finite_differences(tiny_mcfg, tiny_weights, tiny_sample):
     # full-coordinate sweep on the 2-layer, 2-head, d_model 8 reference
@@ -93,7 +91,7 @@ def _reference_decode(rows, threshold):
     return [(label, index, prob) for index, label, prob in decoded]
 
 
-def _decoder_corpus():
+def _decoder_corpus(random_prob_rows):
     rng = derive_rng(2026, "decoder")
     corpus = []
     for _ in range(1000):
@@ -103,8 +101,8 @@ def _decoder_corpus():
     return corpus
 
 
-def test_decoder_equals_reference_and_is_threshold_monotone():
-    corpus = _decoder_corpus()
+def test_decoder_equals_reference_and_is_threshold_monotone(random_prob_rows):
+    corpus = _decoder_corpus(random_prob_rows)
     for rows in corpus:
         wp = [WindowProb(i, r) for i, r in enumerate(rows)]
         got = [(d.label, d.window_index, d.prob) for d in post_process(wp, 0.51)]
@@ -116,10 +114,10 @@ def test_decoder_equals_reference_and_is_threshold_monotone():
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-def test_default_threshold_admits_at_most_one_class_per_window(tiny_mcfg, tiny_weights):
+def test_default_threshold_admits_at_most_one_class_per_window(tiny_mcfg, tiny_weights, random_prob_rows):
     # rows sum to one, so 0.51 can only be cleared once; checked on random
     # rows and on live model outputs
-    for rows in _decoder_corpus()[:300]:
+    for rows in _decoder_corpus(random_prob_rows)[:300]:
         assert ((rows >= 0.51).sum(axis=1) <= 1).all()
     rng = derive_rng(2026, "exclusive")
     for _ in range(100):

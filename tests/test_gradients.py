@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from signseg import (
     relative_error,
 )
 from signseg.gradients import soft_cross_entropy
-from signseg.model import FORWARD_CHUNK, param_count, param_shapes, upcast, weights_to_dict
+from signseg.model import FORWARD_CHUNK, Workspace, param_count, param_shapes, upcast, weights_to_dict
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import draw_straddles
+
+GATE_MCFG = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
 
 
 def test_gradient_shapes_mirror_parameters(tiny_mcfg, tiny_weights, tiny_sample):
@@ -42,7 +46,7 @@ def test_backward_loss_matches_forward(tiny_weights, tiny_sample):
     probs = forward_probs(tiny_weights, tiny_sample.frames)
     target = np.zeros(len(probs))
     target[tiny_sample.label] = 1.0
-    np.testing.assert_allclose(loss, soft_cross_entropy(probs, target), atol=1e-12)
+    np.testing.assert_allclose(loss, soft_cross_entropy(probs, target), rtol=0, atol=1e-12)
 
 
 def test_adding_into_one_buffer_equals_the_list_then_sum(tiny_mcfg, tiny_weights):
@@ -125,6 +129,46 @@ def test_float32_batch_agrees_with_float64_at_the_gate_shape():
     np.testing.assert_allclose(narrow_loss, wide_loss, rtol=1e-5)
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["float32", "upcast"])
+def test_a_workspace_changes_no_bit_of_the_result(wide):
+    stored = init_weights(GATE_MCFG, derive_seed(13, "init"))
+    weights = upcast(stored) if wide else stored
+    scratch = Workspace()
+    # a full chunk, a short tail chunk on views of its buffers, then a
+    # full chunk of other samples, which must see nothing of the others
+    chunks = [_items(GATE_MCFG, FORWARD_CHUNK, 13), _items(GATE_MCFG, 3, 14), _items(GATE_MCFG, FORWARD_CHUNK, 15)]
+    returned = []
+    for items in chunks:
+        samples, targets = zip(*items)
+        fresh, fresh_loss = backward(samples, weights, targets)
+        reused, reused_loss = backward(samples, weights, targets, scratch=scratch)
+        assert np.array_equal(reused.flat, fresh.flat) and reused_loss == fresh_loss
+        returned.append((reused, reused.flat.copy()))
+    # later calls wrote over the workspace, so nothing returned lives in it
+    for grads, copy in returned:
+        assert np.array_equal(grads.flat, copy)
+        assert not any(np.shares_memory(grads.flat, buf) for buf in scratch.values())
+
+
+def test_a_warm_workspace_allocates_a_small_share_of_one_chunks_caches():
+    weights = init_weights(GATE_MCFG, derive_seed(16, "init"))
+    samples, targets = zip(*_items(GATE_MCFG, FORWARD_CHUNK, 16))
+    grads = ModelWeights(GATE_MCFG, np.zeros(param_count(GATE_MCFG)))
+    scratch = Workspace()
+    backward(samples, weights, targets, add_to=grads, scratch=scratch)  # allocates the workspace
+    tracemalloc.start()
+    try:
+        backward(samples, weights, targets, add_to=grads, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # float32 caches of one chunk: eight (window, d_model) arrays per window
+    # and layer, the attention weights and the feed-forward activations
+    cfg = GATE_MCFG
+    caches = cfg.layers * FORWARD_CHUNK * cfg.window * (8 * cfg.d_model + cfg.heads * cfg.window + cfg.d_ff) * 4
+    assert peak < 0.25 * caches
+
+
 def test_one_target_per_sample(tiny_weights, tiny_sample):
     for samples, targets in (([tiny_sample] * 2, [None]), ([], None)):
         with pytest.raises(ShapeError):
@@ -145,8 +189,8 @@ def test_head_gradient_closed_form():
     p = forward_probs(weights, sample.frames)
     dlogits = p.copy()
     dlogits[2] -= 1.0
-    np.testing.assert_allclose(grads.head_w, np.outer(flat, dlogits), atol=1e-12)
-    np.testing.assert_allclose(grads.head_b, dlogits, atol=1e-12)
+    np.testing.assert_allclose(grads.head_w, np.outer(flat, dlogits), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads.head_b, dlogits, rtol=0, atol=1e-12)
 
 
 def test_full_sweep_matches_finite_differences(tiny_mcfg, tiny_weights, tiny_sample):
@@ -177,8 +221,8 @@ def test_soft_target_loss_and_head_gradient(tiny_mcfg, tiny_weights, tiny_sample
     weights = upcast(tiny_weights)
     grads, loss = backward(tiny_sample, weights, target)
     probs = forward_probs(weights, tiny_sample.frames)
-    np.testing.assert_allclose(loss, -(target * np.log(probs)).sum(), atol=1e-12)
-    np.testing.assert_allclose(grads.head_b, probs - target, atol=1e-12)
+    np.testing.assert_allclose(loss, -(target * np.log(probs)).sum(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads.head_b, probs - target, rtol=0, atol=1e-12)
 
 
 def test_uniform_target_matches_finite_differences(tiny_mcfg, tiny_weights, tiny_sample):

@@ -23,6 +23,7 @@ from signseg import (
 from signseg.gradients import soft_cross_entropy
 from signseg.model import (
     LN_EPS,
+    Workspace,
     _classify_internals,
     _ff_fwd,
     _layer_norm_fwd,
@@ -45,6 +46,19 @@ F64 = np.dtype(np.float64)
 def code_at(pos, d_model):
     """The sinusoidal position code of one position."""
     return _sinusoids(np.array([pos], dtype=np.float64), d_model)[0]
+
+
+def mha(x, layer, cfg):
+    """Multi-head attention of one window x (window, d_model), on fresh arrays."""
+    return _mha_fwd(x, layer, Workspace().layer(0, cfg, x.shape[0], x.dtype))
+
+
+def feed_forward(x, layer):
+    return _ff_fwd(x, layer, np.empty((x.shape[0], layer.ff_b1.size)), np.empty_like(x))
+
+
+def layer_norm(x, gain, bias):
+    return _layer_norm_fwd(x.copy(), gain, bias, np.empty_like(x), np.empty((x.shape[0], 1)))
 
 
 def one_hot(label, classes):
@@ -80,7 +94,7 @@ class TestPositionalEncoding:
 
     def test_position_one_two_dims(self):
         np.testing.assert_allclose(
-            code_at(1, 2), [np.sin(1.0), np.cos(1.0)], atol=1e-12
+            code_at(1, 2), [np.sin(1.0), np.cos(1.0)], rtol=0, atol=1e-12
         )
 
     def test_values_bounded(self):
@@ -97,8 +111,8 @@ class TestPositionalEncoding:
         enc = code_at(37, 16)
         for k in range(8):
             angle = 37 / 10000 ** (2 * k / 16)
-            np.testing.assert_allclose(enc[2 * k], np.sin(angle), atol=1e-12)
-            np.testing.assert_allclose(enc[2 * k + 1], np.cos(angle), atol=1e-12)
+            np.testing.assert_allclose(enc[2 * k], np.sin(angle), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(enc[2 * k + 1], np.cos(angle), rtol=0, atol=1e-12)
 
     # the tiny fixture's shape, and the gate's and the default model's
     @pytest.mark.parametrize("window, d_model", [(5, 6), (4, 8), (50, 64), (50, 128)])
@@ -131,7 +145,7 @@ class TestSoftmax:
 
     def test_shift_invariant(self):
         x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(softmax(x), softmax(x + 500.0), atol=1e-12)
+        np.testing.assert_allclose(softmax(x), softmax(x + 500.0), rtol=0, atol=1e-12)
 
 
 class TestEmbed:
@@ -141,7 +155,7 @@ class TestEmbed:
         zeroed = ModelWeights(cfg, np.zeros(param_count(cfg), dtype=np.float32))
         frames = np.zeros((cfg.window, cfg.input_dim))
         np.testing.assert_allclose(
-            encoder_forward(frames, zeroed), _position_codes(cfg.window, cfg.d_model, F64), atol=1e-12
+            encoder_forward(frames, zeroed), _position_codes(cfg.window, cfg.d_model, F64), rtol=0, atol=1e-12
         )
 
     def test_matches_affine_formula(self, tiny_mcfg):
@@ -155,7 +169,7 @@ class TestEmbed:
                 + np.asarray(weights.embed_b, dtype=np.float64)
                 + code_at(pos, cfg.d_model)
             )
-            np.testing.assert_allclose(got[pos], expected, atol=1e-12)
+            np.testing.assert_allclose(got[pos], expected, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self, tiny_mcfg, tiny_weights):
         with pytest.raises(ShapeError):
@@ -169,7 +183,7 @@ class TestAttention:
         k = rng.normal(size=(1, 4))
         v = rng.normal(size=(1, 4))
         out = attention_weights(q, k, 4) @ v
-        np.testing.assert_allclose(out, np.repeat(v, 5, axis=0), atol=1e-12)
+        np.testing.assert_allclose(out, np.repeat(v, 5, axis=0), rtol=0, atol=1e-12)
 
     def test_identical_keys_average_values(self):
         rng = derive_rng(4, "attn")
@@ -177,7 +191,7 @@ class TestAttention:
         k = np.tile(rng.normal(size=(1, 4)), (6, 1))
         v = rng.normal(size=(6, 4))
         out = attention_weights(q, k, 4) @ v
-        np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
+        np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (3, 1)), rtol=0, atol=1e-12)
 
     def test_two_by_two_hand_case(self):
         c = 3.0
@@ -186,7 +200,7 @@ class TestAttention:
         out = attention_weights(q, k, 2) @ v
         w = softmax(np.array([c * c / np.sqrt(2.0), 0.0]))
         expected = np.array([[w[0], w[1]], [w[1], w[0]]])
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_weight_rows_stochastic(self):
         rng = derive_rng(5, "attn")
@@ -195,7 +209,7 @@ class TestAttention:
             q = rng.normal(size=(n, 6)) * 10 ** rng.uniform(-2, 2)
             k = rng.normal(size=(n, 6)) * 10 ** rng.uniform(-2, 2)
             weights = attention_weights(q, k, 6)
-            np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 class TestMultiHead:
@@ -211,9 +225,9 @@ class TestMultiHead:
         layer.wo[:] = eye
         rng = derive_rng(6, "mha")
         x = rng.normal(size=(5, 6))
-        got = _mha_fwd(x, layer, x.shape[0])[0]
+        got = mha(x, layer, cfg)
         want = attention_weights(x, x, 6) @ x
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_zero_value_projection_zero_output(self):
         cfg = ModelConfig(layers=1, heads=2, d_model=8, d_ff=8, window=4, input_dim=8, classes=2)
@@ -221,8 +235,8 @@ class TestMultiHead:
         layer = weights.layers[0]
         layer.wv[:] = 0.0
         rng = derive_rng(7, "mha")
-        out = _mha_fwd(rng.normal(size=(4, 8)), layer, 4)[0]
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
+        out = mha(rng.normal(size=(4, 8)), layer, cfg)
+        np.testing.assert_allclose(out, 0.0, rtol=0, atol=1e-12)
 
     def test_matches_per_head_oracle(self):
         cfg = ModelConfig(layers=1, heads=2, d_model=8, d_ff=8, window=6, input_dim=8, classes=2)
@@ -237,7 +251,7 @@ class TestMultiHead:
             v = x @ np.asarray(layer.wv[h], dtype=np.float64)
             heads.append(attention_weights(q, k, cfg.d_k) @ v)
         want = np.concatenate(heads, axis=1) @ np.asarray(layer.wo, dtype=np.float64)
-        np.testing.assert_allclose(_mha_fwd(x, layer, x.shape[0])[0], want, atol=1e-12)
+        np.testing.assert_allclose(mha(x, layer, cfg), want, rtol=0, atol=1e-12)
 
 
 class TestFeedForwardAndNorm:
@@ -248,8 +262,8 @@ class TestFeedForwardAndNorm:
         layer.ff_w1[:] = 0.0
         layer.ff_b1[:] = -1.0  # ReLU kills every unit
         rng = derive_rng(9, "ff")
-        out = _ff_fwd(rng.normal(size=(3, 4)), layer)[0]
-        np.testing.assert_allclose(out, np.tile(layer.ff_b2, (3, 1)), atol=1e-12)
+        out = feed_forward(rng.normal(size=(3, 4)), layer)
+        np.testing.assert_allclose(out, np.tile(layer.ff_b2, (3, 1)), rtol=0, atol=1e-12)
 
     def test_matches_straight_line_formula(self):
         cfg = ModelConfig(layers=1, heads=1, d_model=4, d_ff=6, window=3, input_dim=4, classes=2)
@@ -261,20 +275,20 @@ class TestFeedForwardAndNorm:
         want = np.maximum(pre, 0.0) @ np.asarray(layer.ff_w2, np.float64) + np.asarray(
             layer.ff_b2, np.float64
         )
-        np.testing.assert_allclose(_ff_fwd(x, layer)[0], want, atol=1e-12)
+        np.testing.assert_allclose(feed_forward(x, layer), want, rtol=0, atol=1e-12)
 
     def test_layer_norm_statistics(self):
         rng = derive_rng(11, "ln")
         x = rng.normal(size=(5, 16)) * 3 + 2
-        out = _layer_norm_fwd(x, np.ones(16), np.zeros(16))[0]
-        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-9)
-        np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-3)  # eps shifts it slightly
+        out = layer_norm(x, np.ones(16), np.zeros(16))
+        np.testing.assert_allclose(out.mean(axis=1), 0.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.std(axis=1), 1.0, rtol=0, atol=1e-3)  # eps shifts it slightly
 
     def test_layer_norm_constant_row(self):
         # a constant row has zero variance; eps keeps it finite
-        out = _layer_norm_fwd(np.full((1, 8), 4.2), np.ones(8), np.zeros(8))[0]
+        out = layer_norm(np.full((1, 8), 4.2), np.ones(8), np.zeros(8))
         assert np.isfinite(out).all()
-        np.testing.assert_allclose(out, 0.0, atol=np.sqrt(LN_EPS))
+        np.testing.assert_allclose(out, 0.0, rtol=0, atol=np.sqrt(LN_EPS))
 
 
 class TestEncoderAndClassify:
@@ -285,7 +299,7 @@ class TestEncoderAndClassify:
         x = rng.normal(size=(3, 4))
         got = encoder_forward(x, weights, use_positions=False)
         want = x @ np.asarray(weights.embed_w, np.float64) + np.asarray(weights.embed_b, np.float64)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_deterministic(self, tiny_mcfg, tiny_weights):
         rng = derive_rng(13, "enc")
@@ -312,7 +326,7 @@ class TestEncoderAndClassify:
         rng = derive_rng(15, "cls")
         feats = encoder_forward(rng.normal(size=(tiny_mcfg.window, tiny_mcfg.input_dim)), weights)
         probs = _classify_internals(feats[None], weights)[0][0]
-        np.testing.assert_allclose(probs, 1.0 / tiny_mcfg.classes, atol=1e-12)
+        np.testing.assert_allclose(probs, 1.0 / tiny_mcfg.classes, rtol=0, atol=1e-12)
 
     def test_classify_flatten_order(self, tiny_mcfg, tiny_weights):
         rng = derive_rng(16, "cls")
@@ -321,7 +335,7 @@ class TestEncoderAndClassify:
             tiny_weights.head_b, np.float64
         )
         probs = _classify_internals(feats[None], tiny_weights)[0][0]
-        np.testing.assert_allclose(probs, softmax(logits), atol=1e-12)
+        np.testing.assert_allclose(probs, softmax(logits), rtol=0, atol=1e-12)
 
     def test_forward_probs_sum(self, tiny_mcfg, tiny_weights):
         rng = derive_rng(17, "cls")
@@ -389,11 +403,11 @@ class TestCrossEntropy:
 
     def test_uniform_hundred(self):
         p = np.full(100, 0.01)
-        np.testing.assert_allclose(soft_cross_entropy(p, one_hot(7, len(p))), np.log(100.0), atol=1e-12)
+        np.testing.assert_allclose(soft_cross_entropy(p, one_hot(7, len(p))), np.log(100.0), rtol=0, atol=1e-12)
 
     def test_clamped_zero(self):
         p = np.array([1.0, 0.0])
-        np.testing.assert_allclose(soft_cross_entropy(p, one_hot(1, len(p))), -np.log(1e-12), atol=1e-9)
+        np.testing.assert_allclose(soft_cross_entropy(p, one_hot(1, len(p))), -np.log(1e-12), rtol=0, atol=1e-9)
 
 
 class TestInit:

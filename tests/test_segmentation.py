@@ -33,8 +33,6 @@ from signseg.model import FORWARD_CHUNK, upcast
 from signseg.segmentation import report_aggregate_json, report_summary_csv, windows_csv
 from signseg.seeding import derive_rng, derive_seed
 
-from conftest import random_prob_rows
-
 
 def wp_from_rows(rows):
     return [WindowProb(i, np.asarray(r)) for i, r in enumerate(rows)]
@@ -197,7 +195,7 @@ class TestPostProcess:
         assert avg_recognized_softmax(wp, 0.51) == (0.9, 1)
         assert windows_csv(wp, decoded, 0.51).split("\n")[1:3] == ["0,0,nan,Blank", "1,0,0.9,0"]
 
-    def test_matches_reference_on_random_corpus(self):
+    def test_matches_reference_on_random_corpus(self, random_prob_rows):
         rng = derive_rng(4, "decoder")
         for case in range(1000):
             classes = int(rng.choice([3, 10, 100]))
@@ -206,7 +204,7 @@ class TestPostProcess:
             got = [(d.label, d.window_index, d.prob) for d in post_process(wp_from_rows(rows), 0.51)]
             assert got == reference_decode(rows, 0.51), f"case {case}"
 
-    def test_threshold_monotonicity_on_random_corpus(self):
+    def test_threshold_monotonicity_on_random_corpus(self, random_prob_rows):
         rng = derive_rng(5, "monotone")
         thresholds = [0.51, 0.6, 0.7, 0.8, 0.9, 0.97]
         for _ in range(300):
@@ -216,7 +214,7 @@ class TestPostProcess:
             counts = [len(post_process(wp, t)) for t in thresholds]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
-    def test_invariants_on_random_corpus(self):
+    def test_invariants_on_random_corpus(self, random_prob_rows):
         rng = derive_rng(6, "invariants")
         for _ in range(200):
             rows = random_prob_rows(rng, int(rng.integers(1, 120)), int(rng.choice([3, 10])))
@@ -226,7 +224,7 @@ class TestPostProcess:
             assert all(d.prob >= 0.51 for d in decoded)
             assert len(decoded) <= len(rows)
 
-    def test_exclusivity_above_half(self):
+    def test_exclusivity_above_half(self, random_prob_rows):
         # probabilities sum to one, so with threshold 0.51 at most a single
         # class can clear it in any window
         rng = derive_rng(7, "exclusive")
