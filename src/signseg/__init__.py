@@ -67,7 +67,6 @@ from .training import (
     ablation_to_csv,
     adam_step,
     carve_validation,
-    default_config,
     evaluate_isolated,
     history_to_csv,
     lr_at_epoch,

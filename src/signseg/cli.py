@@ -58,11 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a synthetic keypoint dataset plus manifest")
     _add_common(p)
-    p.add_argument("--classes", type=int, help="number of classes")
-    p.add_argument("--per-class", type=int, help="samples per class")
-    p.add_argument("--dim", type=int, help="feature dimension (divisible by 3, at most 60)")
-    p.add_argument("--window", type=int, help="frames per sample")
-    p.add_argument("--noise", type=float, help="Gaussian noise sigma")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model on synthetic or manifest data")
@@ -108,6 +103,14 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
+def _synthetic(cfg: RunConfig):
+    """The synthetic dataset the config describes."""
+    d = cfg.data
+    return make_dataset(
+        derive_seed(cfg.seed, "data"), d.classes, d.per_class, d.dim, cfg.model.window, d.noise_sigma
+    )
+
+
 def _dataset(cfg: RunConfig):
     """Samples per the config: manifest files if named, else synthetic."""
     if cfg.data.manifest is not None:
@@ -120,14 +123,7 @@ def _dataset(cfg: RunConfig):
                 f"{cfg.data.hands} implies {expected}"
             )
     else:
-        samples = make_dataset(
-            seed=derive_seed(cfg.seed, "data"),
-            classes=cfg.data.classes,
-            n_per_class=cfg.data.per_class,
-            dim=cfg.data.dim,
-            window=cfg.model.window,
-            noise_sigma=cfg.data.noise_sigma,
-        )
+        samples = _synthetic(cfg)
     input_dim = samples[0].frames.shape[1]
     classes = max(s.label for s in samples) + 1
     return samples, input_dim, classes
@@ -151,14 +147,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _cmd_gen_data(args) -> int:
     cfg = _load_run_config(args)
-    d = cfg.data
-    classes = args.classes if args.classes is not None else d.classes
-    per_class = args.per_class if args.per_class is not None else d.per_class
-    dim = args.dim if args.dim is not None else d.dim
-    window = args.window if args.window is not None else cfg.model.window
-    noise = args.noise if args.noise is not None else d.noise_sigma
-
-    samples = make_dataset(derive_seed(cfg.seed, "data"), classes, per_class, dim, window, noise)
+    samples = _synthetic(cfg)
     out = Path(cfg.out_dir)
     manifest = []
     for i, sample in enumerate(samples):

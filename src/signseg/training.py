@@ -59,12 +59,6 @@ class TrainConfig:
             raise ConfigError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
 
 
-def default_config(seed: int = 0) -> TrainConfig:
-    """Reference hyperparameters: batch 50, lr 0.005 divided by 10 every 10
-    epochs, 200 epochs max, weight decay 1e-4, beta1 0.92, patience 20."""
-    return TrainConfig(seed=seed)
-
-
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     """Step decay: lr0 * factor^(epoch // every)."""
     if epoch < 0:
@@ -116,16 +110,16 @@ def carve_validation(
 class AdamState:
     """First/second moment vectors (float64, in the layout of the flat
     parameter buffer) and the step counter; adam_step updates all three
-    in place."""
+    in place, as it does the parameters, and returns the state."""
 
     m: np.ndarray
     v: np.ndarray
     t: int
 
 
-# Elements per block of the Adam update. Its scratch is three float64 arrays
-# of this length (768 KiB) whatever the model's size, and a block's operands
-# stay in cache across the dozen elementwise passes made over them.
+# Elements per block of the Adam update: its temporaries are float64 arrays
+# of this length (256 KiB each) whatever the model's size, and a block's
+# operands stay in cache across the elementwise passes made over them.
 ADAM_BLOCK = 1 << 15
 
 
@@ -135,75 +129,57 @@ def adam_step(
     state: AdamState | None,
     lr: float,
     cfg: TrainConfig,
-) -> tuple[ModelWeights, AdamState]:
-    """One Adam update with bias correction and decoupled weight decay.
+) -> AdamState:
+    """One Adam update with bias correction and decoupled weight decay,
+    in place.
 
     Decay shrinks the parameters by lr * weight_decay before the Adam
-    update itself. The moments are float64 and updated in place: the
-    returned state is `state` (a new one when it is None), with t
-    advanced. The updated parameters are a fresh buffer in the dtype of
-    params.flat; params and grads are not mutated. A non-finite gradient
-    raises NonFiniteGradientError before anything is written, so the
-    state is left as it was.
+    update itself. params.flat is overwritten with the updated parameters,
+    in its own dtype; grads are not mutated. The float64 moments are
+    updated in place too: the returned state is `state` (a new one when
+    it is None), with t advanced. A non-finite gradient raises
+    NonFiniteGradientError before anything is written, so the parameters
+    and the state are left as they were.
     """
     if grads.config != params.config:
         raise ShapeError("parameters and gradients have different configs")
     g = grads.flat
-    if not np.all(np.isfinite(g)):  # before any write, so an error leaves the state as it was
+    # before any write, so an error leaves the state as it was; min and max
+    # propagate NaN, and unlike isfinite(g) they allocate nothing model-sized
+    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
         named = weights_to_dict(grads)
         raise NonFiniteGradientError(next(k for k, a in named.items() if not np.all(np.isfinite(a))))
     if state is None:
         state = AdamState(m=np.zeros(g.size), v=np.zeros(g.size), t=0)
-    return ModelWeights(params.config, _adam_update(params.flat, g, state, lr, cfg)), state
+    _adam_update(params.flat, g, state, lr, cfg)
+    return state
 
 
-def _adam_update(p_in: np.ndarray, g_in: np.ndarray, state: AdamState, lr: float, cfg: TrainConfig) -> np.ndarray:
-    """The Adam update of the flat parameters `p_in`, in a fresh buffer of
-    their dtype. Advances state.t and updates state.m and state.v in
-    place, ADAM_BLOCK elements at a time.
+def _adam_update(p: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, cfg: TrainConfig) -> None:
+    """The Adam update of the flat parameters `p`, in place, ADAM_BLOCK
+    elements at a time. Advances state.t and updates state.m and state.v
+    in place.
 
-    Each block applies the elementwise operations of the whole-buffer
-    expression
+    Each block is the whole-buffer expression applied to its slices, in
+    float64 and in the same operand order, so the result is bit-identical
+    to it:
 
         p = p - lr * weight_decay * p  (when weight_decay)
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * (g * g)
         p = p - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
-
-    to the same operands in the same order, in float64, so the result is
-    bit-identical to it.
     """
     state.t += 1
-    out = np.empty_like(p_in)
-    n = min(ADAM_BLOCK, p_in.size)
-    p_buf, a_buf, b_buf = np.empty(n), np.empty(n), np.empty(n)
-    decay = lr * cfg.weight_decay
     c1, c2 = 1.0 - cfg.beta1**state.t, 1.0 - cfg.beta2**state.t
-    for i in range(0, p_in.size, ADAM_BLOCK):
-        j = min(i + ADAM_BLOCK, p_in.size)
-        p, a, b = p_buf[: j - i], a_buf[: j - i], b_buf[: j - i]
-        m, v = state.m[i:j], state.v[i:j]
-        g = np.asarray(g_in[i:j], dtype=np.float64)
-        p[...] = p_in[i:j]
+    for i in range(0, p.size, ADAM_BLOCK):
+        b = slice(i, i + ADAM_BLOCK)
+        pb, g = np.asarray(p[b], dtype=np.float64), np.asarray(grad[b], dtype=np.float64)
+        m, v = state.m[b], state.v[b]
         if cfg.weight_decay:
-            np.multiply(decay, p, out=a)
-            p -= a
-        m *= cfg.beta1
-        np.multiply(1.0 - cfg.beta1, g, out=a)
-        m += a
-        v *= cfg.beta2
-        np.multiply(g, g, out=a)
-        a *= 1.0 - cfg.beta2
-        v += a
-        np.divide(m, c1, out=a)
-        a *= lr
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += cfg.adam_eps
-        a /= b
-        p -= a
-        out[i:j] = p
-    return out
+            pb = pb - lr * cfg.weight_decay * pb
+        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        p[b] = pb - lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
 
 
 @dataclass(frozen=True)
@@ -356,8 +332,9 @@ def train(
     tcfg.batch_size (one backward call per FORWARD_CHUNK items, in float32
     on the stored parameters, adding into one float64 sum, then averaged;
     the run's one Workspace holds a chunk's activations for every call),
-    one adam_step per batch with float64 moments, then validation on the
-    same float32 parameters, which are the weights returned.
+    one in-place adam_step per batch with float64 moments, then validation
+    on the same float32 parameters. A copy of them is kept whenever an
+    epoch becomes the new best, and the best copy is returned.
     The best epoch has the highest accuracy on the clean validation
     samples; among epochs tied on it, the lowest loss on a fixed set of
     straddling validation windows, one per validation sample (a gain must
@@ -402,7 +379,7 @@ def train(
                 samples, targets = zip(*batch[i : i + FORWARD_CHUNK])
                 loss_sum += backward(samples, params, targets, add_to=grad_sum, scratch=scratch)[1]
             grad_sum.flat /= len(batch)
-            params, state = adam_step(params, grad_sum, state, lr, tcfg)
+            state = adam_step(params, grad_sum, state, lr, tcfg)
         val_acc = evaluate_isolated(params, val_set)
         record = EpochRecord(epoch, loss_sum / len(items), val_acc, lr, _mean_loss(params, val_straddles))
         records.append(record)
@@ -411,7 +388,7 @@ def train(
         boundaries = boundaries or val_acc == 1.0 or epoch + 1 >= tcfg.lr_decay_every
         if best is None or _better(record, best):
             best = record
-            best_params = params  # adam_step returns a new buffer, so no copy
+            best_params = ModelWeights(mcfg, params.flat.copy())
         elif epoch - best.epoch >= tcfg.early_stop_patience:
             break
     best_epoch = -1 if best is None else best.epoch

@@ -61,7 +61,7 @@ def test_probability_rows_are_normalized():
         w = attention_weights(
             rng.normal(size=(m, d_k)) * scale, rng.normal(size=(n, d_k)) * scale, d_k
         )
-        np.testing.assert_allclose(w.sum(axis=1), np.ones(m), atol=1e-9)
+        np.testing.assert_allclose(w.sum(axis=1), np.ones(m), atol=1e-9, rtol=0)
 
 
 def test_encoder_is_permutation_equivariant_without_positions():

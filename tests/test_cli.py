@@ -36,13 +36,16 @@ def workdir(tmp_path_factory):
     return root, cfg, out
 
 
+def _gen_data_config(tmp_path, **data):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"model": {"window": 5}, "data": {"classes": 2, "per_class": 2, "dim": 6, **data}}))
+    return str(path)
+
+
 class TestGenData:
     def test_writes_samples_and_manifest(self, tmp_path):
         out = tmp_path / "data"
-        rc = main(
-            ["gen-data", "--classes", "2", "--per-class", "2", "--dim", "6", "--window", "5",
-             "--seed", "3", "--out", str(out)]
-        )
+        rc = main(["gen-data", "--config", _gen_data_config(tmp_path), "--seed", "3", "--out", str(out)])
         assert rc == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == ["manifest.json", "sample_00000.jsonl", "sample_00001.jsonl",
@@ -50,9 +53,11 @@ class TestGenData:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [e["label"] for e in manifest] == [0, 0, 1, 1]
         assert all(e["file"] == f"sample_{i:05d}.jsonl" for i, e in enumerate(manifest))
+        first = (out / "sample_00000.jsonl").read_text().strip().split("\n")
+        assert len(first) == 5  # model.window frames
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        args = ["gen-data", "--classes", "2", "--per-class", "2", "--dim", "6", "--window", "5", "--seed", "3"]
+        args = ["gen-data", "--config", _gen_data_config(tmp_path), "--seed", "3"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
@@ -60,9 +65,14 @@ class TestGenData:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_bad_dim_exits_1(self, tmp_path):
-        rc = main(["gen-data", "--dim", "7", "--classes", "2", "--per-class", "1",
+        rc = main(["gen-data", "--config", _gen_data_config(tmp_path, dim=7, per_class=1),
                    "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    def test_size_flags_are_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--classes", "2", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
 
 class TestTrain:

@@ -189,7 +189,7 @@ class TestNormalize:
             hand = make_hand(rng, scale=rng.uniform(0.1, 5.0))
             rel = hand[1:] - hand[0]
             expected = (rel / np.linalg.norm(rel, axis=1).max()).reshape(-1)
-            np.testing.assert_allclose(normalize_frame(hand[None]), expected, atol=1e-12)
+            np.testing.assert_allclose(normalize_frame(hand[None]), expected, atol=1e-12, rtol=0)
 
     def test_translation_invariance(self):
         rng = derive_rng(8, "norm")
@@ -197,7 +197,7 @@ class TestNormalize:
             hand = make_hand(rng)
             shifted = hand + rng.normal(size=3)
             np.testing.assert_allclose(
-                normalize_frame(hand[None]), normalize_frame(shifted[None]), atol=1e-12
+                normalize_frame(hand[None]), normalize_frame(shifted[None]), atol=1e-12, rtol=0
             )
 
     def test_scale_invariance(self):
@@ -206,7 +206,7 @@ class TestNormalize:
             hand = make_hand(rng)
             k = rng.uniform(1e-3, 1e3)
             np.testing.assert_allclose(
-                normalize_frame(hand[None]), normalize_frame((hand * k)[None]), atol=1e-9
+                normalize_frame(hand[None]), normalize_frame((hand * k)[None]), atol=1e-9, rtol=0
             )
 
     def test_two_hands_concatenate(self):
@@ -276,8 +276,8 @@ class TestResample:
             x = rng.normal(size=(t, 4))
             out = resample_sequence(x, w)
             assert out.shape == (w, 4)
-            np.testing.assert_allclose(out[0], x[0], atol=1e-12)
-            np.testing.assert_allclose(out[-1], x[-1], atol=1e-12)
+            np.testing.assert_allclose(out[0], x[0], atol=1e-12, rtol=0)
+            np.testing.assert_allclose(out[-1], x[-1], atol=1e-12, rtol=0)
             # interpolation never leaves the per-feature envelope
             assert (out.max(axis=0) <= x.max(axis=0) + 1e-12).all()
             assert (out.min(axis=0) >= x.min(axis=0) - 1e-12).all()

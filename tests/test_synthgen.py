@@ -43,7 +43,7 @@ def test_trajectory_start_value():
     proto = make_class_prototype(3, 2, 5)
     track = prototype_trajectory(proto, 30)
     np.testing.assert_allclose(
-        track[0], proto.amplitude * np.sin(proto.phase) + proto.offset, atol=1e-12
+        track[0], proto.amplitude * np.sin(proto.phase) + proto.offset, atol=1e-12, rtol=0
     )
     assert track.shape == (30, 5)
 
@@ -126,9 +126,9 @@ def test_jsonl_round_trip_preserves_features():
     frames = parse_keypoint_file(sample_to_jsonl(sample))
     assert frames.shape == (10, 1, 21, 3)
     got = frames[0, 0]
-    np.testing.assert_allclose(got[0], 0.0, atol=1e-12)  # wrist pinned at origin
-    np.testing.assert_allclose(got[1:5].reshape(-1), sample.frames[0], atol=1e-12)
-    np.testing.assert_allclose(got[5:], 0.0, atol=1e-12)  # padding keypoints
+    np.testing.assert_allclose(got[0], 0.0, atol=1e-12, rtol=0)  # wrist pinned at origin
+    np.testing.assert_allclose(got[1:5].reshape(-1), sample.frames[0], atol=1e-12, rtol=0)
+    np.testing.assert_allclose(got[5:], 0.0, atol=1e-12, rtol=0)  # padding keypoints
 
 
 def test_jsonl_rejects_wide_features():
