@@ -185,9 +185,21 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_model(cfg: RunConfig, path: str):
+    """The saved model at `path`; fails, before any data is built, when
+    the config's window, at which that data would be built, is not the
+    model's."""
+    weights = load_weights_file(path)
+    if cfg.model.window != weights.config.window:
+        raise SignsegError(
+            f"model.window {cfg.model.window} does not match the model's window {weights.config.window}"
+        )
+    return weights
+
+
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    weights = load_weights_file(args.model)
+    weights = _load_model(cfg, args.model)
     samples, _, _ = _dataset(cfg)
     _, _, _, test = _splits(cfg, samples)
     accuracy = evaluate_isolated(weights, test)
@@ -223,12 +235,12 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_segment(args) -> int:
     cfg = _load_run_config(args)
-    weights = load_weights_file(args.model)
     seg = cfg.segmentation
-    window = weights.config.window
     out = Path(cfg.out_dir)
 
-    if args.stream is not None:
+    if args.stream is not None:  # decoded at the model's window, whatever the config's
+        weights = load_weights_file(args.model)
+        window = weights.config.window
         gt = [] if args.labels is None else _parse_int_list(args.labels, "--labels")
         stream = ContinuousStream(frames=load_stream_features(args.stream), gt_labels=gt)
         if args.labels is None:  # nothing to score: decode only
@@ -246,18 +258,16 @@ def _cmd_segment(args) -> int:
             atomic_write_text(out / "segment.json", report_aggregate_json(report))
             print(
                 f"false recognitions {report.false_with_pp} with post-processing, "
-                f"{report.false_without_pp} without; edit distance {row.edit_dist}"
+                f"{report.false_collapse_only} collapse-only, {report.false_without_pp} without; "
+                f"edit distance {row.edit_dist}"
             )
         return 0
 
+    weights = _load_model(cfg, args.model)
     samples, _, _ = _dataset(cfg)
-    if cfg.model.window != weights.config.window:
-        raise SignsegError(
-            f"model.window {cfg.model.window} does not match the model's window {weights.config.window}"
-        )
     _, _, _, test = _splits(cfg, samples)
     streams = build_streams(test, seg.n_streams, seg.signs_per_stream, derive_seed(cfg.seed, "streams"))
-    report = segment_report(weights, streams, window, seg.stride, seg.threshold)
+    report = segment_report(weights, streams, cfg.model.window, seg.stride, seg.threshold)
     for row in report.rows:
         if row.error is not None:
             print(f"stream {row.index}: error: {row.error}")
@@ -273,7 +283,8 @@ def _cmd_segment(args) -> int:
     atomic_write_text(out / "segment_summary.csv", report_summary_csv(report))
     atomic_write_text(out / "segment.json", report_aggregate_json(report))
     print(
-        f"totals: false {report.false_with_pp} with post-processing vs {report.false_without_pp} without"
+        f"totals: false {report.false_with_pp} with post-processing, "
+        f"{report.false_collapse_only} collapse-only, {report.false_without_pp} without"
     )
     return 0
 

@@ -7,9 +7,10 @@ import uuid
 from pathlib import Path
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write to a fresh temp file beside `path`, fsync it, then rename it
-    over `path`; the temp file is removed if any step fails."""
+def atomic_write_bytes(path: str | Path, *chunks) -> None:
+    """Write the byte buffers `chunks`, one after another, to a fresh temp
+    file beside `path`, fsync it, then rename it over `path`; the temp file
+    is removed if any step fails."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # a unique name, so concurrent writers and leftovers never collide; created
@@ -18,7 +19,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

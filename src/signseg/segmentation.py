@@ -11,9 +11,11 @@ the probabilities sum to one.
 
 False recognitions are counted positionally against the ground-truth
 label list, plus the absolute length difference; an edit distance is
-reported alongside as a robustness check. Every report also carries the
-no-post-processing baseline (raw argmax per window, no threshold, no
-collapse) for comparison.
+reported alongside as a robustness check. Every report also carries two
+baselines for comparison: collapse-only (each window's argmax with runs
+of one label collapsed, no threshold), which isolates what the threshold
+buys, and no post-processing at all (raw argmax per window, no threshold,
+no collapse).
 """
 from __future__ import annotations
 
@@ -74,6 +76,7 @@ class StreamRow:
     survivor_count: int = 0
     avg_softmax_raw: float = 0.0  # over every window, no threshold
     false_count: int = 0
+    false_count_collapse: int = 0
     false_count_raw: int = 0
     edit_dist: int = 0
     mismatches: list[Mismatch] = field(default_factory=list)
@@ -84,6 +87,7 @@ class StreamRow:
 class SegmentReport:
     rows: list[StreamRow]
     false_with_pp: int
+    false_collapse_only: int
     false_without_pp: int
     avg_softmax_with_pp: float
     avg_softmax_without_pp: float
@@ -129,8 +133,12 @@ def _decode(probs: np.ndarray, threshold: float):
     tops = np.take_along_axis(probs, labels[:, None], axis=1)[:, 0]
     keep = tops >= threshold
     survivors = np.flatnonzero(keep)
-    heads = survivors[np.diff(labels[survivors], prepend=-1) != 0]
-    return labels, tops, keep, heads
+    return labels, tops, keep, survivors[_run_heads(labels[survivors])]
+
+
+def _run_heads(labels: np.ndarray) -> np.ndarray:
+    """Index of the first label of each run of equal labels."""
+    return np.flatnonzero(np.diff(labels, prepend=-1) != 0)
 
 
 def _rows(wp: list[WindowProb]) -> np.ndarray:
@@ -227,6 +235,7 @@ def _stream_row(index, probs, wp, decoded, gt_labels, threshold) -> StreamRow:
         survivor_count=survivors,
         avg_softmax_raw=float(tops.mean()),
         false_count=count_false(decoded, gt_labels),
+        false_count_collapse=count_false(labels[_run_heads(labels)].tolist(), gt_labels),
         false_count_raw=count_false(labels.tolist(), gt_labels),
         edit_dist=edit_distance(decoded, gt_labels),
         mismatches=mismatches,
@@ -243,9 +252,10 @@ def segment_report(
     """Decode every stream and aggregate false counts and softmax means.
 
     A too-short stream is recorded as an errored row rather than aborting
-    the batch. The aggregate false count is the sum of the per-stream
-    mismatch counts; the with/without-post-processing pair of both metrics
-    feeds the comparison tables.
+    the batch. Each aggregate false count is the sum of the per-stream
+    counts: with post-processing, collapse-only and without; the
+    with/without-post-processing pair of both metrics feeds the
+    comparison tables.
     """
     if not streams:
         raise ValueError("need at least one stream")
@@ -262,6 +272,7 @@ def segment_report(
     return SegmentReport(
         rows=rows,
         false_with_pp=sum(r.false_count for r in scored),
+        false_collapse_only=sum(r.false_count_collapse for r in scored),
         false_without_pp=sum(r.false_count_raw for r in scored),
         avg_softmax_with_pp=float(np.mean([r.avg_softmax for r in scored])) if scored else 0.0,
         avg_softmax_without_pp=float(np.mean([r.avg_softmax_raw for r in scored])) if scored else 0.0,
@@ -314,6 +325,7 @@ def report_aggregate_json(report: SegmentReport) -> str:
         {
             "avg_softmax_with_pp": report.avg_softmax_with_pp,
             "avg_softmax_without_pp": report.avg_softmax_without_pp,
+            "false_collapse_only": report.false_collapse_only,
             "false_with_pp": report.false_with_pp,
             "false_without_pp": report.false_without_pp,
         },

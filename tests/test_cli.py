@@ -105,6 +105,22 @@ class TestEval:
         assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "segment"])
+def test_model_window_mismatch_exits_1_before_building_data(workdir, tmp_path, monkeypatch, capsys, command):
+    _, _, out = workdir
+    cfg = tmp_path / "wider.json"
+    cfg.write_text(json.dumps(dict(FAST, model=dict(FAST["model"], window=12))))
+
+    def no_data(cfg):
+        raise AssertionError("data built before the model was checked")
+
+    monkeypatch.setattr(signseg.cli, "_dataset", no_data)
+    rc = main([command, "--config", str(cfg), "--model", str(out / "model.bin"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "model.window 12 does not match the model's window 10" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestAblate:
     def test_csv_schema_and_rerun(self, workdir, tmp_path):
         _, cfg, _ = workdir
@@ -148,6 +164,7 @@ class TestSegment:
         assert set(payload) == {
             "avg_softmax_with_pp",
             "avg_softmax_without_pp",
+            "false_collapse_only",
             "false_with_pp",
             "false_without_pp",
         }

@@ -29,6 +29,7 @@ from signseg import (
     train,
     window_probs,
 )
+import signseg.segmentation
 from signseg.model import FORWARD_CHUNK, upcast
 from signseg.segmentation import report_aggregate_json, report_summary_csv, windows_csv
 from signseg.seeding import derive_rng, derive_seed
@@ -357,10 +358,25 @@ class TestSegmentReport:
         report = segment_report(weights, streams, window=10, stride=3, threshold=0.51)
         ok_rows = [r for r in report.rows if r.error is None]
         assert report.false_with_pp == sum(r.false_count for r in ok_rows)
+        assert report.false_collapse_only == sum(r.false_count_collapse for r in ok_rows)
         assert report.false_without_pp == sum(r.false_count_raw for r in ok_rows)
         np.testing.assert_allclose(
             report.avg_softmax_with_pp, np.mean([r.avg_softmax for r in ok_rows])
         )
+
+    def test_collapse_only_baseline_skips_the_threshold(self, monkeypatch):
+        # argmax 0 0 1 1 2 0, only windows 0 and 3 reach 0.51
+        probs = np.array([
+            [0.9, 0.05, 0.05], [0.4, 0.3, 0.3], [0.3, 0.4, 0.3],
+            [0.05, 0.9, 0.05], [0.3, 0.3, 0.4], [0.4, 0.3, 0.3],
+        ])
+        monkeypatch.setattr(signseg.segmentation, "window_probs", lambda weights, windows: probs)
+        stream = ContinuousStream(np.zeros((len(probs), 1)), [0, 1, 2, 0])
+        report = segment_report(None, [stream], window=1, stride=1, threshold=0.51)
+        row = report.rows[0]
+        assert [d.label for d in row.decoded] == [0, 1]
+        assert (row.false_count, row.false_count_collapse, row.false_count_raw) == (2, 0, 5)
+        assert (report.false_with_pp, report.false_collapse_only, report.false_without_pp) == (2, 0, 5)
 
     def test_mismatch_rows_carry_window_probabilities(self, mini_trained):
         weights, _, test_set = mini_trained
@@ -424,6 +440,7 @@ class TestEmitters:
         assert set(payload) == {
             "avg_softmax_with_pp",
             "avg_softmax_without_pp",
+            "false_collapse_only",
             "false_with_pp",
             "false_without_pp",
         }
