@@ -42,7 +42,6 @@ from .segmentation import (
     DecodedLabel,
     SegmentReport,
     WindowProb,
-    avg_recognized_softmax,
     count_false,
     edit_distance,
     post_process,
@@ -55,7 +54,6 @@ from .synthgen import (
     ClassPrototype,
     make_class_prototype,
     make_dataset,
-    nearest_prototype,
     prototype_trajectory,
     sample_instance,
 )

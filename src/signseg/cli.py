@@ -23,13 +23,7 @@ from .keypoints import (
 )
 from .runconfig import RunConfig, load_config, validate_config
 from .seeding import derive_seed
-from .segmentation import (
-    _decode_stream,
-    report_aggregate_json,
-    report_summary_csv,
-    segment_report,
-    windows_csv,
-)
+from .segmentation import report_aggregate_json, report_summary_csv, segment_report, windows_csv
 from .serialize import load_weights_file, save_weights_file
 from .synthgen import make_dataset, sample_to_jsonl
 from .training import (
@@ -240,19 +234,15 @@ def _cmd_segment(args) -> int:
 
     if args.stream is not None:  # decoded at the model's window, whatever the config's
         weights = load_weights_file(args.model)
-        window = weights.config.window
         gt = [] if args.labels is None else _parse_int_list(args.labels, "--labels")
         stream = ContinuousStream(frames=load_stream_features(args.stream), gt_labels=gt)
-        if args.labels is None:  # nothing to score: decode only
-            _, wp, decoded = _decode_stream(weights, stream, window, seg.stride, seg.threshold)
-        else:
-            report = segment_report(weights, [stream], window, seg.stride, seg.threshold)
-            row = report.rows[0]
-            if row.error is not None:
-                raise StreamTooShortError(row.error)
-            wp, decoded = row.window_probs, row.decoded
-        atomic_write_text(out / "stream_windows.csv", windows_csv(wp, decoded, seg.threshold))
-        print(f"decoded {len(decoded)} labels: {[d.label for d in decoded]}")
+        report = segment_report(weights, [stream], weights.config.window, seg.stride, seg.threshold)
+        row = report.rows[0]
+        if row.error is not None:
+            raise StreamTooShortError(row.error)
+        trace = windows_csv(row.window_probs, row.decoded, seg.threshold)
+        atomic_write_text(out / "stream_windows.csv", trace)
+        print(f"decoded {len(row.decoded)} labels: {[d.label for d in row.decoded]}")
         if args.labels is not None:
             atomic_write_text(out / "segment_summary.csv", report_summary_csv(report))
             atomic_write_text(out / "segment.json", report_aggregate_json(report))
@@ -292,6 +282,8 @@ def _cmd_segment(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "labels", None) is not None and args.stream is None:
+        parser.error("segment: --labels needs --stream")
     try:
         return args.func(args)
     except (SignsegError, ValueError, OSError) as exc:

@@ -2,12 +2,12 @@
 
 A trained isolated-sign classifier is slid across the stream, a view of
 its frames, into one (n_windows, classes) probability array. The decode
-rule (CTC's best path) runs once over that array: each window emits its
-argmax class when that probability reaches the threshold and Blank
-otherwise (NaN never reaches it); Blanks are discarded and consecutive
-duplicate labels collapse to the first surviving window. With the default
-0.51 threshold at most one class can clear the bar per window, because
-the probabilities sum to one.
+rule (CTC's best path) is written once, in _decode, and applied to that
+array whole: each window emits its argmax class when that probability
+reaches the threshold and Blank otherwise (NaN never reaches it); Blanks
+are discarded and consecutive duplicate labels collapse to the first
+surviving window. With the default 0.51 threshold at most one class can
+clear the bar per window, because the probabilities sum to one.
 
 False recognitions are counted positionally against the ground-truth
 label list, plus the absolute length difference; an edit distance is
@@ -146,11 +146,6 @@ def _rows(wp: list[WindowProb]) -> np.ndarray:
     return np.array([w.probs for w in wp], dtype=np.float64) if wp else np.empty((0, 1))
 
 
-def _survivor_mean(tops: np.ndarray, keep: np.ndarray) -> tuple[float, int]:
-    count = int(keep.sum())
-    return (float(tops[keep].mean()), count) if count else (0.0, 0)
-
-
 def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> list[DecodedLabel]:
     """Threshold, then collapse consecutive duplicates.
 
@@ -160,17 +155,6 @@ def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> 
     """
     labels, tops, _, heads = _decode(_rows(wp), threshold)
     return [DecodedLabel(int(labels[i]), int(i), float(tops[i])) for i in heads]
-
-
-def avg_recognized_softmax(
-    wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD
-) -> tuple[float, int]:
-    """Mean top probability over windows that clear the threshold.
-
-    Returns (mean, survivor_count); (0.0, 0) flags that nothing survived.
-    """
-    _, tops, keep, _ = _decode(_rows(wp), threshold)
-    return _survivor_mean(tops, keep)
 
 
 def count_false(decoded, gt_labels: list[int]) -> int:
@@ -198,18 +182,9 @@ def edit_distance(decoded, gt_labels: list[int]) -> int:
     return previous[len(b)]
 
 
-def _decode_stream(weights, stream, window, stride, threshold):
-    """One stream through slide, window_probs and post_process: its (n, C)
-    probabilities, a WindowProb per window holding a row of them, and the
-    decoded labels."""
-    probs = window_probs(weights, slide(stream, window, stride))
-    wp = [WindowProb(i * stride, row) for i, row in enumerate(probs)]
-    return probs, wp, post_process(wp, threshold)
-
-
 def _stream_row(index, probs, wp, decoded, gt_labels, threshold) -> StreamRow:
     labels, tops, keep, _ = _decode(probs, threshold)
-    avg, survivors = _survivor_mean(tops, keep)
+    survivors = int(keep.sum())
 
     mismatches: list[Mismatch] = []
     matched = min(len(decoded), len(gt_labels))
@@ -231,7 +206,7 @@ def _stream_row(index, probs, wp, decoded, gt_labels, threshold) -> StreamRow:
         gt_labels=list(gt_labels),
         decoded=decoded,
         window_probs=wp,
-        avg_softmax=avg,
+        avg_softmax=float(tops[keep].mean()) if survivors else 0.0,
         survivor_count=survivors,
         avg_softmax_raw=float(tops.mean()),
         false_count=count_false(decoded, gt_labels),
@@ -251,6 +226,8 @@ def segment_report(
 ) -> SegmentReport:
     """Decode every stream and aggregate false counts and softmax means.
 
+    This is the one decoder: each stream goes through slide, window_probs
+    and post_process, once each, called through this module's names.
     A too-short stream is recorded as an errored row rather than aborting
     the batch. Each aggregate false count is the sum of the per-stream
     counts: with post-processing, collapse-only and without; the
@@ -262,10 +239,13 @@ def segment_report(
     rows: list[StreamRow] = []
     for index, stream in enumerate(streams):
         try:
-            probs, wp, decoded = _decode_stream(weights, stream, window, stride, threshold)
+            windows = slide(stream, window, stride)
         except StreamTooShortError as exc:
             rows.append(StreamRow(index, list(stream.gt_labels), error=str(exc)))
             continue
+        probs = window_probs(weights, windows)
+        wp = [WindowProb(i * stride, row) for i, row in enumerate(probs)]
+        decoded = post_process(wp, threshold)
         rows.append(_stream_row(index, probs, wp, decoded, list(stream.gt_labels), threshold))
 
     scored = [r for r in rows if r.error is None]
@@ -307,7 +287,8 @@ def report_summary_csv(report: SegmentReport) -> str:
 
     for row in report.rows:
         if row.error is not None:
-            lines.append(f"{row.index},error: {row.error},-,-,-,-")
+            cell = f"error: {row.error}".replace('"', '""')
+            lines.append(f'{row.index},"{cell}",-,-,-,-')
             continue
         if not row.mismatches:
             lines.append(f"{row.index},{row.avg_softmax!r},-,-,-,-")

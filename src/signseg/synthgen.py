@@ -99,18 +99,6 @@ def make_dataset(
     return samples
 
 
-def nearest_prototype(sample: IsolatedSample, prototypes: list[ClassPrototype]) -> int:
-    """Class of the prototype nearest in Frobenius distance at sample length."""
-    frames = sample.frames
-    best, best_dist = -1, np.inf
-    for proto in prototypes:
-        ref = prototype_trajectory(proto, frames.shape[0])
-        dist = float(((frames - ref) ** 2).sum())
-        if dist < best_dist:
-            best, best_dist = proto.class_id, dist
-    return best
-
-
 def sample_to_jsonl(sample: IsolatedSample) -> str:
     """Serialize a synthetic sample in the keypoint file format.
 

@@ -263,10 +263,12 @@ class TestSegmentStream:
         assert (seg / "stream_windows.csv").exists()
         assert not (seg / "segment.json").exists()
 
-    def test_stream_without_labels_decodes_without_scoring(self, manifest_run, tmp_path, monkeypatch, capsys):
+    def test_stream_without_labels_writes_and_prints_the_unscored_decode(
+        self, manifest_run, tmp_path, monkeypatch, capsys
+    ):
         root, cfg, data, run = manifest_run
         stream = _two_sign_stream(data, tmp_path / "stream.jsonl")
-        # what the scoring path writes against an empty ground truth
+        # the decode of segment_report's row against an empty ground truth
         weights = load_weights_file(run / "model.bin")
         seg_cfg = MANIFEST_CFG["segmentation"]
         row = segment_report(
@@ -276,7 +278,6 @@ class TestSegmentStream:
         expected_csv = windows_csv(row.window_probs, row.decoded, seg_cfg["threshold"]).encode()
         expected_out = f"decoded {len(row.decoded)} labels: {[d.label for d in row.decoded]}\n"
 
-        monkeypatch.setattr(signseg.cli, "segment_report", None)  # any call fails
         calls = []
         forward = signseg.segmentation.forward_probs
         monkeypatch.setattr(
@@ -291,6 +292,15 @@ class TestSegmentStream:
         assert capsys.readouterr().out == expected_out
         assert sum(calls) == len(row.window_probs) == 3  # one forward pass per window
         assert sorted(p.name for p in seg.iterdir()) == ["stream_windows.csv"]
+
+    def test_labels_without_stream_is_a_usage_error(self, manifest_run, tmp_path, capsys):
+        root, cfg, data, run = manifest_run
+        with pytest.raises(SystemExit) as exc:
+            main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
+                  "--labels", "1,2,3", "--out", str(tmp_path / "seg")])
+        assert exc.value.code == 2
+        assert "--labels needs --stream" in capsys.readouterr().err
+        assert not (tmp_path / "seg").exists()
 
     def test_too_short_stream_exits_1(self, manifest_run, tmp_path, capsys):
         root, cfg, data, run = manifest_run

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -15,7 +17,6 @@ from signseg import (
     StreamTooShortError,
     TrainConfig,
     WindowProb,
-    avg_recognized_softmax,
     build_streams,
     carve_validation,
     concat_isolated,
@@ -31,12 +32,21 @@ from signseg import (
 )
 import signseg.segmentation
 from signseg.model import FORWARD_CHUNK, upcast
-from signseg.segmentation import report_aggregate_json, report_summary_csv, windows_csv
+from signseg.segmentation import _stream_row, report_aggregate_json, report_summary_csv, windows_csv
 from signseg.seeding import derive_rng, derive_seed
 
 
 def wp_from_rows(rows):
     return [WindowProb(i, np.asarray(r)) for i, r in enumerate(rows)]
+
+
+def report_row(monkeypatch, rows, threshold):
+    """segment_report's row for a stream whose windows have these class
+    probabilities: window_probs is patched to return them."""
+    probs = np.asarray(rows, dtype=np.float64)
+    monkeypatch.setattr(signseg.segmentation, "window_probs", lambda weights, windows: probs)
+    stream = ContinuousStream(np.zeros((len(probs), 1)), [])
+    return segment_report(None, [stream], window=1, stride=1, threshold=threshold).rows[0]
 
 
 def reference_decode(rows, threshold):
@@ -186,14 +196,15 @@ class TestPostProcess:
         with pytest.raises(ValueError):
             post_process([], 0.0)
 
-    def test_nan_row_is_blank(self):
+    def test_nan_row_is_blank(self, monkeypatch):
         # a NaN top probability never reaches the threshold, so the class-0
         # window after it is the run head, in the decode, the survivor mean
         # and the trace alike
         wp = [WindowProb(0, np.array([math.nan, math.nan, math.nan])), WindowProb(1, np.array([0.9, 0.05, 0.05]))]
         decoded = post_process(wp, 0.51)
         assert decoded == [DecodedLabel(0, 1, 0.9)]
-        assert avg_recognized_softmax(wp, 0.51) == (0.9, 1)
+        row = report_row(monkeypatch, [w.probs for w in wp], 0.51)
+        assert (row.avg_softmax, row.survivor_count) == (0.9, 1)
         assert windows_csv(wp, decoded, 0.51).split("\n")[1:3] == ["0,0,nan,Blank", "1,0,0.9,0"]
 
     def test_matches_reference_on_random_corpus(self, random_prob_rows):
@@ -273,19 +284,20 @@ def test_vectorized_decode_equals_the_per_row_loop(case):
     want_decoded, want_mean, want_csv = brute_force_decode(rows, threshold)
     decoded = post_process(wp, threshold)
     assert [(d.label, d.window_index, d.prob) for d in decoded] == want_decoded
-    assert avg_recognized_softmax(wp, threshold) == want_mean
+    row = _stream_row(0, rows, wp, decoded, [], threshold)
+    assert (row.avg_softmax, row.survivor_count) == want_mean
     assert windows_csv(wp, decoded, threshold) == want_csv
 
 
 class TestMetrics:
-    def test_avg_recognized(self):
-        rows = [[0.9, 0.1], [0.3, 0.7], [0.45, 0.55]]
-        mean, survivors = avg_recognized_softmax(wp_from_rows(rows), 0.6)
-        np.testing.assert_allclose(mean, 0.8)
-        assert survivors == 2
+    def test_avg_recognized(self, monkeypatch):
+        row = report_row(monkeypatch, [[0.9, 0.1], [0.3, 0.7], [0.45, 0.55]], 0.6)
+        np.testing.assert_allclose(row.avg_softmax, 0.8)
+        assert row.survivor_count == 2
 
-    def test_avg_recognized_none_survive(self):
-        assert avg_recognized_softmax(wp_from_rows([[0.5, 0.5]]), 0.51) == (0.0, 0)
+    def test_avg_recognized_none_survive(self, monkeypatch):
+        row = report_row(monkeypatch, [[0.5, 0.5]], 0.51)
+        assert (row.avg_softmax, row.survivor_count) == (0.0, 0)
 
     def test_count_false_exact(self):
         assert count_false([1, 2, 3], [1, 2, 3]) == 0
@@ -348,6 +360,29 @@ class TestSegmentReport:
         report = segment_report(weights, [short, ok], window=10, stride=10, threshold=0.51)
         assert report.rows[0].error is not None
         assert report.rows[1].error is None
+
+    def test_each_stage_runs_once_per_decodable_stream(self, tiny_mcfg, tiny_weights, monkeypatch):
+        # the benchmark's tracer times slide, window_probs and post_process
+        # by rebinding these module names, so its per-stage figures mean
+        # one call per stream only while segment_report makes exactly these
+        calls = []
+        for name in ("slide", "window_probs", "post_process"):
+            stage = getattr(signseg.segmentation, name)
+            monkeypatch.setattr(
+                signseg.segmentation, name,
+                lambda *args, _name=name, _stage=stage, **kwargs: calls.append(_name) or _stage(*args, **kwargs),
+            )
+        rng = derive_rng(8, "stages")
+        dim = tiny_mcfg.input_dim
+        streams = [
+            ContinuousStream(rng.normal(size=(9, dim)), [0]),
+            ContinuousStream(rng.normal(size=(tiny_mcfg.window - 1, dim)), [1]),  # too short
+            ContinuousStream(rng.normal(size=(7, dim)), []),
+        ]
+        report = segment_report(tiny_weights, streams, window=tiny_mcfg.window, stride=2)
+        assert [row.error is None for row in report.rows] == [True, False, True]
+        decode = ["slide", "window_probs", "post_process"]
+        assert calls == decode + ["slide"] + decode
 
     def test_aggregates_sum_rows(self, mini_trained):
         weights, _, test_set = mini_trained
@@ -444,3 +479,16 @@ class TestEmitters:
             "false_with_pp",
             "false_without_pp",
         }
+
+    def test_summary_csv_rows_have_six_fields(self, mini_trained):
+        # a too-short stream's message holds a comma, so its cell is quoted
+        # and every row reads back as the header's six fields
+        weights, _, test_set = mini_trained
+        short = ContinuousStream(derive_rng(8, "short").normal(size=(4, 6)), [0])
+        stream = concat_isolated([test_set[0], test_set[1], test_set[2]])
+        report = segment_report(weights, [short, stream], window=10, stride=2, threshold=0.51)
+        records = list(csv.reader(io.StringIO(report_summary_csv(report))))
+        assert len(records) > 2 and all(len(r) == 6 for r in records)
+        assert records[1] == ["0", "error: stream has 4 frames, one window needs 10", "-", "-", "-", "-"]
+        report.rows[0].error = 'bad "x", y'  # a quote inside the cell is doubled
+        assert list(csv.reader(io.StringIO(report_summary_csv(report))))[1][1] == 'error: bad "x", y'

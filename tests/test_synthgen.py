@@ -4,7 +4,6 @@ import pytest
 from signseg import (
     make_class_prototype,
     make_dataset,
-    nearest_prototype,
     parse_keypoint_file,
     prototype_trajectory,
     sample_instance,
@@ -106,6 +105,18 @@ def test_make_dataset_deterministic():
 def test_make_dataset_needs_two_classes():
     with pytest.raises(ValueError):
         make_dataset(seed=1, classes=1, n_per_class=2, dim=3, window=5, noise_sigma=0.0)
+
+
+def nearest_prototype(sample, prototypes):
+    """Class of the prototype nearest in Frobenius distance at sample length."""
+    frames = sample.frames
+    best, best_dist = -1, np.inf
+    for proto in prototypes:
+        ref = prototype_trajectory(proto, frames.shape[0])
+        dist = float(((frames - ref) ** 2).sum())
+        if dist < best_dist:
+            best, best_dist = proto.class_id, dist
+    return best
 
 
 def test_clean_samples_separable_by_nearest_prototype():
