@@ -37,7 +37,7 @@ from .model import (
     init_weights,
     softmax,
 )
-from .runconfig import RunConfig, load_config, validate_config
+from .runconfig import RunConfig, load_config
 from .segmentation import (
     DecodedLabel,
     SegmentReport,

@@ -10,18 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, SignsegError, StreamTooShortError
 from .ioutil import atomic_write_text
-from .keypoints import (
-    FEATURES_PER_HAND,
-    ContinuousStream,
-    build_streams,
-    load_isolated_dataset,
-    load_stream_features,
-)
-from .runconfig import RunConfig, load_config, validate_config
+from .keypoints import ContinuousStream, build_streams, load_isolated_dataset, load_stream_features
+from .runconfig import RunConfig, load_config
 from .seeding import derive_seed
 from .segmentation import report_aggregate_json, report_summary_csv, segment_report, windows_csv
 from .serialize import load_weights_file, save_weights_file
@@ -83,41 +78,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(args) -> RunConfig:
-    if args.config is not None:
-        cfg = load_config(Path(args.config).read_bytes())
-    else:
-        cfg = load_config(None)
+    cfg = load_config(None if args.config is None else Path(args.config).read_bytes())
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
     if getattr(args, "manifest", None) is not None:
-        cfg.data.manifest = args.manifest
-    validate_config(cfg)
+        cfg.data = replace(cfg.data, manifest=args.manifest)
     return cfg
 
 
-def _synthetic(cfg: RunConfig):
-    """The synthetic dataset the config describes."""
+def _synthetic(cfg: RunConfig, window: int):
+    """The synthetic dataset the config describes, at `window` frames."""
     d = cfg.data
-    return make_dataset(
-        derive_seed(cfg.seed, "data"), d.classes, d.per_class, d.dim, cfg.model.window, d.noise_sigma
-    )
+    return make_dataset(derive_seed(cfg.seed, "data"), d.classes, d.per_class, d.dim, window, d.noise_sigma)
 
 
-def _dataset(cfg: RunConfig):
-    """Samples per the config: manifest files if named, else synthetic."""
+def _dataset(cfg: RunConfig, window: int):
+    """Samples at `window` frames: manifest files if named, else synthetic."""
     if cfg.data.manifest is not None:
-        samples = load_isolated_dataset(cfg.data.manifest, cfg.model.window)
-        expected = cfg.data.hands * FEATURES_PER_HAND
-        got = samples[0].frames.shape[1]
-        if got != expected:
-            raise ConfigError(
-                f"manifest data carries {got} features per frame but data.hands "
-                f"{cfg.data.hands} implies {expected}"
-            )
+        samples = load_isolated_dataset(cfg.data.manifest, window)
     else:
-        samples = _synthetic(cfg)
+        samples = _synthetic(cfg, window)
     input_dim = samples[0].frames.shape[1]
     classes = max(s.label for s in samples) + 1
     return samples, input_dim, classes
@@ -139,9 +121,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _cmd_gen_data(args) -> int:
-    cfg = _load_run_config(args)
-    samples = _synthetic(cfg)
+def _cmd_gen_data(args, cfg: RunConfig) -> int:
+    samples = _synthetic(cfg, cfg.model.window)
     out = Path(cfg.out_dir)
     manifest = []
     for i, sample in enumerate(samples):
@@ -153,9 +134,8 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_run_config(args)
-    samples, input_dim, classes = _dataset(cfg)
+def _cmd_train(args, cfg: RunConfig) -> int:
+    samples, input_dim, classes = _dataset(cfg, cfg.model.window)
     mcfg = cfg.model_config(input_dim, classes)
     tcfg = cfg.train_config()
     _, core, val, test = _splits(cfg, samples)
@@ -179,23 +159,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_model(cfg: RunConfig, path: str):
-    """The saved model at `path`; fails, before any data is built, when
-    the config's window, at which that data would be built, is not the
-    model's."""
-    weights = load_weights_file(path)
-    if cfg.model.window != weights.config.window:
-        raise SignsegError(
-            f"model.window {cfg.model.window} does not match the model's window {weights.config.window}"
+def _check_width(weights, width: int, what: str) -> None:
+    """Fails, before any forward pass, when `what` has another feature
+    width than the saved model takes."""
+    if width != weights.config.input_dim:
+        raise ConfigError(
+            f"{what} has {width} features per frame but the model takes {weights.config.input_dim}"
         )
-    return weights
 
 
-def _cmd_eval(args) -> int:
-    cfg = _load_run_config(args)
-    weights = _load_model(cfg, args.model)
-    samples, _, _ = _dataset(cfg)
-    _, _, _, test = _splits(cfg, samples)
+def _test_split(cfg: RunConfig, weights):
+    """The config's test split, built at the saved model's window."""
+    samples, input_dim, _ = _dataset(cfg, weights.config.window)
+    _check_width(weights, input_dim, "the data")
+    return _splits(cfg, samples)[3]
+
+
+def _cmd_eval(args, cfg: RunConfig) -> int:
+    weights = load_weights_file(args.model)
+    test = _test_split(cfg, weights)
     accuracy = evaluate_isolated(weights, test)
     out = Path(cfg.out_dir)
     atomic_write_text(out / "eval.json", json.dumps({"test_accuracy": accuracy}, indent=2) + "\n")
@@ -203,11 +185,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    cfg = _load_run_config(args)
+def _cmd_ablate(args, cfg: RunConfig) -> int:
     layer_choices = _parse_int_list(args.layers, "--layers")
     head_choices = _parse_int_list(args.heads, "--heads")
-    samples, input_dim, classes = _dataset(cfg)
+    samples, input_dim, classes = _dataset(cfg, cfg.model.window)
     mcfg = cfg.model_config(input_dim, classes)
     tcfg = cfg.train_config()
     train_all, test = split_dataset(samples, cfg.data.split_ratio, derive_seed(cfg.seed, "split"))
@@ -227,15 +208,15 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _cmd_segment(args) -> int:
-    cfg = _load_run_config(args)
+def _cmd_segment(args, cfg: RunConfig) -> int:
     seg = cfg.segmentation
     out = Path(cfg.out_dir)
+    weights = load_weights_file(args.model)
 
-    if args.stream is not None:  # decoded at the model's window, whatever the config's
-        weights = load_weights_file(args.model)
+    if args.stream is not None:
         gt = [] if args.labels is None else _parse_int_list(args.labels, "--labels")
         stream = ContinuousStream(frames=load_stream_features(args.stream), gt_labels=gt)
+        _check_width(weights, stream.frames.shape[1], "the recording")
         report = segment_report(weights, [stream], weights.config.window, seg.stride, seg.threshold)
         row = report.rows[0]
         if row.error is not None:
@@ -253,11 +234,9 @@ def _cmd_segment(args) -> int:
             )
         return 0
 
-    weights = _load_model(cfg, args.model)
-    samples, _, _ = _dataset(cfg)
-    _, _, _, test = _splits(cfg, samples)
+    test = _test_split(cfg, weights)
     streams = build_streams(test, seg.n_streams, seg.signs_per_stream, derive_seed(cfg.seed, "streams"))
-    report = segment_report(weights, streams, cfg.model.window, seg.stride, seg.threshold)
+    report = segment_report(weights, streams, weights.config.window, seg.stride, seg.threshold)
     for row in report.rows:
         if row.error is not None:
             print(f"stream {row.index}: error: {row.error}")
@@ -285,7 +264,7 @@ def main(argv=None) -> int:
     if getattr(args, "labels", None) is not None and args.stream is None:
         parser.error("segment: --labels needs --stream")
     try:
-        return args.func(args)
+        return args.func(args, _load_run_config(args))
     except (SignsegError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -244,6 +244,8 @@ def load_isolated_dataset(manifest_path: str | Path, window: int) -> list[Isolat
         raise ConfigError(f"manifest {manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise ConfigError(f"manifest {manifest_path}: expected a JSON array")
+    if not entries:
+        raise ConfigError(f"manifest {manifest_path}: lists no recordings")
     samples = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("file"), str) or "label" not in entry:

@@ -11,35 +11,65 @@ from .seeding import derive_seed
 from .training import TrainConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSection:
     layers: int = 12
     heads: int = 8
     d_model: int = 128
     d_ff: int = 512
     window: int = 50
-    input_dim: int | None = None  # None: take the data's feature dim
     classes: int | None = None  # None: take the data's class count
 
+    def __post_init__(self):
+        _model_config(self, input_dim=1, classes=1)  # ModelConfig checks the values
 
-@dataclass
+
+def _model_config(section: ModelSection, input_dim: int, classes: int) -> ModelConfig:
+    """Concrete architecture: the data gives the feature width, and the
+    class count unless the section sets one."""
+    values = asdict(section)
+    if section.classes is None:
+        values["classes"] = classes
+    return ModelConfig(**values, input_dim=input_dim)
+
+
+@dataclass(frozen=True)
 class DataSection:
     manifest: str | None = None  # None: generate synthetic data
     classes: int = 10
     per_class: int = 20
     dim: int = 12
     noise_sigma: float = 0.05
-    hands: int = 1
     split_ratio: float = 0.8
     val_fraction: float = 0.1
 
+    def __post_init__(self):
+        if self.classes < 2:
+            raise ConfigError(f"classes must be >= 2, got {self.classes}")
+        for name in ("per_class", "dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("split_ratio", "val_fraction"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class SegmentationSection:
     stride: int = 1
     threshold: float = 0.51
     n_streams: int = 20
     signs_per_stream: int = 10
+
+    def __post_init__(self):
+        if self.stride < 1:
+            raise ConfigError(f"stride must be >= 1, got {self.stride}")
+        if not 0 < self.threshold < 1:
+            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
+        if self.n_streams < 1 or self.signs_per_stream < 1:
+            raise ConfigError("n_streams and signs_per_stream must be >= 1")
 
 
 @dataclass
@@ -52,11 +82,7 @@ class RunConfig:
     seed: int = 0
 
     def model_config(self, input_dim: int, classes: int) -> ModelConfig:
-        """Concrete architecture, filling unset dims from the data."""
-        values = asdict(self.model)
-        from_data = {"input_dim": input_dim, "classes": classes}
-        values.update({k: v for k, v in from_data.items() if values[k] is None})
-        return ModelConfig(**values)
+        return _model_config(self.model, input_dim, classes)
 
     def train_config(self) -> TrainConfig:
         return replace(self.training, seed=derive_seed(self.seed, "train"))
@@ -64,7 +90,7 @@ class RunConfig:
 
 _SECTIONS = ("model", "training", "data", "segmentation")
 # fields that accept null (filled from data, or no manifest) and their type
-_OPTIONAL = {("model", "input_dim"): int, ("model", "classes"): int, ("data", "manifest"): str}
+_OPTIONAL = {("model", "classes"): int, ("data", "manifest"): str}
 # fields a config file may not set
 _NOT_SETTABLE = {("training", "seed")}
 
@@ -120,43 +146,8 @@ def load_config(source: bytes | str | None) -> RunConfig:
                 changes[key] = None
             else:
                 changes[key] = _check_type(path, value, optional or type(defaults[key]))
-        try:  # TrainConfig checks its values on construction
+        try:  # every section checks its values on construction
             setattr(cfg, section_name, replace(section, **changes))
         except ConfigError as exc:
             raise ConfigError(f"{section_name}.{exc}") from exc
-    validate_config(cfg)
     return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Cross-field checks shared by file loading and flag overrides."""
-    try:
-        cfg.model_config(input_dim=1, classes=1)  # the data fills unset dims later
-    except ConfigError as exc:
-        raise ConfigError(f"model.{exc}") from exc
-
-    d = cfg.data
-    if d.classes < 2:
-        raise ConfigError(f"data.classes must be >= 2, got {d.classes}")
-    if d.per_class < 1:
-        raise ConfigError(f"data.per_class must be >= 1, got {d.per_class}")
-    if d.dim < 1:
-        raise ConfigError(f"data.dim must be >= 1, got {d.dim}")
-    if d.noise_sigma < 0:
-        raise ConfigError(f"data.noise_sigma must be >= 0, got {d.noise_sigma}")
-    if d.hands not in (1, 2):
-        raise ConfigError(f"data.hands must be 1 or 2, got {d.hands}")
-    if not 0 < d.split_ratio < 1:
-        raise ConfigError(f"data.split_ratio must be in (0, 1), got {d.split_ratio}")
-    if not 0 < d.val_fraction < 1:
-        raise ConfigError(f"data.val_fraction must be in (0, 1), got {d.val_fraction}")
-
-    s = cfg.segmentation
-    if s.stride < 1:
-        raise ConfigError(f"segmentation.stride must be >= 1, got {s.stride}")
-    if not 0 < s.threshold < 1:
-        raise ConfigError(f"segmentation.threshold must be in (0, 1), got {s.threshold}")
-    if s.n_streams < 1 or s.signs_per_stream < 1:
-        raise ConfigError("segmentation.n_streams and signs_per_stream must be >= 1")
-
-    # cfg.training needs no check here: a TrainConfig validates itself when built

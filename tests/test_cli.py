@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-import signseg.cli
 import signseg.segmentation
+import signseg.training
 from signseg import ContinuousStream, load_stream_features, load_weights_file, segment_report
 from signseg.cli import main
 from signseg.segmentation import windows_csv
@@ -106,19 +106,19 @@ class TestEval:
 
 
 @pytest.mark.parametrize("command", ["eval", "segment"])
-def test_model_window_mismatch_exits_1_before_building_data(workdir, tmp_path, monkeypatch, capsys, command):
-    _, _, out = workdir
-    cfg = tmp_path / "wider.json"
-    cfg.write_text(json.dumps(dict(FAST, model=dict(FAST["model"], window=12))))
-
-    def no_data(cfg):
-        raise AssertionError("data built before the model was checked")
-
-    monkeypatch.setattr(signseg.cli, "_dataset", no_data)
-    rc = main([command, "--config", str(cfg), "--model", str(out / "model.bin"), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert "model.window 12 does not match the model's window 10" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+def test_saved_model_window_wins_over_the_config(workdir, tmp_path, capsys, command):
+    _, cfg, out = workdir
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps(dict(FAST, model=dict(FAST["model"], window=12))))
+    runs = {}
+    for name, path in (("matching", cfg), ("wider", wider)):
+        capsys.readouterr()
+        rc = main([command, "--config", str(path), "--model", str(out / "model.bin"),
+                   "--out", str(tmp_path / name)])
+        assert rc == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        runs[name] = (capsys.readouterr().out, files)
+    assert runs["wider"] == runs["matching"]
 
 
 class TestAblate:
@@ -302,6 +302,15 @@ class TestSegmentStream:
         assert "--labels needs --stream" in capsys.readouterr().err
         assert not (tmp_path / "seg").exists()
 
+    def test_bad_labels_exit_1(self, manifest_run, tmp_path, capsys):
+        root, cfg, data, run = manifest_run
+        stream = _two_sign_stream(data, tmp_path / "stream.jsonl")
+        rc = main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
+                   "--stream", str(stream), "--labels", "1,x", "--out", str(tmp_path / "seg")])
+        assert rc == 1
+        assert "--labels expects comma-separated integers, got '1,x'" in capsys.readouterr().err
+        assert not (tmp_path / "seg").exists()
+
     def test_too_short_stream_exits_1(self, manifest_run, tmp_path, capsys):
         root, cfg, data, run = manifest_run
         manifest = json.loads((data / "manifest.json").read_text())
@@ -328,6 +337,44 @@ class TestSegmentStream:
         assert "line 3:" in capsys.readouterr().err
 
 
+def _two_hand_recording(data, path):
+    """A one-hand generated recording with its hand doubled in every frame."""
+    manifest = json.loads((data / "manifest.json").read_text())
+    lines = (data / manifest[0]["file"]).read_text().strip().split("\n")
+    frames = [json.loads(line)["hands"] for line in lines]
+    path.write_text("".join(json.dumps({"hands": hands * 2}) + "\n" for hands in frames))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("eval", [], "the data has 6 features per frame but the model takes 60"),
+        ("segment", [], "the data has 6 features per frame but the model takes 60"),
+        ("segment", ["--stream"], "the recording has 120 features per frame but the model takes 60"),
+    ],
+    ids=["eval", "segment", "segment_stream"],
+)
+def test_width_mismatch_exits_1_before_any_forward_pass(manifest_run, tmp_path, monkeypatch, capsys,
+                                                       command, extra, message):
+    # a manifest-trained model (one hand, 60 features) on synthetic data
+    # (data.dim 6) or on a two-hand recording
+    root, cfg, data, run = manifest_run
+    if extra:
+        extra = extra + [str(_two_hand_recording(data, tmp_path / "two.jsonl"))]
+
+    def no_forward(*args):
+        raise AssertionError("forward pass before the width was checked")
+
+    monkeypatch.setattr(signseg.training, "forward_probs", no_forward)
+    monkeypatch.setattr(signseg.segmentation, "forward_probs", no_forward)
+    rc = main([command, "--config", str(cfg), "--model", str(run / "model.bin"),
+               "--out", str(tmp_path / "o")] + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 class TestErrors:
     def test_unknown_config_key_exits_1(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -338,9 +385,8 @@ class TestErrors:
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
 
-    def test_hand_count_mismatch_exits_1(self, manifest_run, tmp_path):
-        # generated manifests hold one hand per frame; declaring two must
-        # be rejected before training starts
+    def test_hand_count_mismatch_exits_1(self, manifest_run, tmp_path, capsys):
+        # the hand count comes from the recordings; the config has no key for it
         root, _, data, _ = manifest_run
         bad = dict(MANIFEST_CFG)
         bad["data"] = dict(MANIFEST_CFG["data"], hands=2)
@@ -349,6 +395,14 @@ class TestErrors:
         rc = main(["train", "--config", str(cfg), "--manifest", str(data / "manifest.json"),
                    "--out", str(tmp_path / "o")])
         assert rc == 1
+        assert capsys.readouterr().err == "error: unknown config key: data.hands\n"
+
+    def test_empty_manifest_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text("[]")
+        rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: manifest {manifest}: lists no recordings\n"
 
     def test_usage_error_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:

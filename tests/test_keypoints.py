@@ -149,6 +149,20 @@ class TestParse:
         with pytest.raises(KeypointParseError):
             parse_keypoint_file(with_literal(make_hand(rng), literal, 7, 1))
 
+    @pytest.mark.parametrize(
+        "data, line_number, message",
+        [
+            (b"\xff\xfe", 0, "line 0: not valid UTF-8"),
+            ('{"x": 1}', 1, 'line 1: expected an object with a "hands" key'),
+        ],
+        ids=["not_utf8", "no_hands_key"],
+    )
+    def test_malformed_input_names_its_line(self, data, line_number, message):
+        with pytest.raises(KeypointParseError) as exc:
+            parse_keypoint_file(data)
+        assert exc.value.line_number == line_number
+        assert str(exc.value).startswith(message)
+
     def test_empty_input_is_an_empty_recording(self):
         assert parse_keypoint_file("\n\n").shape == (0, 0, KEYPOINTS_PER_HAND, 3)
 
@@ -400,11 +414,29 @@ def test_bad_recording_names_the_manifest_entry(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b"\xff\xfe[]", b'[{"file": "a.jsonl", "label": ' + b"9" * 5000 + b"}]", b'[{"file": 5, "label": 0}]'],
-    ids=["not_utf8", "past_int_digit_limit", "file_not_a_string"],
+    "content, message",
+    [
+        (b"\xff\xfe[]", "invalid JSON"),
+        (b'[{"file": "a.jsonl", "label": ' + b"9" * 5000 + b"}]", "invalid JSON"),
+        (b'[{"file": 5, "label": 0}]', "manifest entry 0: expected an object with file and label"),
+        (b"{}", "expected a JSON array"),
+        (b'[{"file": "a.jsonl", "label": true}]', "manifest entry 0: label must be a non-negative integer"),
+        (b'[{"file": "a.jsonl", "label": -1}]', "manifest entry 0: label must be a non-negative integer"),
+        (b'[{"file": "a.jsonl", "label": 1.5}]', "manifest entry 0: label must be a non-negative integer"),
+    ],
+    ids=["not_utf8", "past_int_digit_limit", "file_not_a_string", "not_an_array",
+         "label_true", "label_negative", "label_float"],
 )
-def test_bad_manifest_is_config_error(tmp_path, content):
+def test_bad_manifest_is_config_error(tmp_path, content, message):
     (tmp_path / "manifest.json").write_bytes(content)
-    with pytest.raises(ConfigError, match="manifest"):
+    with pytest.raises(ConfigError, match="manifest") as exc:
         load_isolated_dataset(tmp_path / "manifest.json", window=8)
+    assert message in str(exc.value)
+
+
+def test_empty_manifest_is_config_error(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text("[]")
+    with pytest.raises(ConfigError) as exc:
+        load_isolated_dataset(path, window=8)
+    assert str(exc.value) == f"manifest {path}: lists no recordings"

@@ -1,9 +1,11 @@
 import json
-from dataclasses import fields
+import re
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import pytest
 
-from signseg import ConfigError, ModelConfig, load_config, validate_config
+from signseg import ConfigError, ModelConfig, load_config
 from signseg.runconfig import ModelSection, RunConfig
 
 
@@ -15,7 +17,6 @@ class TestDefaults:
         assert cfg.model.d_model == 128
         assert cfg.model.d_ff == 512
         assert cfg.model.window == 50
-        assert cfg.model.input_dim is None
         assert cfg.model.classes is None
         assert cfg.training.batch_size == 50
         assert cfg.training.lr0 == 0.005
@@ -51,12 +52,11 @@ class TestOverrides:
         assert (cfg.out_dir, cfg.seed) == ("runs/a", 3)
 
     def test_optional_fields_take_values_and_null(self):
-        cfg = load_config(json.dumps({"model": {"input_dim": 24, "classes": 5}, "data": {"manifest": "m.json"}}))
-        assert cfg.model.input_dim == 24
+        cfg = load_config(json.dumps({"model": {"classes": 5}, "data": {"manifest": "m.json"}}))
         assert cfg.model.classes == 5
         assert cfg.data.manifest == "m.json"
-        cfg = load_config(json.dumps({"model": {"input_dim": None}, "data": {"manifest": None}}))
-        assert cfg.model.input_dim is None
+        cfg = load_config(json.dumps({"model": {"classes": None}, "data": {"manifest": None}}))
+        assert cfg.model.classes is None
         assert cfg.data.manifest is None
 
     def test_float_field_accepts_int_literal(self):
@@ -109,6 +109,12 @@ class TestRejection:
         with pytest.raises(ConfigError, match="model"):
             load_config(json.dumps({"model": 3}))
 
+    @pytest.mark.parametrize("section, key", [("model", "input_dim"), ("data", "hands")])
+    def test_keys_the_data_decides_are_unknown(self, section, key):
+        # the feature width always comes from the data
+        with pytest.raises(ConfigError, match=f"unknown config key: {section}.{key}"):
+            load_config(json.dumps({section: {key: 1}}))
+
 
 class TestValidate:
     def test_heads_must_divide_d_model(self):
@@ -127,11 +133,14 @@ class TestValidate:
         with pytest.raises(ConfigError):
             load_config(json.dumps({"training": {"beta1": 1.5}}))
 
-    def test_validate_config_direct(self):
+    def test_sections_check_their_values_when_built(self):
         cfg = RunConfig()
-        cfg.model.heads = 3
         with pytest.raises(ConfigError, match="heads"):
-            validate_config(cfg)
+            replace(cfg.model, heads=3)
+        with pytest.raises(ConfigError, match="classes must be >= 2"):
+            replace(cfg.data, classes=1)
+        with pytest.raises(ConfigError, match="stride must be >= 1"):
+            replace(cfg.segmentation, stride=0)
 
 
 class TestDerivedConfigs:
@@ -143,14 +152,14 @@ class TestDerivedConfigs:
         assert mcfg.d_model == 128
 
     def test_model_config_explicit_dims_win(self):
-        cfg = load_config(json.dumps({"model": {"input_dim": 12, "classes": 10}}))
-        mcfg = cfg.model_config(input_dim=99, classes=99)
-        assert mcfg.input_dim == 12
+        cfg = load_config(json.dumps({"model": {"classes": 10}}))
+        mcfg = cfg.model_config(input_dim=99, classes=3)
+        assert mcfg.input_dim == 99  # the width always comes from the data
         assert mcfg.classes == 10
 
     def test_model_section_mirrors_model_config(self):
-        # every ModelConfig field needs a config default, or model_config breaks
-        assert [f.name for f in fields(ModelSection)] == [f.name for f in fields(ModelConfig)]
+        # every ModelConfig field but the data's width needs a config default
+        assert [f.name for f in fields(ModelSection)] == [f.name for f in fields(ModelConfig) if f.name != "input_dim"]
 
     def test_train_config_seed_derived_from_run_seed(self):
         a = load_config(json.dumps({"seed": 1})).train_config()
@@ -184,9 +193,47 @@ class TestTrainingSection:
     def test_model_errors_name_the_model_key(self):
         with pytest.raises(ConfigError, match="model.layers must be >= 0"):
             load_config(json.dumps({"model": {"layers": -1}}))
-        with pytest.raises(ConfigError, match="model.input_dim must be >= 1"):
-            load_config(json.dumps({"model": {"input_dim": 0}}))
+        with pytest.raises(ConfigError, match="model.d_ff must be >= 1"):
+            load_config(json.dumps({"model": {"d_ff": 0}}))
 
     def test_training_value_errors_name_the_training_key(self):
         with pytest.raises(ConfigError, match=r"training\.beta1 must be in \[0, 1\)"):
             load_config(json.dumps({"training": {"beta1": 1.5}}))
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("model", "window", 0, "model.window must be >= 1, got 0"),
+        ("model", "classes", 0, "model.classes must be >= 1, got 0"),
+        ("data", "classes", 1, "data.classes must be >= 2, got 1"),
+        ("data", "per_class", 0, "data.per_class must be >= 1, got 0"),
+        ("data", "dim", 0, "data.dim must be >= 1, got 0"),
+        ("data", "noise_sigma", -0.5, "data.noise_sigma must be >= 0, got -0.5"),
+        ("data", "split_ratio", 1, "data.split_ratio must be in (0, 1), got 1.0"),
+        ("data", "val_fraction", 0, "data.val_fraction must be in (0, 1), got 0.0"),
+        ("segmentation", "stride", 0, "segmentation.stride must be >= 1, got 0"),
+        ("segmentation", "threshold", 0, "segmentation.threshold must be in (0, 1), got 0.0"),
+        ("segmentation", "n_streams", 0, "segmentation.n_streams and signs_per_stream must be >= 1"),
+        ("segmentation", "signs_per_stream", 0, "segmentation.n_streams and signs_per_stream must be >= 1"),
+        ("training", "lr_decay_every", 0, "training.lr_decay_every must be >= 1, got 0"),
+        ("training", "lr_decay_factor", 1.5, "training.lr_decay_factor must be in (0, 1], got 1.5"),
+        ("training", "max_epochs", -1, "training.max_epochs must be >= 0, got -1"),
+        ("training", "weight_decay", -1, "training.weight_decay must be >= 0, got -1.0"),
+        ("training", "adam_eps", 0, "training.adam_eps must be > 0, got 0.0"),
+        ("training", "early_stop_patience", 0, "training.early_stop_patience must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_value_names_its_key(section, key, value, message):
+    with pytest.raises(ConfigError) as exc:
+        load_config(json.dumps({section: {key: value}}))
+    assert str(exc.value) == message
+
+
+def test_readme_config_example_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    defaults = asdict(RunConfig())
+    del defaults["training"]["seed"]  # derived from the run seed, not a config key
+    assert example == defaults

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import signseg.training
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -376,6 +377,28 @@ class TestTrainLoop:
         assert len(core) >= 64
         peak(8)  # first-call allocations (caches, lazy imports) stay out of the comparison
         assert peak(64) <= peak(8) + FORWARD_CHUNK * per_window
+
+    def test_one_frame_windows_train_on_the_plain_set(self, monkeypatch):
+        # a one-frame window cannot straddle two signs: each epoch is the
+        # shuffled training set, and the straddling validation loss is 0.0
+        mcfg = ModelConfig(layers=1, heads=2, d_model=8, d_ff=16, window=1, input_dim=4, classes=3)
+        data = [
+            IsolatedSample(s.frames[:1], s.label)
+            for s in make_dataset(seed=3, classes=3, n_per_class=4, dim=4, window=2, noise_sigma=0.05)
+        ]
+        core, val = [s for i, s in enumerate(data) if i % 4], data[::4]
+        seen = []
+        backward = signseg.training.backward
+        monkeypatch.setattr(
+            signseg.training, "backward", lambda samples, *a, **k: seen.append(len(samples)) or backward(samples, *a, **k)
+        )
+        per_epoch = []
+        _, history = train(
+            core, val, mcfg, TrainConfig(seed=2, max_epochs=2, batch_size=4),
+            on_epoch=lambda r: per_epoch.append(sum(seen) - sum(per_epoch)),
+        )
+        assert per_epoch == [len(core), len(core)]
+        assert [r.val_straddle_loss for r in history.records] == [0.0, 0.0]
 
     def test_empty_dataset_rejected(self):
         _, val, _, mcfg = small_setup(7)
