@@ -159,19 +159,22 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _check_width(weights, width: int, what: str) -> None:
+def _check_fits(weights, width: int, labels: list[int], what: str) -> None:
     """Fails, before any forward pass, when `what` has another feature
-    width than the saved model takes."""
-    if width != weights.config.input_dim:
-        raise ConfigError(
-            f"{what} has {width} features per frame but the model takes {weights.config.input_dim}"
-        )
+    width than the saved model takes or a label its head cannot emit."""
+    mcfg = weights.config
+    if width != mcfg.input_dim:
+        raise ConfigError(f"{what} has {width} features per frame but the model takes {mcfg.input_dim}")
+    low, high = min(labels, default=0), max(labels, default=0)
+    if low < 0 or high >= mcfg.classes:
+        bad = low if low < 0 else high
+        raise ConfigError(f"{what} has label {bad} but the model has {mcfg.classes} classes")
 
 
 def _test_split(cfg: RunConfig, weights):
     """The config's test split, built at the saved model's window."""
     samples, input_dim, _ = _dataset(cfg, weights.config.window)
-    _check_width(weights, input_dim, "the data")
+    _check_fits(weights, input_dim, [s.label for s in samples], "the data")
     return _splits(cfg, samples)[3]
 
 
@@ -216,7 +219,7 @@ def _cmd_segment(args, cfg: RunConfig) -> int:
     if args.stream is not None:
         gt = [] if args.labels is None else _parse_int_list(args.labels, "--labels")
         stream = ContinuousStream(frames=load_stream_features(args.stream), gt_labels=gt)
-        _check_width(weights, stream.frames.shape[1], "the recording")
+        _check_fits(weights, stream.frames.shape[1], gt, "the recording")
         report = segment_report(weights, [stream], weights.config.window, seg.stride, seg.threshold)
         row = report.rows[0]
         if row.error is not None:

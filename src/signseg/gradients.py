@@ -15,6 +15,7 @@ from .model import (
     Workspace,
     _classify_internals,
     _encoder_internals,
+    _ones,
     _row_mean,
     _stack_windows,
     forward_probs,
@@ -24,15 +25,22 @@ from .model import (
 from .seeding import derive_rng
 
 
-def _layer_norm_bwd(dy, xhat, inv_std, gain, dgain, dbias, tmp):
-    """The input's gradient, written over dy (and xhat and tmp); dgain and dbias are added to."""
-    dgain += np.multiply(dy, xhat, out=tmp).sum(axis=0)
-    dbias += dy.sum(axis=0)
+def _layer_norm_bwd(dy, xhat, inv_std, gain, dgain, dbias, tmp, window):
+    """The input's gradient, written over dy (and xhat and tmp); dgain and dbias are added to.
+    Both row means are the forward's per-window products."""
+    dgain += _column_sum(np.multiply(dy, xhat, out=tmp))
+    dbias += _column_sum(dy)
     dy *= gain  # the gradient at xhat from here on
-    xhat *= _row_mean(np.multiply(dy, xhat, out=tmp))
-    dy -= _row_mean(dy)
+    xhat *= _row_mean(np.multiply(dy, xhat, out=tmp), window)
+    dy -= _row_mean(dy, window)
     dy -= xhat
     return np.multiply(dy, inv_std, out=dy)
+
+
+def _column_sum(x):
+    """x.sum(axis=0) as one BLAS vector-matrix product, two to four times
+    as fast as numpy's reduction on 400 rows of 64 to 512 columns."""
+    return (_ones((1, len(x)), x.dtype) @ x)[0]
 
 
 def _add_product(g, a, b, ws: Workspace) -> None:
@@ -109,43 +117,43 @@ def backward(
     # Softmax + cross-entropy collapse to p - target at the logits
     dlogits = (probs - target).astype(dtype, copy=False)
     _add_product(add_to.head_w, flat.T, dlogits, ws)
-    add_to.head_b += dlogits.sum(axis=0)
+    add_to.head_b += _column_sum(dlogits)
     dx = ws("dx", (rows, cfg.d_model), dtype)  # (B * window, d_model)
     np.matmul(dlogits, weights.head_w.T, out=dx.reshape(-1, cfg.window * cfg.d_model))
     mask = ws("mask", (rows, cfg.d_ff), np.bool_)
 
     # most gradients go over activations their layer has read for the last time
-    sqrt_dk = math.sqrt(cfg.d_k)
+    scale, ones = 1.0 / math.sqrt(cfg.d_k), _ones((1, cfg.window), dtype)
     for i in reversed(range(cfg.layers)):
         layer, g, c = weights.layers[i], add_to.layers[i], ws.layer(i, cfg, rows, dtype)
         tmp = c["out"]  # scratch: the head or the layer above has read it for the last time
-        dr2 = _layer_norm_bwd(dx, c["xhat2"], c["inv2"], layer.ln2_g, g.ln2_g, g.ln2_b, tmp)
+        dr2 = _layer_norm_bwd(dx, c["xhat2"], c["inv2"], layer.ln2_g, g.ln2_g, g.ln2_b, tmp, cfg.window)
         _add_product(g.ff_w2, c["act"].T, dr2, ws)
-        g.ff_b2 += dr2.sum(axis=0)
+        g.ff_b2 += _column_sum(dr2)
         # ReLU passed exactly the units its output kept above zero
         np.greater(c["act"], 0.0, out=mask)
         d_pre = np.matmul(dr2, layer.ff_w2.T, out=c["act"])
         d_pre *= mask
         _add_product(g.ff_w1, c["y1"].T, d_pre, ws)
-        g.ff_b1 += d_pre.sum(axis=0)
+        g.ff_b1 += _column_sum(d_pre)
         dr2 += np.matmul(d_pre, layer.ff_w1.T, out=c["y1"])  # dr2 becomes dy1
 
-        dx = _layer_norm_bwd(dr2, c["xhat1"], c["inv1"], layer.ln1_g, g.ln1_g, g.ln1_b, tmp)
+        dx = _layer_norm_bwd(dr2, c["xhat1"], c["inv1"], layer.ln1_g, g.ln1_g, g.ln1_b, tmp, cfg.window)
         _add_product(g.wo, c["concat"].T, dx, ws)
         d_concat = np.matmul(dx, layer.wo.T, out=c["concat"])
 
-        # all heads of all windows at once, (B, heads, window, d_k)
+        # all heads of all windows at once, (B, heads, window, d_k); a is
+        # key-major, a[..., key, query], and q was scaled by 1 / sqrt(d_k)
         q, k, v, a = c["q"], c["k"], c["v"], c["a"]
         d_head = d_concat.reshape(-1, cfg.window, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
-        da = np.matmul(d_head, v.transpose(0, 1, 3, 2), out=ws("da", a.shape, dtype))
-        dv = np.matmul(a.transpose(0, 1, 3, 2), d_head, out=v)
-        # row-wise softmax jacobian
-        da -= np.multiply(da, a, out=ws("da*a", a.shape, dtype)).sum(axis=-1, keepdims=True)
+        da = np.matmul(v, d_head.transpose(0, 1, 3, 2), out=ws("da", a.shape, dtype))
+        dv = np.matmul(a, d_head, out=v)
+        # the softmax jacobian down each query's column of keys
+        da -= ones @ np.multiply(da, a, out=ws("da*a", a.shape, dtype))
         ds = np.multiply(a, da, out=a)
-        dq = np.matmul(ds, k, out=d_concat.reshape(q.shape))
-        dq /= sqrt_dk
-        dk = np.matmul(ds.transpose(0, 1, 3, 2), q, out=k)
-        dk /= sqrt_dk
+        dq = np.matmul(ds.transpose(0, 1, 3, 2), k, out=d_concat.reshape(q.shape))
+        dq *= scale
+        dk = np.matmul(ds, q, out=k)
         x_in_t = ws(("out", i - 1), dx.shape, dtype).T
         for d, w, gw in ((dq, layer.wq, g.wq), (dk, layer.wk, g.wk), (dv, layer.wv, g.wv)):
             # q is dead, so its buffer takes d in the layout each product needs.
@@ -157,7 +165,7 @@ def backward(
             dx += np.matmul(q.reshape(rows, -1), w.transpose(0, 2, 1).reshape(-1, cfg.d_model), out=tmp)
 
     _add_product(add_to.embed_w, frames.reshape(rows, cfg.input_dim).T, dx, ws)
-    add_to.embed_b += dx.sum(axis=0)
+    add_to.embed_b += _column_sum(dx)
     return add_to, loss
 
 

@@ -9,9 +9,15 @@ softmax head over the concatenation of all frame features.
 The pass runs over a batch of B windows (B, window, input_dim); one window
 is a batch of one, also in the backward pass. Row-wise products run once
 over all B * window rows, attention per window and head, and the head as
-one matrix-vector product per window, so a window's probabilities are bit
-for bit the same in a batch of any size. Callers classifying many windows
-pass FORWARD_CHUNK per call.
+one matrix-vector product per window. Row reductions are BLAS products
+with a ones vector, also taken per window: a layer norm's means are one
+(B, window, d) @ (d, 1) product, since a single (B * window, d) @ (d, 1)
+product rounds a row differently for different B. Attention keeps its
+matrix key-major, k @ q^T of shape (B, heads, keys, queries), so the
+softmax's max runs down axis -2, an elementwise pass over rows, and its
+sum is ones(1, window) @ a, one product per window and head. So a
+window's probabilities are bit for bit the same in a batch of any size.
+Callers classifying many windows pass FORWARD_CHUNK per call.
 
 Each layer writes its activations into the arrays of a Workspace, which
 inference makes afresh per layer. backward() writes most of its scratch
@@ -52,9 +58,10 @@ PROB_CLAMP = 1e-12
 # per-call Python work: in chunks of 8, float64 decoding ran 1.4x as fast as
 # one window per call at the gate's shape and the 12-layer default's
 # (BENCH_batched_decode.json), and from 32 on the score tensors outgrow the
-# cache. In float32, 4 was fastest at the gate's shape (0.44 against 0.52 ms
-# a window) and 16 at the 12-layer default's (5.6 against 5.8 ms), so no
-# size won at both and 8 stays (BENCH_float32_decode.json).
+# cache. In float32 with the BLAS reductions, 8 was fastest at both: 0.37
+# ms a window at the gate's shape against 0.41 for 4 and 0.49 for 16, and
+# 5.2-5.5 ms at the 12-layer default's against 5.7-5.8 for 4 and 5.4-5.6
+# for 16 (BENCH_blas_reductions.json).
 FORWARD_CHUNK = 8
 
 _DIM_FIELDS = ("heads", "d_model", "d_ff", "window", "input_dim", "classes")
@@ -254,31 +261,41 @@ def _position_codes(window: int, d_model: int, dtype: np.dtype) -> np.ndarray:
     return codes
 
 
-def _attention_(scores: np.ndarray, d_k: int) -> np.ndarray:
-    """softmax(scores / sqrt(d_k)) along the last axis, written over scores."""
-    scores /= math.sqrt(d_k)
-    return _softmax_(scores)
-
-
 def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
-    """Row-stochastic attention matrix softmax(q k^T / sqrt(d_k))."""
+    """Row-stochastic attention matrix softmax(q k^T / sqrt(d_k)), the
+    reference for the key-major kernel in _mha_fwd."""
     if d_k < 1:
         raise ValueError(f"d_k must be >= 1, got {d_k}")
     q, k = np.asarray(q, dtype=np.float64), np.asarray(k, dtype=np.float64)
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"query/key feature dims differ: {q.shape} vs {k.shape}")
-    return _attention_(q @ k.T, d_k)
+    return _softmax_(q @ k.T / math.sqrt(d_k))
 
 
-def _row_mean(x):
-    # what x.mean(axis=-1) computes, without its Python-level overhead
-    return x.sum(axis=-1, keepdims=True) / x.shape[-1]
+@functools.lru_cache(maxsize=32)
+def _ones(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    """A read-only matrix of ones: x @ _ones((n, 1)) sums each row of x and
+    _ones((1, n)) @ x each column, as BLAS matrix-vector products."""
+    ones = np.ones(shape, dtype)
+    ones.setflags(write=False)
+    return ones
 
 
-def _layer_norm_fwd(x, gain, bias, xhat, inv_std):
-    """Layer norm of x's rows, written over x; xhat and inv_std are kept."""
-    x -= _row_mean(x)
-    np.add(_row_mean(np.square(x, out=xhat)), LN_EPS, out=inv_std)
+def _row_mean(x, window):
+    """Row means (B * window, 1) of x (B * window, d), one matrix-vector
+    product per window: a single (B * window, d) @ (d, 1) product rounds a
+    row differently for different B."""
+    d = x.shape[-1]
+    mean = x.reshape(-1, window, d) @ _ones((d, 1), x.dtype)
+    mean /= d
+    return mean.reshape(-1, 1)
+
+
+def _layer_norm_fwd(x, gain, bias, xhat, inv_std, window):
+    """Layer norm of x's rows (B * window, d), written over x; xhat and
+    inv_std are kept."""
+    x -= _row_mean(x, window)
+    np.add(_row_mean(np.square(x, out=xhat), window), LN_EPS, out=inv_std)
     np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
     np.multiply(x, inv_std, out=xhat)
     np.multiply(gain, xhat, out=x)
@@ -286,7 +303,8 @@ def _layer_norm_fwd(x, gain, bias, xhat, inv_std):
 
 
 def _mha_fwd(x, layer, c):
-    """Attention of x (B * window, d_model) into c["y1"], the rest kept in c."""
+    """Attention of x (B * window, d_model) into c["y1"], the rest kept in c:
+    q scaled by 1 / sqrt(d_k) and the key-major attention matrix a."""
     q, k, v, a = c["q"], c["k"], c["v"], c["a"]
     b, heads, window, d_k = q.shape
     # all heads of all windows at once, (B, heads, window, d_k); each
@@ -294,9 +312,17 @@ def _mha_fwd(x, layer, c):
     xb = x.reshape(b, 1, window, -1)
     for w, out in ((layer.wq, q), (layer.wk, k), (layer.wv, v)):
         np.matmul(xb, w, out=out)
-    _attention_(np.matmul(q, k.transpose(0, 1, 3, 2), out=a), d_k)
-    # each head's a @ v straight into its columns of concat
-    np.matmul(a, v, out=c["concat"].reshape(b, window, heads, d_k).transpose(0, 2, 1, 3))
+    q *= 1.0 / math.sqrt(d_k)  # q is window * d_k numbers, the scores window * window
+    # key-major scores a[..., key, query], so the softmax runs down axis -2:
+    # its max is an elementwise pass over rows, its sum one matrix-vector
+    # product per window and head
+    np.matmul(k, q.transpose(0, 1, 3, 2), out=a)
+    a -= a.max(axis=-2, keepdims=True)
+    np.exp(a, out=a)
+    a /= _ones((1, window), a.dtype) @ a
+    # each head's a^T @ v straight into its columns of concat
+    concat = c["concat"].reshape(b, window, heads, d_k).transpose(0, 2, 1, 3)
+    np.matmul(a.transpose(0, 1, 3, 2), v, out=concat)
     return np.matmul(c["concat"], layer.wo, out=c["y1"])
 
 
@@ -350,12 +376,13 @@ def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True
 
 def _layer_fwd(x_in, layer, c):
     """One encoder layer of x_in into c["out"], its activations into c."""
+    window = c["a"].shape[-1]
     y1 = _mha_fwd(x_in, layer, c)
     y1 += x_in
-    _layer_norm_fwd(y1, layer.ln1_g, layer.ln1_b, c["xhat1"], c["inv1"])
+    _layer_norm_fwd(y1, layer.ln1_g, layer.ln1_b, c["xhat1"], c["inv1"], window)
     out = _ff_fwd(y1, layer, c["act"], c["out"])
     out += y1
-    return _layer_norm_fwd(out, layer.ln2_g, layer.ln2_b, c["xhat2"], c["inv2"])
+    return _layer_norm_fwd(out, layer.ln2_g, layer.ln2_b, c["xhat2"], c["inv2"], window)
 
 
 def encoder_forward(frames: np.ndarray, weights: ModelWeights, use_positions: bool = True) -> np.ndarray:

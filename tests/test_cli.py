@@ -251,6 +251,22 @@ class TestSegmentStream:
         assert windows == 3  # 20 frames, window 10, stride 5
         assert sum(calls) == windows
 
+    @pytest.mark.parametrize("labels, bad", [("0,2", 2), ("0,-1", -1)], ids=["past_the_head", "negative"])
+    def test_labels_past_the_model_exit_1_before_any_forward_pass(self, manifest_run, tmp_path, monkeypatch,
+                                                                  capsys, labels, bad):
+        root, cfg, data, run = manifest_run  # a 2-class model
+        stream = _two_sign_stream(data, tmp_path / "stream.jsonl")
+
+        def no_forward(*args):
+            raise AssertionError("forward pass before the labels were checked")
+
+        monkeypatch.setattr(signseg.segmentation, "forward_probs", no_forward)
+        rc = main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
+                   "--stream", str(stream), "--labels", labels, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: the recording has label {bad} but the model has 2 classes\n"
+        assert not (tmp_path / "o").exists()
+
     def test_stream_without_labels_writes_windows_only(self, manifest_run, tmp_path):
         root, cfg, data, run = manifest_run
         manifest = json.loads((data / "manifest.json").read_text())
@@ -372,6 +388,24 @@ def test_width_mismatch_exits_1_before_any_forward_pass(manifest_run, tmp_path, 
                "--out", str(tmp_path / "o")] + extra)
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "segment"])
+def test_labels_past_the_model_exit_1_before_any_forward_pass(workdir, tmp_path, monkeypatch, capsys, command):
+    # the shared model has 3 classes; a config with 5 has labels 3 and 4
+    root, _, out = workdir
+    cfg = tmp_path / "five.json"
+    cfg.write_text(json.dumps(dict(FAST, data=dict(FAST["data"], classes=5))))
+
+    def no_forward(*args):
+        raise AssertionError("forward pass before the labels were checked")
+
+    monkeypatch.setattr(signseg.training, "forward_probs", no_forward)
+    monkeypatch.setattr(signseg.segmentation, "forward_probs", no_forward)
+    rc = main([command, "--config", str(cfg), "--model", str(out / "model.bin"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: the data has label 4 but the model has 3 classes\n"
     assert not (tmp_path / "o").exists()
 
 

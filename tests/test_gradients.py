@@ -198,6 +198,15 @@ def test_full_sweep_matches_finite_differences(tiny_mcfg, tiny_weights, tiny_sam
     assert err < 1e-4
 
 
+def test_full_sweep_at_a_d_k_whose_root_is_not_a_power_of_two():
+    # d_k = 8: q * (1 / sqrt(8)) rounds differently from the scores / sqrt(8)
+    mcfg = ModelConfig(layers=1, heads=3, d_model=24, d_ff=16, window=5, input_dim=6, classes=3)
+    assert mcfg.d_k == 8
+    frames = derive_rng(4, "d_k-8").normal(size=(mcfg.window, mcfg.input_dim))
+    weights = init_weights(mcfg, derive_seed(4, "init"))
+    assert gradient_check(weights, IsolatedSample(frames, 2), epsilon=1e-4) < 1e-4
+
+
 def test_gradient_check_many_labels(tiny_mcfg, tiny_weights):
     # every class as target, subsampled coordinates for speed
     rng = derive_rng(2, "labels")

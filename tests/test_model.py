@@ -58,7 +58,8 @@ def feed_forward(x, layer):
 
 
 def layer_norm(x, gain, bias):
-    return _layer_norm_fwd(x.copy(), gain, bias, np.empty_like(x), np.empty((x.shape[0], 1)))
+    """Layer norm of x's rows, taken as one window."""
+    return _layer_norm_fwd(x.copy(), gain, bias, np.empty_like(x), np.empty((x.shape[0], 1)), len(x))
 
 
 def one_hot(label, classes):
@@ -355,6 +356,17 @@ class TestEncoderAndClassify:
         for weights in (stored, upcast(stored)):
             probs = forward_probs(weights, frames)
             assert probs.shape == (batch, cfg.classes)
+            np.testing.assert_array_equal(probs, np.stack([forward_probs(weights, f) for f in frames]))
+
+    @pytest.mark.parametrize("batch", [1, 2, 8, 64])
+    def test_batch_matches_per_window_calls_at_eight_heads(self, batch):
+        # the widest rows the per-window reductions see: d_model 128 at the
+        # layer norms, 8 heads of 50 x 50 scores at the softmax
+        cfg = ModelConfig(layers=1, heads=8, d_model=128, d_ff=512, window=50, input_dim=12, classes=10)
+        stored = init_weights(cfg, 10)
+        frames = derive_rng(20, "batch").normal(size=(batch, cfg.window, cfg.input_dim))
+        for weights in (stored, upcast(stored)):
+            probs = forward_probs(weights, frames)
             np.testing.assert_array_equal(probs, np.stack([forward_probs(weights, f) for f in frames]))
 
     def test_argmax_ties_take_lowest(self, tiny_mcfg, tiny_weights):
