@@ -13,11 +13,11 @@ from .model import (
     PROB_CLAMP,
     ModelWeights,
     Workspace,
+    _chunks,
     _classify_internals,
     _encoder_internals,
     _ones,
     _row_mean,
-    _stack_windows,
     forward_probs,
     param_count,
     upcast,
@@ -82,18 +82,19 @@ def backward(
     sequence of them, with `targets` None or one target per sample. A
     target of None is the one-hot label, giving -ln p[label]; a target
     distribution t over the classes gives -sum t ln p instead. The pass
-    runs all samples through the batch-first forward kernel at once and
-    computes in the dtype of the weights' buffer, like forward_probs:
+    checks every sample's shape and target, then runs FORWARD_CHUNK samples
+    at a time in the dtype of the weights' buffer, like forward_probs:
     float32 as stored, float64 after upcast().
 
     Returns (gradients, summed loss); the gradients are a ModelWeights over
     a float64 buffer in the parameters' layout, each view holding the
     gradient of the parameter of the same name. Given `add_to`, a float64
-    ModelWeights of the same config, the gradients are added into its
-    views and `add_to` is returned; otherwise into a fresh zeroed buffer.
-    `scratch`, a Workspace the caller keeps across calls, holds this call's
-    activations and scratch; without one the call makes its own. The
-    result is the same bit for bit, and nothing returned lives in it.
+    ModelWeights of the same config, each chunk's gradients are added in
+    turn into its views and `add_to` is returned; otherwise into a fresh
+    zeroed buffer. `scratch`, a Workspace the caller keeps across calls,
+    holds a chunk's activations and scratch; without one the call makes
+    its own. The result is the same bit for bit, and nothing returned
+    lives in it.
     """
     cfg = weights.config
     if isinstance(samples, IsolatedSample):
@@ -108,7 +109,16 @@ def backward(
     elif add_to.config != cfg or add_to.flat.dtype != np.float64:
         raise ShapeError("add_to must be a float64 ModelWeights of the weights' config")
     ws = Workspace() if scratch is None else scratch
-    frames = _stack_windows([s.frames for s in samples], weights)
+    loss = 0.0
+    for i, frames in _chunks([s.frames for s in samples], weights):
+        loss += _backward_chunk(frames, target[i : i + len(frames)], weights, add_to, ws)
+    return add_to, loss
+
+
+def _backward_chunk(frames, target, weights: ModelWeights, add_to: ModelWeights, ws: Workspace) -> float:
+    """Adds the gradients of one chunk of frames (B, window, input_dim)
+    against targets (B, classes) into add_to; returns the chunk's loss."""
+    cfg = weights.config
     dtype, rows = frames.dtype, frames.shape[0] * cfg.window
     probs, flat = _classify_internals(_encoder_internals(frames, weights, ws=ws), weights)
     loss = soft_cross_entropy(probs, target)
@@ -166,7 +176,7 @@ def backward(
 
     _add_product(add_to.embed_w, frames.reshape(rows, cfg.input_dim).T, dx, ws)
     add_to.embed_b += _column_sum(dx)
-    return add_to, loss
+    return loss
 
 
 def relative_error(a: float, b: float) -> float:

@@ -17,7 +17,9 @@ matrix key-major, k @ q^T of shape (B, heads, keys, queries), so the
 softmax's max runs down axis -2, an elementwise pass over rows, and its
 sum is ones(1, window) @ a, one product per window and head. So a
 window's probabilities are bit for bit the same in a batch of any size.
-Callers classifying many windows pass FORWARD_CHUNK per call.
+forward_probs and backward take any number of windows and run them
+FORWARD_CHUNK at a time, converting a chunk to the weights' dtype as
+they take it (_chunks).
 
 Each layer writes its activations into the arrays of a Workspace, which
 inference makes afresh per layer. backward() writes most of its scratch
@@ -54,14 +56,14 @@ from .seeding import derive_rng
 LN_EPS = 1e-5
 PE_BASE = 10000.0
 PROB_CLAMP = 1e-12
-# Windows per forward_probs call when many are classified. Batching cuts the
-# per-call Python work: in chunks of 8, float64 decoding ran 1.4x as fast as
-# one window per call at the gate's shape and the 12-layer default's
-# (BENCH_batched_decode.json), and from 32 on the score tensors outgrow the
-# cache. In float32 with the BLAS reductions, 8 was fastest at both: 0.37
-# ms a window at the gate's shape against 0.41 for 4 and 0.49 for 16, and
-# 5.2-5.5 ms at the 12-layer default's against 5.7-5.8 for 4 and 5.4-5.6
-# for 16 (BENCH_blas_reductions.json).
+# Windows per pass of forward_probs and backward, which chunk any batch.
+# Batching cuts the per-pass Python work: in chunks of 8, float64 decoding
+# ran 1.4x as fast as one window per pass at the gate's shape and the
+# 12-layer default's (BENCH_batched_decode.json), and from 32 on the score
+# tensors outgrow the cache. In float32 with the BLAS reductions, 8 was
+# fastest at both: 0.37 ms a window at the gate's shape against 0.41 for 4
+# and 0.49 for 16, and 5.2-5.5 ms at the 12-layer default's against 5.7-5.8
+# for 4 and 5.4-5.6 for 16 (BENCH_blas_reductions.json).
 FORWARD_CHUNK = 8
 
 _DIM_FIELDS = ("heads", "d_model", "d_ff", "window", "input_dim", "classes")
@@ -408,23 +410,31 @@ def _classify_internals(features, weights: ModelWeights):
     return _softmax_(logits.astype(np.float64, copy=False)), flat.reshape(-1, cfg.window * cfg.d_model)
 
 
-def _stack_windows(windows, weights: ModelWeights) -> np.ndarray:
-    """Windows (window, input_dim) as one batch in the weights' dtype."""
+def _chunks(frames, weights: ModelWeights):
+    """Windows `frames`, a (B, window, input_dim) array or a sequence of
+    (window, input_dim) windows, as (start, chunk) pairs of FORWARD_CHUNK
+    windows, each chunk converted to the weights' dtype only when it is
+    taken. Every window's shape is checked before the first chunk."""
     shape = (weights.config.window, weights.config.input_dim)
-    bad = [np.shape(w) for w in windows if np.shape(w) != shape]
-    if bad:  # stacking mixed shapes would fail with numpy's own error
-        raise ShapeError(f"frames have shape {bad[0]}, expected {shape}")
-    return np.array(windows, dtype=weights.flat.dtype)
+    shapes = [frames.shape[1:]] if isinstance(frames, np.ndarray) else map(np.shape, frames)
+    bad = next((s for s in shapes if s != shape), None)
+    if bad is not None:  # stacking mixed shapes would fail with numpy's own error
+        raise ShapeError(f"frames have shape {bad}, expected {shape}")
+    dtype = weights.flat.dtype
+    return ((i, np.asarray(frames[i : i + FORWARD_CHUNK], dtype)) for i in range(0, len(frames), FORWARD_CHUNK))
 
 
-def forward_probs(weights: ModelWeights, frames: np.ndarray) -> np.ndarray:
-    """Full forward pass: one window's frames (window, input_dim) to class
-    probabilities (classes,), or a batch (B, window, input_dim) to
-    (B, classes). Computes in the dtype of the weights' buffer, float32 as
-    stored or float64 after upcast(); the probabilities are float64 either
-    way. A window's probabilities are bit for bit the same alone or in a
-    batch of any size."""
-    frames = np.asarray(frames, dtype=weights.flat.dtype)
-    batch = frames if frames.ndim == 3 else frames[None]
-    probs = _classify_internals(_encoder_internals(batch, weights), weights)[0]
-    return probs if frames.ndim == 3 else probs[0]
+def forward_probs(weights: ModelWeights, frames) -> np.ndarray:
+    """Full forward pass: one window's frames, a (window, input_dim) array,
+    to class probabilities (classes,), or a batch of any size, a
+    (B, window, input_dim) array or view or a sequence of windows, to
+    (B, classes), FORWARD_CHUNK windows per pass. Computes in the dtype of
+    the weights' buffer, float32 as stored or float64 after upcast(); the
+    probabilities are float64 either way, and bit for bit the same for a
+    window alone or in a batch of any size."""
+    one = isinstance(frames, np.ndarray) and frames.ndim == 2
+    batch = frames[None] if one else frames
+    probs = np.empty((len(batch), weights.config.classes))
+    for i, chunk in _chunks(batch, weights):
+        probs[i : i + len(chunk)] = _classify_internals(_encoder_internals(chunk, weights), weights)[0]
+    return probs[0] if one else probs

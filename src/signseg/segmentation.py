@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, StreamTooShortError
 from .keypoints import ContinuousStream
-from .model import FORWARD_CHUNK, ModelWeights, forward_probs
+from .model import ModelWeights, forward_probs
 
 DEFAULT_WINDOW = 50
 DEFAULT_THRESHOLD = 0.51
@@ -114,12 +114,8 @@ def slide(
 
 def window_probs(weights: ModelWeights, windows: np.ndarray) -> np.ndarray:
     """float64 class probabilities (n, classes) of windows (n, window,
-    input_dim), FORWARD_CHUNK windows per forward pass; only the chunk in
-    hand is converted to the weights' dtype."""
-    probs = np.empty((len(windows), weights.config.classes))
-    for i in range(0, len(windows), FORWARD_CHUNK):
-        probs[i : i + FORWARD_CHUNK] = forward_probs(weights, windows[i : i + FORWARD_CHUNK])
-    return probs
+    input_dim), in one forward_probs call, which chunks them."""
+    return forward_probs(weights, windows)
 
 
 def _decode(probs: np.ndarray, threshold: float):
@@ -127,13 +123,17 @@ def _decode(probs: np.ndarray, threshold: float):
     probability, the mask of rows where that reaches the threshold (NaN
     does not), and the rows that emit: the first of each run of one label
     among the survivors."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    _check_threshold(threshold)
     labels = probs.argmax(axis=1)
     tops = np.take_along_axis(probs, labels[:, None], axis=1)[:, 0]
     keep = tops >= threshold
     survivors = np.flatnonzero(keep)
     return labels, tops, keep, survivors[_run_heads(labels[survivors])]
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
 
 
 def _run_heads(labels: np.ndarray) -> np.ndarray:
@@ -236,6 +236,7 @@ def segment_report(
     """
     if not streams:
         raise ValueError("need at least one stream")
+    _check_threshold(threshold)  # before any stream is decoded or recorded as errored
     rows: list[StreamRow] = []
     for index, stream in enumerate(streams):
         try:

@@ -10,16 +10,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteGradientError, ShapeError
 from .gradients import backward, soft_cross_entropy
 from .keypoints import IsolatedSample
-from .model import (
-    FORWARD_CHUNK,
-    ModelConfig,
-    ModelWeights,
-    Workspace,
-    _stack_windows,
-    forward_probs,
-    init_weights,
-    weights_to_dict,
-)
+from .model import ModelConfig, ModelWeights, Workspace, forward_probs, init_weights, weights_to_dict
 from .seeding import derive_rng, derive_seed
 
 
@@ -289,21 +280,11 @@ def _epoch_items(train_set, order, straddle_rng, classes, boundaries):
     return [items[i] for i in straddle_rng.permutation(len(items))]
 
 
-def _probs(weights, samples) -> np.ndarray:
-    """Class probabilities of each sample, (len(samples), classes),
-    FORWARD_CHUNK samples per forward pass."""
-    frames = [s.frames for s in samples]
-    return np.concatenate([
-        forward_probs(weights, _stack_windows(frames[i : i + FORWARD_CHUNK], weights))
-        for i in range(0, len(frames), FORWARD_CHUNK)
-    ])
-
-
 def _mean_loss(weights, items) -> float:
     """Mean cross-entropy of (sample, target) items; 0.0 for none."""
     if not items:
         return 0.0
-    probs = _probs(weights, [s for s, _ in items])
+    probs = forward_probs(weights, [s.frames for s, _ in items])
     return soft_cross_entropy(probs, np.stack([t for _, t in items])) / len(items)
 
 
@@ -329,9 +310,9 @@ def train(
     first learning-rate decay.
 
     Per epoch: a seeded shuffle and seeded straddle draws, mini-batches of
-    tcfg.batch_size (one backward call per FORWARD_CHUNK items, in float32
-    on the stored parameters, adding into one float64 sum, then averaged;
-    the run's one Workspace holds a chunk's activations for every call),
+    tcfg.batch_size (one backward call per batch, in float32 on the stored
+    parameters, adding into one float64 sum, then averaged; the run's one
+    Workspace holds a chunk's activations for every call),
     one in-place adam_step per batch with float64 moments, then validation
     on the same float32 parameters. A copy of them is kept whenever an
     epoch becomes the new best, and the best copy is returned.
@@ -372,13 +353,10 @@ def train(
         items = _epoch_items(train_set, order, straddle_rng, mcfg.classes, boundaries)
         loss_sum = 0.0
         for start in range(0, len(items), tcfg.batch_size):
-            batch = items[start : start + tcfg.batch_size]
-            # one backward call per FORWARD_CHUNK items, all adding into one sum
+            samples, targets = zip(*items[start : start + tcfg.batch_size])
             grad_sum.flat.fill(0.0)
-            for i in range(0, len(batch), FORWARD_CHUNK):
-                samples, targets = zip(*batch[i : i + FORWARD_CHUNK])
-                loss_sum += backward(samples, params, targets, add_to=grad_sum, scratch=scratch)[1]
-            grad_sum.flat /= len(batch)
+            loss_sum += backward(samples, params, targets, add_to=grad_sum, scratch=scratch)[1]
+            grad_sum.flat /= len(samples)
             state = adam_step(params, grad_sum, state, lr, tcfg)
         val_acc = evaluate_isolated(params, val_set)
         record = EpochRecord(epoch, loss_sum / len(items), val_acc, lr, _mean_loss(params, val_straddles))
@@ -408,7 +386,7 @@ def evaluate_isolated(weights: ModelWeights, samples: list[IsolatedSample]) -> f
     """Fraction of samples whose argmax class matches the label."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
-    probs = _probs(weights, samples)
+    probs = forward_probs(weights, [s.frames for s in samples])
     hits = sum(int(np.argmax(p)) == int(s.label) for p, s in zip(probs, samples))
     return hits / len(samples)
 

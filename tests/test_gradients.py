@@ -150,23 +150,53 @@ def test_a_workspace_changes_no_bit_of_the_result(wide):
         assert not any(np.shares_memory(grads.flat, buf) for buf in scratch.values())
 
 
+@pytest.mark.parametrize("kept", [False, True], ids=["fresh", "workspace"])
+@pytest.mark.parametrize("wide", [False, True], ids=["float32", "upcast"])
+def test_one_call_over_a_batch_adds_its_chunks_in_order(tiny_mcfg, wide, kept):
+    stored = init_weights(tiny_mcfg, derive_seed(17, "init"))
+    weights = upcast(stored) if wide else stored
+    samples, targets = zip(*_items(tiny_mcfg, 2 * FORWARD_CHUNK + 3, 17))
+    by_chunk = ModelWeights(tiny_mcfg, np.zeros(param_count(tiny_mcfg)))
+    losses = [
+        backward(samples[i : i + FORWARD_CHUNK], weights, targets[i : i + FORWARD_CHUNK], add_to=by_chunk)[1]
+        for i in range(0, len(samples), FORWARD_CHUNK)
+    ]
+    whole = ModelWeights(tiny_mcfg, np.zeros(param_count(tiny_mcfg)))
+    _, loss = backward(samples, weights, targets, add_to=whole, scratch=Workspace() if kept else None)
+    assert whole.flat.tobytes() == by_chunk.flat.tobytes()
+    np.testing.assert_allclose(loss, sum(losses), rtol=1e-15)
+
+
+def test_a_bad_item_in_the_last_chunk_raises_before_anything_is_added(tiny_mcfg, tiny_weights):
+    samples, targets = map(list, zip(*_items(tiny_mcfg, 2 * FORWARD_CHUNK + 3, 18)))
+    short = IsolatedSample(samples[-1].frames[1:], samples[-1].label)
+    uneven = np.ones(tiny_mcfg.classes)  # sums to more than 1
+    for last, target, error in ((short, targets[-1], ShapeError), (samples[-1], uneven, ValueError)):
+        grads = ModelWeights(tiny_mcfg, np.zeros(param_count(tiny_mcfg)))
+        with pytest.raises(error):
+            backward(samples[:-1] + [last], tiny_weights, targets[:-1] + [target], add_to=grads)
+        assert not grads.flat.any()
+
+
 def test_a_warm_workspace_allocates_a_small_share_of_one_chunks_caches():
     weights = init_weights(GATE_MCFG, derive_seed(16, "init"))
-    samples, targets = zip(*_items(GATE_MCFG, FORWARD_CHUNK, 16))
-    grads = ModelWeights(GATE_MCFG, np.zeros(param_count(GATE_MCFG)))
-    scratch = Workspace()
-    backward(samples, weights, targets, add_to=grads, scratch=scratch)  # allocates the workspace
-    tracemalloc.start()
-    try:
-        backward(samples, weights, targets, add_to=grads, scratch=scratch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # float32 caches of one chunk: eight (window, d_model) arrays per window
     # and layer, the attention weights and the feed-forward activations
     cfg = GATE_MCFG
     caches = cfg.layers * FORWARD_CHUNK * cfg.window * (8 * cfg.d_model + cfg.heads * cfg.window + cfg.d_ff) * 4
-    assert peak < 0.25 * caches
+    # one chunk, and a 50-item mini-batch that runs as seven chunks through one workspace
+    for count in (FORWARD_CHUNK, 50):
+        samples, targets = zip(*_items(GATE_MCFG, count, 16))
+        grads = ModelWeights(GATE_MCFG, np.zeros(param_count(GATE_MCFG)))
+        scratch = Workspace()
+        backward(samples, weights, targets, add_to=grads, scratch=scratch)  # allocates the workspace
+        tracemalloc.start()
+        try:
+            backward(samples, weights, targets, add_to=grads, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * caches, f"{peak} B for {count} items"
 
 
 def test_one_target_per_sample(tiny_weights, tiny_sample):

@@ -345,18 +345,28 @@ class TestEncoderAndClassify:
             assert abs(p.sum() - 1.0) < 1e-9
             assert p.shape == (tiny_mcfg.classes,)
 
-    @pytest.mark.parametrize("batch", [1, 8, 17])
+    # batch sizes on both sides of the chunk boundaries, and an empty batch
+    @pytest.mark.parametrize("batch", [0, 1, 8, 17])
     @pytest.mark.parametrize("gate", [False, True], ids=["tiny", "gate"])
     def test_batch_matches_per_window_calls(self, tiny_mcfg, batch, gate):
         cfg = GATE_MCFG if gate else tiny_mcfg
         stored = init_weights(cfg, 9)
         frames = derive_rng(19, "batch").normal(size=(batch, cfg.window, cfg.input_dim))
+        view = np.stack([frames, frames], axis=-1)[..., 0]  # strided, like a slid stream
+        view.setflags(write=False)
+        short = np.zeros((cfg.window - 1, cfg.input_dim))
         # in float32 as stored and in float64 after upcast; both must be
-        # batch-invariant bit for bit
+        # batch-invariant bit for bit, whether the batch is an array, a
+        # read-only view or a list of windows
         for weights in (stored, upcast(stored)):
-            probs = forward_probs(weights, frames)
-            assert probs.shape == (batch, cfg.classes)
-            np.testing.assert_array_equal(probs, np.stack([forward_probs(weights, f) for f in frames]))
+            want = np.array([forward_probs(weights, f) for f in frames]).reshape(batch, cfg.classes)
+            for batch_frames in (frames, view, list(frames)):
+                probs = forward_probs(weights, batch_frames)
+                assert probs.shape == (batch, cfg.classes)
+                np.testing.assert_array_equal(probs, want)
+            # windows of mixed lengths cannot be stacked
+            with pytest.raises(ShapeError, match=rf"\({cfg.window - 1}, {cfg.input_dim}\)"):
+                forward_probs(weights, list(frames) + [short])
 
     @pytest.mark.parametrize("batch", [1, 2, 8, 64])
     def test_batch_matches_per_window_calls_at_eight_heads(self, batch):

@@ -361,12 +361,24 @@ class TestSegmentReport:
         assert report.rows[0].error is not None
         assert report.rows[1].error is None
 
+    def test_a_bad_threshold_raises_before_any_stream(self, tiny_mcfg, tiny_weights, monkeypatch):
+        # before an errored row is recorded or a stream's forward pass runs
+        passes = []
+        monkeypatch.setattr(signseg.segmentation, "window_probs", lambda *args: passes.append(args))
+        short = ContinuousStream(np.zeros((tiny_mcfg.window - 1, tiny_mcfg.input_dim)), [0])
+        ok = ContinuousStream(np.zeros((tiny_mcfg.window, tiny_mcfg.input_dim)), [0])
+        for streams in ([short], [ok], [short, ok]):
+            with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\), got 7.0"):
+                segment_report(tiny_weights, streams, window=tiny_mcfg.window, threshold=7.0)
+        assert passes == []
+
     def test_each_stage_runs_once_per_decodable_stream(self, tiny_mcfg, tiny_weights, monkeypatch):
-        # the benchmark's tracer times slide, window_probs and post_process
-        # by rebinding these module names, so its per-stage figures mean
-        # one call per stream only while segment_report makes exactly these
+        # the benchmark's tracer times slide, window_probs, forward_probs and
+        # post_process by rebinding these module names, so its per-stage
+        # figures mean one call per stream only while segment_report makes
+        # exactly these
         calls = []
-        for name in ("slide", "window_probs", "post_process"):
+        for name in ("slide", "window_probs", "forward_probs", "post_process"):
             stage = getattr(signseg.segmentation, name)
             monkeypatch.setattr(
                 signseg.segmentation, name,
@@ -375,13 +387,13 @@ class TestSegmentReport:
         rng = derive_rng(8, "stages")
         dim = tiny_mcfg.input_dim
         streams = [
-            ContinuousStream(rng.normal(size=(9, dim)), [0]),
+            ContinuousStream(rng.normal(size=(tiny_mcfg.window + 2 * FORWARD_CHUNK, dim)), [0]),  # two chunks
             ContinuousStream(rng.normal(size=(tiny_mcfg.window - 1, dim)), [1]),  # too short
             ContinuousStream(rng.normal(size=(7, dim)), []),
         ]
         report = segment_report(tiny_weights, streams, window=tiny_mcfg.window, stride=2)
         assert [row.error is None for row in report.rows] == [True, False, True]
-        decode = ["slide", "window_probs", "post_process"]
+        decode = ["slide", "window_probs", "forward_probs", "post_process"]
         assert calls == decode + ["slide"] + decode
 
     def test_aggregates_sum_rows(self, mini_trained):

@@ -378,6 +378,20 @@ class TestTrainLoop:
         peak(8)  # first-call allocations (caches, lazy imports) stay out of the comparison
         assert peak(64) <= peak(8) + FORWARD_CHUNK * per_window
 
+    def test_one_backward_call_per_mini_batch(self, monkeypatch):
+        # backward chunks a mini-batch itself; the benchmark's per-call
+        # backward figures count mini-batches
+        core, val, _, mcfg = small_setup(4, n=16)
+        seen = []
+        backward = signseg.training.backward
+        monkeypatch.setattr(
+            signseg.training, "backward", lambda samples, *a, **k: seen.append(len(samples)) or backward(samples, *a, **k)
+        )
+        batch_size = 2 * FORWARD_CHUNK + 3
+        train(core, val, mcfg, TrainConfig(seed=4, max_epochs=2, batch_size=batch_size))
+        items = len(core) + (len(core) + 3) // 4  # an epoch is 1.25 times the training set
+        assert seen == [min(batch_size, items - start) for start in range(0, items, batch_size)] * 2
+
     def test_one_frame_windows_train_on_the_plain_set(self, monkeypatch):
         # a one-frame window cannot straddle two signs: each epoch is the
         # shuffled training set, and the straddling validation loss is 0.0
