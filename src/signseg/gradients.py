@@ -54,11 +54,20 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
     return float(-(target * np.log(np.maximum(probs, PROB_CLAMP))).sum())
 
 
-def _resolve_target(sample: IsolatedSample, target, classes: int) -> np.ndarray:
+def check_label(label, classes: int, what: str) -> None:
+    """Raises ValueError naming `what` unless label is a Python or numpy
+    integer, not a bool, in [0, classes): a class index a one-hot row can
+    take, where -1 would pick the last class and 1.5 fail inside numpy."""
+    if isinstance(label, bool) or not isinstance(label, (int, np.integer)) or not 0 <= label < classes:
+        raise ValueError(f"{what} label {label!r} is not a class index in [0, {classes})")
+
+
+def _resolve_target(sample: IsolatedSample, target, classes: int, what: str) -> np.ndarray:
     # the one-hot label by default; with it, -sum t ln p adds exact zeros to
     # -ln p[label] and p - t subtracts 0.0 off the label, so both match the
     # plain cross-entropy bit for bit
     if target is None:
+        check_label(sample.label, classes, what)
         return np.eye(classes)[sample.label]
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (classes,):
@@ -80,8 +89,9 @@ def backward(
 
     `samples` is one IsolatedSample, with `targets` its target, or a
     sequence of them, with `targets` None or one target per sample. A
-    target of None is the one-hot label, giving -ln p[label]; a target
-    distribution t over the classes gives -sum t ln p instead. The pass
+    target of None is the one-hot label, giving -ln p[label] (a label that
+    is not an integer class index raises ValueError naming the sample); a
+    target distribution t over the classes gives -sum t ln p instead. The pass
     checks every sample's shape and target, then runs FORWARD_CHUNK samples
     at a time in the dtype of the weights' buffer, like forward_probs:
     float32 as stored, float64 after upcast().
@@ -103,7 +113,8 @@ def backward(
         targets = [None] * len(samples)
     if not samples or len(targets) != len(samples):
         raise ShapeError(f"need one target per sample, got {len(targets)} for {len(samples)} samples")
-    target = np.stack([_resolve_target(s, t, cfg.classes) for s, t in zip(samples, targets)])
+    pairs = enumerate(zip(samples, targets))
+    target = np.stack([_resolve_target(s, t, cfg.classes, f"sample {i}") for i, (s, t) in pairs])
     if add_to is None:
         add_to = ModelWeights(cfg, np.zeros(param_count(cfg)))
     elif add_to.config != cfg or add_to.flat.dtype != np.float64:
@@ -203,7 +214,7 @@ def gradient_check(
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    target = _resolve_target(sample, target, weights.config.classes)
+    target = _resolve_target(sample, target, weights.config.classes, "sample")
     probe = upcast(weights)
     grads, _ = backward(sample, probe, target)
 

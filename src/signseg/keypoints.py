@@ -125,19 +125,25 @@ def normalize_frame(raw: np.ndarray) -> np.ndarray:
 
     Raises:
         DegenerateFrameError: every keypoint of a hand sits on the wrist
-            (max radius below 1e-9), so no scale exists. The message names
-            the first such hand, and its 0-based frame for a recording.
+            (max radius below 1e-9), or a keypoint is NaN, infinite or so
+            large that its square overflows, so no scale exists. The message names the first such hand, and
+            its 0-based frame for a recording.
     """
     points = np.asarray(raw, dtype=np.float64)
     if points.ndim not in (3, 4) or points.shape[-2:] != (KEYPOINTS_PER_HAND, 3):
         raise ShapeError(f"expected ([frames,] hands, {KEYPOINTS_PER_HAND}, 3) keypoints, got {points.shape}")
     relative = points[..., 1:, :] - points[..., :1, :]
     scale = np.sqrt((relative**2).sum(axis=-1)).max(axis=-1)
-    degenerate = np.argwhere(scale < MIN_HAND_SCALE)
+    # a NaN or infinite keypoint, or one whose square overflows, makes its
+    # hand's scale NaN or infinite, which fails the range check as a scale
+    # near zero does
+    degenerate = np.argwhere(~((MIN_HAND_SCALE <= scale) & (scale < np.inf)))
     if len(degenerate):
-        *frame, hand = degenerate[0]
+        *frame, hand = first = tuple(degenerate[0])
         where = f"frame {frame[0]}, hand {hand}" if frame else f"hand {hand}"
-        raise DegenerateFrameError(f"{where}: all keypoints coincide with the wrist")
+        if scale[first] < MIN_HAND_SCALE:
+            raise DegenerateFrameError(f"{where}: all keypoints coincide with the wrist")
+        raise DegenerateFrameError(f"{where}: no finite scale (a keypoint is NaN, infinite or too large)")
     return (relative / scale[..., None, None]).reshape(*points.shape[:-3], -1)
 
 

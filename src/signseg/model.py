@@ -21,12 +21,14 @@ forward_probs and backward take any number of windows and run them
 FORWARD_CHUNK at a time, converting a chunk to the weights' dtype as
 they take it (_chunks).
 
-Each layer writes its activations into the arrays of a Workspace, which
-inference makes afresh per layer. backward() writes most of its scratch
-over activations it has read for the last time. train() owns one
-Workspace per run for every backward call: a FORWARD_CHUNK's activations
-and one layer's scratch in the parameters' dtype, allocated by the first
-step and reused (a short chunk as leading-axis views) by every later one.
+Each layer writes its activations into the arrays of a Workspace. Without
+one, forward_probs makes them afresh per layer, so a deep model never
+holds more than one layer's at a time. backward() writes most of its
+scratch over activations it has read for the last time. train() owns one
+Workspace per run for every backward call and both validation passes: a
+FORWARD_CHUNK's activations and one layer's scratch in the parameters'
+dtype, allocated by the first step and reused (a short chunk as
+leading-axis views) by every later pass.
 
 Parameters live in one flat buffer, float32 at rest (the precision of the
 weights file), with a named view per parameter. The pass computes in the
@@ -424,17 +426,27 @@ def _chunks(frames, weights: ModelWeights):
     return ((i, np.asarray(frames[i : i + FORWARD_CHUNK], dtype)) for i in range(0, len(frames), FORWARD_CHUNK))
 
 
-def forward_probs(weights: ModelWeights, frames) -> np.ndarray:
+def forward_probs(weights: ModelWeights, frames, *, scratch: Workspace | None = None) -> np.ndarray:
     """Full forward pass: one window's frames, a (window, input_dim) array,
     to class probabilities (classes,), or a batch of any size, a
     (B, window, input_dim) array or view or a sequence of windows, to
     (B, classes), FORWARD_CHUNK windows per pass. Computes in the dtype of
     the weights' buffer, float32 as stored or float64 after upcast(); the
     probabilities are float64 either way, and bit for bit the same for a
-    window alone or in a batch of any size."""
+    window alone or in a batch of any size.
+
+    `scratch`, a Workspace the caller keeps across calls, takes every
+    layer's activations of a chunk, the arrays backward keeps, so a caller
+    that already holds one for backward passes it and allocates nothing
+    more. Without it each layer's arrays are fresh and freed as the next
+    layer runs: a deep model decoding once should pass none, since a
+    workspace holds all its layers at once (about 37 MB for the 12-layer
+    default). The result is the same bit for bit, and nothing returned
+    lives in `scratch`."""
     one = isinstance(frames, np.ndarray) and frames.ndim == 2
     batch = frames[None] if one else frames
     probs = np.empty((len(batch), weights.config.classes))
     for i, chunk in _chunks(batch, weights):
-        probs[i : i + len(chunk)] = _classify_internals(_encoder_internals(chunk, weights), weights)[0]
+        features = _encoder_internals(chunk, weights, ws=scratch)
+        probs[i : i + len(chunk)] = _classify_internals(features, weights)[0]
     return probs[0] if one else probs

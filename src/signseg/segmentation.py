@@ -143,7 +143,16 @@ def _run_heads(labels: np.ndarray) -> np.ndarray:
 
 def _rows(wp: list[WindowProb]) -> np.ndarray:
     # in float64, so a float32 row meets the threshold as the float it converts to
-    return np.array([w.probs for w in wp], dtype=np.float64) if wp else np.empty((0, 1))
+    if not wp:
+        return np.empty((0, 1))
+    try:
+        return np.array([w.probs for w in wp], dtype=np.float64)
+    except ValueError:  # numpy's "inhomogeneous shape" among others; the rows are looked at only now
+        first = np.shape(wp[0].probs)
+        i = next((i for i, w in enumerate(wp) if np.shape(w.probs) != first), None)
+        if i is None:
+            raise
+        raise ShapeError(f"window {i} has probabilities of shape {np.shape(wp[i].probs)}, window 0 {first}") from None
 
 
 def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> list[DecodedLabel]:
@@ -152,6 +161,7 @@ def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> 
     A window emits its argmax class when that probability is at least the
     threshold, otherwise Blank. Blanks are dropped, and among the
     survivors each run of equal labels keeps only its first window.
+    Windows with different class counts raise ShapeError.
     """
     labels, tops, _, heads = _decode(_rows(wp), threshold)
     return [DecodedLabel(int(labels[i]), int(i), float(tops[i])) for i in heads]

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NonFiniteGradientError, ShapeError
-from .gradients import backward, soft_cross_entropy
+from .gradients import backward, check_label, soft_cross_entropy
 from .keypoints import IsolatedSample
 from .model import ModelConfig, ModelWeights, Workspace, forward_probs, init_weights, weights_to_dict
 from .seeding import derive_rng, derive_seed
@@ -194,8 +194,7 @@ def _validate_samples(samples: list[IsolatedSample], cfg: ModelConfig, what: str
             raise ShapeError(
                 f"{what} sample {i} has shape {s.frames.shape}, expected ({cfg.window}, {cfg.input_dim})"
             )
-        if not 0 <= s.label < cfg.classes:
-            raise ValueError(f"{what} sample {i} label {s.label} out of range [0, {cfg.classes})")
+        check_label(s.label, cfg.classes, f"{what} sample {i}")
 
 
 # A straddling window keeps a sign's label when that sign fills at least this
@@ -280,11 +279,11 @@ def _epoch_items(train_set, order, straddle_rng, classes, boundaries):
     return [items[i] for i in straddle_rng.permutation(len(items))]
 
 
-def _mean_loss(weights, items) -> float:
+def _mean_loss(weights, items, scratch: Workspace | None = None) -> float:
     """Mean cross-entropy of (sample, target) items; 0.0 for none."""
     if not items:
         return 0.0
-    probs = forward_probs(weights, [s.frames for s, _ in items])
+    probs = forward_probs(weights, [s.frames for s, _ in items], scratch=scratch)
     return soft_cross_entropy(probs, np.stack([t for _, t in items])) / len(items)
 
 
@@ -311,11 +310,14 @@ def train(
 
     Per epoch: a seeded shuffle and seeded straddle draws, mini-batches of
     tcfg.batch_size (one backward call per batch, in float32 on the stored
-    parameters, adding into one float64 sum, then averaged; the run's one
-    Workspace holds a chunk's activations for every call),
-    one in-place adam_step per batch with float64 moments, then validation
-    on the same float32 parameters. A copy of them is kept whenever an
-    epoch becomes the new best, and the best copy is returned.
+    parameters, adding into one float64 sum, then averaged), one in-place
+    adam_step per batch with float64 moments, then validation on the same
+    float32 parameters. The run's one Workspace holds a chunk's
+    activations for every backward call and both validation passes, and
+    an epoch's windows are dropped before validation, so the next epoch
+    draws its own with them already freed. A copy of the parameters is
+    kept whenever an epoch becomes the new best, and the best copy is
+    returned.
     The best epoch has the highest accuracy on the clean validation
     samples; among epochs tied on it, the lowest loss on a fixed set of
     straddling validation windows, one per validation sample (a gain must
@@ -345,7 +347,7 @@ def train(
     best_params = params
     boundaries = False
     grad_sum = ModelWeights(mcfg, np.zeros(params.flat.size))
-    scratch = Workspace()  # one chunk's activations, reused by every backward call
+    scratch = Workspace()  # one chunk's activations, reused by every backward and validation pass
 
     for epoch in range(tcfg.max_epochs):
         lr = lr_at_epoch(tcfg, epoch)
@@ -358,8 +360,10 @@ def train(
             loss_sum += backward(samples, params, targets, add_to=grad_sum, scratch=scratch)[1]
             grad_sum.flat /= len(samples)
             state = adam_step(params, grad_sum, state, lr, tcfg)
-        val_acc = evaluate_isolated(params, val_set)
-        record = EpochRecord(epoch, loss_sum / len(items), val_acc, lr, _mean_loss(params, val_straddles))
+        loss = loss_sum / len(items)
+        del items, samples, targets  # free the epoch's straddling windows before the next draws its own
+        val_acc = evaluate_isolated(params, val_set, scratch=scratch)
+        record = EpochRecord(epoch, loss, val_acc, lr, _mean_loss(params, val_straddles, scratch))
         records.append(record)
         if on_epoch is not None:
             on_epoch(record)
@@ -382,11 +386,17 @@ def _better(record: EpochRecord, best: EpochRecord) -> bool:
     return record.val_straddle_loss < (1.0 - TIE_LOSS_MARGIN) * best.val_straddle_loss
 
 
-def evaluate_isolated(weights: ModelWeights, samples: list[IsolatedSample]) -> float:
-    """Fraction of samples whose argmax class matches the label."""
+def evaluate_isolated(
+    weights: ModelWeights, samples: list[IsolatedSample], *, scratch: Workspace | None = None
+) -> float:
+    """Fraction of samples whose argmax class matches the label.
+
+    `scratch` is forward_probs': train() passes the Workspace its backward
+    calls keep, so validation allocates no activations; one-off callers,
+    deep models above all, pass none."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
-    probs = forward_probs(weights, [s.frames for s in samples])
+    probs = forward_probs(weights, [s.frames for s in samples], scratch=scratch)
     hits = sum(int(np.argmax(p)) == int(s.label) for p, s in zip(probs, samples))
     return hits / len(samples)
 

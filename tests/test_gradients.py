@@ -178,12 +178,16 @@ def test_a_bad_item_in_the_last_chunk_raises_before_anything_is_added(tiny_mcfg,
         assert not grads.flat.any()
 
 
+def _chunk_caches(cfg):
+    """Bytes of one chunk's float32 caches: eight (window, d_model) arrays
+    per window and layer, the attention weights and the feed-forward
+    activations."""
+    return cfg.layers * FORWARD_CHUNK * cfg.window * (8 * cfg.d_model + cfg.heads * cfg.window + cfg.d_ff) * 4
+
+
 def test_a_warm_workspace_allocates_a_small_share_of_one_chunks_caches():
     weights = init_weights(GATE_MCFG, derive_seed(16, "init"))
-    # float32 caches of one chunk: eight (window, d_model) arrays per window
-    # and layer, the attention weights and the feed-forward activations
-    cfg = GATE_MCFG
-    caches = cfg.layers * FORWARD_CHUNK * cfg.window * (8 * cfg.d_model + cfg.heads * cfg.window + cfg.d_ff) * 4
+    caches = _chunk_caches(GATE_MCFG)
     # one chunk, and a 50-item mini-batch that runs as seven chunks through one workspace
     for count in (FORWARD_CHUNK, 50):
         samples, targets = zip(*_items(GATE_MCFG, count, 16))
@@ -197,6 +201,47 @@ def test_a_warm_workspace_allocates_a_small_share_of_one_chunks_caches():
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * caches, f"{peak} B for {count} items"
+
+
+def test_validation_after_a_step_reuses_its_workspace():
+    # train() validates through the workspace its backward calls keep: a
+    # forward over a whole chunk and a part chunk then allocates no activations
+    weights = init_weights(GATE_MCFG, derive_seed(17, "init"))
+    samples, targets = zip(*_items(GATE_MCFG, 2 * FORWARD_CHUNK, 17))
+    scratch = Workspace()
+    backward(samples, weights, targets, scratch=scratch)
+    frames = [s.frames for s in samples[:-3]]
+    want = forward_probs(weights, frames)
+    tracemalloc.start()
+    try:
+        probs = forward_probs(weights, frames, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.tobytes() == want.tobytes()
+    assert peak < 0.1 * _chunk_caches(GATE_MCFG), f"{peak} B"
+
+
+@pytest.mark.parametrize("label", [-1, "classes", 2.5, True], ids=["-1", "classes", "2.5", "True"])
+def test_a_label_that_is_no_class_index_is_rejected_by_name(tiny_mcfg, tiny_weights, tiny_sample, label):
+    # a one-hot row np.eye(classes)[label] would take -1 as the last class,
+    # and fail inside numpy for the others
+    label = tiny_mcfg.classes if label == "classes" else label
+    bad = IsolatedSample(tiny_sample.frames, label)
+    grads = ModelWeights(tiny_mcfg, np.zeros(param_count(tiny_mcfg)))
+    with pytest.raises(ValueError, match=rf"^sample 1 label {label!r} is not a class index in \[0, {tiny_mcfg.classes}\)$"):
+        backward([tiny_sample, bad], tiny_weights, add_to=grads)
+    assert not grads.flat.any()
+    with pytest.raises(ValueError, match=rf"^sample label {label!r} is not a class index"):
+        gradient_check(tiny_weights, bad)
+    # with a target of its own the label is not read
+    backward(bad, tiny_weights, np.full(tiny_mcfg.classes, 1.0 / tiny_mcfg.classes))
+
+
+def test_a_numpy_integer_label_is_a_class_index(tiny_weights, tiny_sample):
+    as_int, loss = backward(tiny_sample, tiny_weights)
+    as_numpy, numpy_loss = backward(IsolatedSample(tiny_sample.frames, np.int64(tiny_sample.label)), tiny_weights)
+    assert numpy_loss == loss and as_numpy.flat.tobytes() == as_int.flat.tobytes()
 
 
 def test_one_target_per_sample(tiny_weights, tiny_sample):

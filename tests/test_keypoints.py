@@ -250,6 +250,18 @@ class TestNormalize:
         with pytest.raises(DegenerateFrameError, match="^hand 1:"):
             normalize_frame(raw[3])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("point", [0, 7], ids=["wrist", "finger"])
+    def test_a_non_finite_keypoint_names_frame_and_hand(self, value, point):
+        # its hand's scale is NaN or infinite, which no comparison with the
+        # degenerate bound caught: the features came out NaN
+        raw = derive_rng(23, "norm").normal(size=(6, 2, KEYPOINTS_PER_HAND, 3))
+        raw[4, 1, point, 2] = value
+        with pytest.raises(DegenerateFrameError, match=r"^frame 4, hand 1: no finite scale"):
+            normalize_frame(raw)
+        with pytest.raises(DegenerateFrameError, match=r"^hand 1: no finite scale"):
+            normalize_frame(raw[4])
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ShapeError):
             normalize_frame(np.ones((2, 20, 3)))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -357,13 +358,16 @@ class TestEncoderAndClassify:
         short = np.zeros((cfg.window - 1, cfg.input_dim))
         # in float32 as stored and in float64 after upcast; both must be
         # batch-invariant bit for bit, whether the batch is an array, a
-        # read-only view or a list of windows
+        # read-only view or a list of windows, and whether the activations
+        # are fresh or go into one workspace kept across every call
+        scratch = Workspace()
         for weights in (stored, upcast(stored)):
             want = np.array([forward_probs(weights, f) for f in frames]).reshape(batch, cfg.classes)
-            for batch_frames in (frames, view, list(frames)):
-                probs = forward_probs(weights, batch_frames)
+            for batch_frames, kept in itertools.product((frames, view, list(frames)), (None, scratch)):
+                probs = forward_probs(weights, batch_frames, scratch=kept)
                 assert probs.shape == (batch, cfg.classes)
                 np.testing.assert_array_equal(probs, want)
+                assert not any(np.shares_memory(probs, buf) for buf in scratch.values())
             # windows of mixed lengths cannot be stacked
             with pytest.raises(ShapeError, match=rf"\({cfg.window - 1}, {cfg.input_dim}\)"):
                 forward_probs(weights, list(frames) + [short])

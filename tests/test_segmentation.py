@@ -196,6 +196,11 @@ class TestPostProcess:
         with pytest.raises(ValueError):
             post_process([], 0.0)
 
+    def test_rows_of_different_class_counts_are_a_shape_error(self):
+        rows = [[0.9, 0.1], [0.8, 0.2], [0.7, 0.2, 0.1]]
+        with pytest.raises(ShapeError, match=r"^window 2 has probabilities of shape \(3,\), window 0 \(2,\)$"):
+            post_process(wp_from_rows(rows))
+
     def test_nan_row_is_blank(self, monkeypatch):
         # a NaN top probability never reaches the threshold, so the class-0
         # window after it is the run head, in the decode, the survivor mean

@@ -1,8 +1,11 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+import signseg.gradients
+import signseg.model
 import signseg.training
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +31,7 @@ from signseg import (
     train,
 )
 from signseg import IsolatedSample
-from signseg.model import FORWARD_CHUNK, param_count, upcast
+from signseg.model import FORWARD_CHUNK, Workspace, param_count, upcast
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import (
     ADAM_BLOCK,
@@ -391,6 +394,63 @@ class TestTrainLoop:
         train(core, val, mcfg, TrainConfig(seed=4, max_epochs=2, batch_size=batch_size))
         items = len(core) + (len(core) + 3) // 4  # an epoch is 1.25 times the training set
         assert seen == [min(batch_size, items - start) for start in range(0, items, batch_size)] * 2
+
+    # whole chunks of validation windows, and a part chunk after two whole ones
+    @pytest.mark.parametrize("val_size", [2 * FORWARD_CHUNK, 2 * FORWARD_CHUNK + 3])
+    def test_one_workspace_per_run_serves_validation_too(self, monkeypatch, val_size):
+        core, val, _, mcfg = small_setup(6, n=30)
+        core, val = core[val_size - len(val) :], val + core[: val_size - len(val)]
+        assert len(val) == val_size and len({s.label for s in val}) == mcfg.classes
+        tcfg = TrainConfig(seed=6, max_epochs=3, batch_size=2 * FORWARD_CHUNK + 3)
+        made = []
+
+        class Counted(Workspace):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        for module in (signseg.model, signseg.gradients, signseg.training):
+            monkeypatch.setattr(module, "Workspace", Counted)
+        weights, history = train(core, val, mcfg, tcfg)
+        assert len(made) == 1, f"{len(made)} workspaces"
+        monkeypatch.undo()
+        # the same run with validation making fresh activations per layer
+        forward_probs = signseg.training.forward_probs
+        monkeypatch.setattr(signseg.training, "forward_probs", lambda w, frames, scratch: forward_probs(w, frames))
+        fresh_weights, fresh_history = train(core, val, mcfg, tcfg)
+        assert weights.flat.tobytes() == fresh_weights.flat.tobytes()
+        assert history == fresh_history
+
+    def test_an_epochs_windows_are_freed_before_validation(self, monkeypatch):
+        # so the next epoch draws its straddling windows with these gone
+        core, val, _, mcfg = small_setup(5)
+        drawn, alive = [], []
+        draw, evaluate = signseg.training.draw_straddles, signseg.training.evaluate_isolated
+
+        def recorded(*args):
+            out = draw(*args)
+            drawn.append([weakref.ref(sample.frames) for sample, _ in out])
+            return out
+
+        def evaluated(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in drawn[-1]))  # this epoch's draw
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(signseg.training, "draw_straddles", recorded)
+        monkeypatch.setattr(signseg.training, "evaluate_isolated", evaluated)
+        train(core, val, mcfg, TrainConfig(seed=5, max_epochs=2, batch_size=8))
+        assert [len(refs) > 0 for refs in drawn] == [True] * 3  # validation's, then one per epoch
+        assert alive == [0, 0]
+
+    @pytest.mark.parametrize("label", [-1, "classes", 2.5, True], ids=["-1", "classes", "2.5", "True"])
+    @pytest.mark.parametrize("where", ["train", "validation"])
+    def test_a_label_that_is_no_class_index_is_rejected_by_name(self, label, where):
+        core, val, _, mcfg = small_setup(7)
+        label = mcfg.classes if label == "classes" else label
+        bad = [core[0], IsolatedSample(core[1].frames, label)]
+        sets = (bad + core[2:], val) if where == "train" else (core, bad + val[2:])
+        with pytest.raises(ValueError, match=rf"^{where} sample 1 label {label!r} is not a class index"):
+            train(*sets, mcfg, TrainConfig(seed=1, max_epochs=1))
 
     def test_one_frame_windows_train_on_the_plain_set(self, monkeypatch):
         # a one-frame window cannot straddle two signs: each epoch is the
