@@ -172,32 +172,21 @@ def resample_sequence(frames: np.ndarray, target: int) -> np.ndarray:
     return (1.0 - frac) * frames[idx] + frac * frames[idx + 1]
 
 
-def concat_isolated(samples: list[IsolatedSample], order: list[int] | None = None) -> ContinuousStream:
-    """Concatenate isolated samples into one continuous stream.
-
-    Args:
-        samples: source samples; all must share the feature dimension.
-        order: indices into `samples` giving the concatenation order,
-            default is the given order. Repeats are allowed.
-    """
+def concat_isolated(samples: list[IsolatedSample]) -> ContinuousStream:
+    """Concatenate isolated samples, in the given order, into one continuous
+    stream; all must share the feature dimension."""
     if not samples:
         raise ValueError("need at least one sample to build a stream")
-    indices = list(range(len(samples))) if order is None else list(order)
-    if not indices:
-        raise ValueError("order must name at least one sample")
-    for i in indices:
-        if not 0 <= i < len(samples):
-            raise ValueError(f"order index {i} out of range for {len(samples)} samples")
-    dims = {samples[i].frames.shape[1] for i in indices}
+    dims = {sample.frames.shape[1] for sample in samples}
     if len(dims) != 1:
         raise ShapeError(f"samples have mixed feature dimensions: {sorted(dims)}")
 
-    frames = np.concatenate([samples[i].frames for i in indices], axis=0)
-    labels = [int(samples[i].label) for i in indices]
+    frames = np.concatenate([sample.frames for sample in samples], axis=0)
+    labels = [int(sample.label) for sample in samples]
     boundaries = []
     start = 0
-    for i in indices:
-        length = samples[i].frames.shape[0]
+    for sample in samples:
+        length = sample.frames.shape[0]
         boundaries.append((start, start + length - 1))
         start += length
     return ContinuousStream(frames=frames, gt_labels=labels, boundaries=boundaries)
@@ -230,7 +219,7 @@ def build_streams(
     for _ in range(n_streams):
         chosen = rng.permutation(len(labels))[:signs_per_stream]
         picks = [by_label[labels[c]][rng.integers(len(by_label[labels[c]]))] for c in chosen]
-        streams.append(concat_isolated(samples, picks))
+        streams.append(concat_isolated([samples[i] for i in picks]))
     return streams
 
 

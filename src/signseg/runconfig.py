@@ -1,13 +1,16 @@
 """Run configuration: one JSON file, every field defaulted, unknown keys
-rejected by name. Command-line flags override file values."""
+rejected by name. Command-line flags override file values. No key sets a
+shape the data decides: `RunConfig.model_config` takes the feature width
+and the class count from the data."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
 from .model import ModelConfig
 from .seeding import derive_seed
+from .segmentation import DEFAULT_THRESHOLD
 from .training import TrainConfig
 
 
@@ -18,19 +21,9 @@ class ModelSection:
     d_model: int = 128
     d_ff: int = 512
     window: int = 50
-    classes: int | None = None  # None: take the data's class count
 
     def __post_init__(self):
-        _model_config(self, input_dim=1, classes=1)  # ModelConfig checks the values
-
-
-def _model_config(section: ModelSection, input_dim: int, classes: int) -> ModelConfig:
-    """Concrete architecture: the data gives the feature width, and the
-    class count unless the section sets one."""
-    values = asdict(section)
-    if section.classes is None:
-        values["classes"] = classes
-    return ModelConfig(**values, input_dim=input_dim)
+        ModelConfig(**asdict(self), input_dim=1, classes=1)  # ModelConfig checks the values
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ class DataSection:
 @dataclass(frozen=True)
 class SegmentationSection:
     stride: int = 1
-    threshold: float = 0.51
+    threshold: float = DEFAULT_THRESHOLD
     n_streams: int = 20
     signs_per_stream: int = 10
 
@@ -82,15 +75,14 @@ class RunConfig:
     seed: int = 0
 
     def model_config(self, input_dim: int, classes: int) -> ModelConfig:
-        return _model_config(self.model, input_dim, classes)
+        """Concrete architecture: the data gives the feature width and the
+        class count, the model section everything else."""
+        return ModelConfig(**asdict(self.model), input_dim=input_dim, classes=classes)
 
     def train_config(self) -> TrainConfig:
         return replace(self.training, seed=derive_seed(self.seed, "train"))
 
 
-_SECTIONS = ("model", "training", "data", "segmentation")
-# fields that accept null (filled from data, or no manifest) and their type
-_OPTIONAL = {("model", "classes"): int, ("data", "manifest"): str}
 # fields a config file may not set
 _NOT_SETTABLE = {("training", "seed")}
 
@@ -114,6 +106,8 @@ def load_config(source: bytes | str | None) -> RunConfig:
 
     An empty document ({}) is valid and yields the full default config.
     Unknown keys and type mismatches raise ConfigError naming the key.
+    Each key's value must have its default's type; a key whose default is
+    None (data.manifest) takes null or a string.
     """
     cfg = RunConfig()
     if source is None:
@@ -125,29 +119,27 @@ def load_config(source: bytes | str | None) -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config top level must be a JSON object")
 
-    for section_name, section_value in obj.items():
-        if section_name in ("out_dir", "seed"):
-            expected = str if section_name == "out_dir" else int
-            setattr(cfg, section_name, _check_type(section_name, section_value, expected))
+    top_level = {f.name for f in fields(RunConfig)}
+    for name, given in obj.items():
+        if name not in top_level:
+            raise ConfigError(f"unknown config key: {name}")
+        section = getattr(cfg, name)
+        if not is_dataclass(section):  # a top-level scalar: out_dir, seed
+            setattr(cfg, name, _check_type(name, given, type(section)))
             continue
-        if section_name not in _SECTIONS:
-            raise ConfigError(f"unknown config key: {section_name}")
-        if not isinstance(section_value, dict):
-            raise ConfigError(f"config key {section_name}: expected an object")
-        section = getattr(cfg, section_name)
-        defaults = {f.name: f.default for f in fields(section) if (section_name, f.name) not in _NOT_SETTABLE}
+        if not isinstance(given, dict):
+            raise ConfigError(f"config key {name}: expected an object")
+        defaults = {f.name: f.default for f in fields(section) if (name, f.name) not in _NOT_SETTABLE}
         changes = {}
-        for key, value in section_value.items():
+        for key, value in given.items():
             if key not in defaults:
-                raise ConfigError(f"unknown config key: {section_name}.{key}")
-            path = f"{section_name}.{key}"
-            optional = _OPTIONAL.get((section_name, key))
-            if value is None and optional is not None:
-                changes[key] = None
-            else:
-                changes[key] = _check_type(path, value, optional or type(defaults[key]))
+                raise ConfigError(f"unknown config key: {name}.{key}")
+            default = defaults[key]
+            if value is not None or default is not None:
+                value = _check_type(f"{name}.{key}", value, str if default is None else type(default))
+            changes[key] = value
         try:  # every section checks its values on construction
-            setattr(cfg, section_name, replace(section, **changes))
+            setattr(cfg, name, replace(section, **changes))
         except ConfigError as exc:
-            raise ConfigError(f"{section_name}.{exc}") from exc
+            raise ConfigError(f"{name}.{exc}") from exc
     return cfg

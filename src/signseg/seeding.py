@@ -15,9 +15,10 @@ def derive_seed(*keys) -> int:
     """Map a tuple of ints/strings to a stable 64-bit seed.
 
     Uses SHA-256 rather than hash() so the value is identical across
-    interpreter runs and platforms.
+    interpreter runs and platforms. A numpy integer keys as the equal int,
+    whose repr does not change with the numpy version.
     """
-    payload = "\x1f".join(repr(k) for k in keys).encode("utf-8")
+    payload = "\x1f".join(repr(int(k) if isinstance(k, np.integer) else k) for k in keys).encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 

@@ -29,7 +29,6 @@ from .errors import ShapeError, StreamTooShortError
 from .keypoints import ContinuousStream
 from .model import ModelWeights, forward_probs
 
-DEFAULT_WINDOW = 50
 DEFAULT_THRESHOLD = 0.51
 
 
@@ -93,9 +92,7 @@ class SegmentReport:
     avg_softmax_without_pp: float
 
 
-def slide(
-    stream: ContinuousStream | np.ndarray, window: int = DEFAULT_WINDOW, stride: int = 1
-) -> np.ndarray:
+def slide(stream: ContinuousStream | np.ndarray, window: int, stride: int = 1) -> np.ndarray:
     """All full windows of the stream's (n, dim) frames as a read-only view
     (floor((n - window) / stride) + 1, window, dim); window i starts at
     frame i * stride."""
@@ -230,7 +227,7 @@ def _stream_row(index, probs, wp, decoded, gt_labels, threshold) -> StreamRow:
 def segment_report(
     weights: ModelWeights,
     streams: list[ContinuousStream],
-    window: int = DEFAULT_WINDOW,
+    window: int,
     stride: int = 1,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> SegmentReport:

@@ -86,6 +86,7 @@ class TestTrain:
         assert set(summary) == {"epochs_run", "best_epoch", "best_val_accuracy", "test_accuracy"}
         assert 0.0 <= summary["test_accuracy"] <= 1.0
         assert summary["epochs_run"] == len(history) - 1
+        assert load_weights_file(out / "model.bin").config.classes == FAST["data"]["classes"]  # the data's count
 
 
 class TestEval:

@@ -336,13 +336,6 @@ class TestConcat:
         assert np.array_equal(stream.frames, s.frames)
         assert stream.gt_labels == [5]
 
-    def test_order_reindexes(self):
-        rng = derive_rng(15, "concat")
-        samples = [IsolatedSample(rng.normal(size=(4, 2)), i) for i in range(3)]
-        stream = concat_isolated(samples, [2, 0, 2])
-        assert stream.gt_labels == [2, 0, 2]
-        np.testing.assert_allclose(stream.frames[:4], samples[2].frames)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             concat_isolated([])

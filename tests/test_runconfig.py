@@ -17,7 +17,6 @@ class TestDefaults:
         assert cfg.model.d_model == 128
         assert cfg.model.d_ff == 512
         assert cfg.model.window == 50
-        assert cfg.model.classes is None
         assert cfg.training.batch_size == 50
         assert cfg.training.lr0 == 0.005
         assert cfg.training.max_epochs == 200
@@ -52,11 +51,9 @@ class TestOverrides:
         assert (cfg.out_dir, cfg.seed) == ("runs/a", 3)
 
     def test_optional_fields_take_values_and_null(self):
-        cfg = load_config(json.dumps({"model": {"classes": 5}, "data": {"manifest": "m.json"}}))
-        assert cfg.model.classes == 5
+        cfg = load_config(json.dumps({"data": {"manifest": "m.json"}}))
         assert cfg.data.manifest == "m.json"
-        cfg = load_config(json.dumps({"model": {"classes": None}, "data": {"manifest": None}}))
-        assert cfg.model.classes is None
+        cfg = load_config(json.dumps({"data": {"manifest": None}}))
         assert cfg.data.manifest is None
 
     def test_float_field_accepts_int_literal(self):
@@ -109,9 +106,9 @@ class TestRejection:
         with pytest.raises(ConfigError, match="model"):
             load_config(json.dumps({"model": 3}))
 
-    @pytest.mark.parametrize("section, key", [("model", "input_dim"), ("data", "hands")])
+    @pytest.mark.parametrize("section, key", [("model", "input_dim"), ("model", "classes"), ("data", "hands")])
     def test_keys_the_data_decides_are_unknown(self, section, key):
-        # the feature width always comes from the data
+        # the feature width and the class count always come from the data
         with pytest.raises(ConfigError, match=f"unknown config key: {section}.{key}"):
             load_config(json.dumps({section: {key: 1}}))
 
@@ -151,15 +148,10 @@ class TestDerivedConfigs:
         assert mcfg.classes == 7
         assert mcfg.d_model == 128
 
-    def test_model_config_explicit_dims_win(self):
-        cfg = load_config(json.dumps({"model": {"classes": 10}}))
-        mcfg = cfg.model_config(input_dim=99, classes=3)
-        assert mcfg.input_dim == 99  # the width always comes from the data
-        assert mcfg.classes == 10
-
     def test_model_section_mirrors_model_config(self):
-        # every ModelConfig field but the data's width needs a config default
-        assert [f.name for f in fields(ModelSection)] == [f.name for f in fields(ModelConfig) if f.name != "input_dim"]
+        # every ModelConfig field but the two the data gives needs a config default
+        from_data = ("input_dim", "classes")
+        assert [f.name for f in fields(ModelSection)] == [f.name for f in fields(ModelConfig) if f.name not in from_data]
 
     def test_train_config_seed_derived_from_run_seed(self):
         a = load_config(json.dumps({"seed": 1})).train_config()
@@ -205,7 +197,6 @@ class TestTrainingSection:
     "section, key, value, message",
     [
         ("model", "window", 0, "model.window must be >= 1, got 0"),
-        ("model", "classes", 0, "model.classes must be >= 1, got 0"),
         ("data", "classes", 1, "data.classes must be >= 2, got 1"),
         ("data", "per_class", 0, "data.per_class must be >= 1, got 0"),
         ("data", "dim", 0, "data.dim must be >= 1, got 0"),

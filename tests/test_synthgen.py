@@ -102,6 +102,15 @@ def test_make_dataset_deterministic():
         assert np.array_equal(x.frames, y.frames) and x.label == y.label
 
 
+def test_numpy_integer_seed_derives_the_int_stream():
+    assert derive_seed(7, "x") == 9529643912638366309  # pinned: Python-int keys must not drift
+    assert derive_seed(np.int64(7), "x") == derive_seed(7, "x")
+    a = make_dataset(np.int64(1), 2, 1, 3, 5, 0.0)
+    b = make_dataset(1, 2, 1, 3, 5, 0.0)
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x.frames, y.frames) and x.label == y.label
+
+
 def test_make_dataset_needs_two_classes():
     with pytest.raises(ValueError):
         make_dataset(seed=1, classes=1, n_per_class=2, dim=3, window=5, noise_sigma=0.0)
