@@ -82,8 +82,11 @@ def parse_keypoint_file(data: bytes | str) -> np.ndarray:
         text = data
 
     frames: list[np.ndarray] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    # JSON Lines ends a line at "\n" only; a "\r" before it is JSON whitespace,
+    # and U+2028 or U+0085 may sit inside a string (splitlines breaks there).
+    # A blank line holds JSON whitespace only (str.strip would also drop \x0c).
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(" \t\r"):
             continue
         try:
             obj = json.loads(line)

@@ -5,6 +5,7 @@ and the class count from the data."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
@@ -42,6 +43,8 @@ class DataSection:
         for name in ("per_class", "dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not math.isfinite(self.noise_sigma):
+            raise ConfigError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         for name in ("split_ratio", "val_fraction"):

@@ -2,6 +2,7 @@
 rate, stratified splits, early stopping on validation accuracy."""
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -29,6 +30,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lr0", "weight_decay", "adam_eps"):  # the other floats' ranges exclude NaN and infinity
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
@@ -109,9 +113,12 @@ class AdamState:
 
 
 # Elements per block of the Adam update: its temporaries are float64 arrays
-# of this length (256 KiB each) whatever the model's size, and a block's
-# operands stay in cache across the elementwise passes made over them.
-ADAM_BLOCK = 1 << 15
+# of this length (64 KiB each) whatever the model's size, and a block's
+# operands stay in cache across the elementwise passes made over them. At
+# 64 KiB they stay under glibc's default 128 KiB mmap threshold, so they
+# come from the heap: blocks of 256 KiB were mapped and unmapped on every
+# step, and each step took hundreds of minor page faults.
+ADAM_BLOCK = 1 << 13
 
 
 def adam_step(
@@ -241,42 +248,62 @@ def draw_straddles(
     """`count` straddling windows, each cut across a random pair of samples
     of different classes at a random shift in [1, window - 1].
 
-    Returns an empty list when no such window exists: fewer than two
-    classes, or windows of one frame.
+    Returns an empty list when no such window exists: no samples, fewer
+    than two classes, or windows of one frame.
     """
+    return _cut(samples, _draw_picks(samples, count, rng), classes)
+
+
+def _draw_picks(samples: list[IsolatedSample], count: int, rng: np.random.Generator) -> np.ndarray:
+    """draw_straddles' draws, without the windows: a (count, 3) array of
+    (first, second, shift) rows, or (0, 3) when no window exists. Per
+    window it draws the first sample, then the second from the other
+    classes, then the shift."""
     labels = np.array([s.label for s in samples])
-    window = samples[0].frames.shape[0]
+    window = samples[0].frames.shape[0] if samples else 0
     if len(np.unique(labels)) < 2 or window < 2:
-        return []
+        return np.empty((0, 3), dtype=np.intp)
     others = {label: np.flatnonzero(labels != label) for label in np.unique(labels)}
-    out = []
-    for _ in range(count):
+    picks = np.empty((count, 3), dtype=np.intp)
+    for row in picks:
         a = int(rng.integers(len(samples)))
         candidates = others[labels[a]]
-        b = int(candidates[rng.integers(len(candidates))])
-        shift = int(rng.integers(1, window))
-        out.append(straddle_window(samples[a], samples[b], shift, classes))
-    return out
+        row[:] = a, candidates[rng.integers(len(candidates))], rng.integers(1, window)
+    return picks
 
 
-def _epoch_items(train_set, order, straddle_rng, classes, boundaries):
-    """One epoch's (sample, target) items, 1.25 times the training set.
+def _cut(
+    samples: list[IsolatedSample], picks: np.ndarray, classes: int
+) -> list[tuple[IsolatedSample, np.ndarray | None]]:
+    """The (sample, target) items that rows of picks name: (i, j, shift) is
+    straddle_window(samples[i], samples[j], shift), and a shift of 0 is
+    sample i itself, with target None."""
+    return [
+        (samples[i], None) if shift == 0 else straddle_window(samples[i], samples[j], shift, classes)
+        for i, j, shift in picks.tolist()
+    ]
+
+
+def _epoch_items(train_set, order, straddle_rng, boundaries) -> np.ndarray:
+    """One epoch's items as (first, second, shift) picks for _cut, 1.25
+    times the training set; train() cuts each mini-batch's windows just
+    before its backward call.
 
     Before boundary training starts: every training sample with its own
-    label (target None), plus straddling windows worth a quarter of the
-    set. After: a quarter of the samples, plus straddling windows worth
-    the whole set. Samples are taken in the shuffled order; the items
-    come in a seeded order. Without straddling windows (fewer than two
-    classes) the epoch is the shuffled set.
+    label (shift 0), plus straddling windows worth a quarter of the set.
+    After: a quarter of the samples, plus straddling windows worth the
+    whole set. Samples are taken in the shuffled order; the items come in
+    a seeded order. Without straddling windows (fewer than two classes)
+    the epoch is the shuffled set.
     """
     n = len(train_set)
     quarter = (n + 3) // 4
-    plain = [(train_set[i], None) for i in (order[:quarter] if boundaries else order)]
-    straddles = draw_straddles(train_set, n + quarter - len(plain), straddle_rng, classes)
-    if not straddles:
-        return [(train_set[i], None) for i in order]
-    items = plain + straddles
-    return [items[i] for i in straddle_rng.permutation(len(items))]
+    plain = order[:quarter] if boundaries else order
+    straddles = _draw_picks(train_set, n + quarter - len(plain), straddle_rng)
+    if not len(straddles):
+        return np.column_stack([order, order, np.zeros_like(order)])
+    items = np.concatenate([np.column_stack([plain, plain, np.zeros_like(plain)]), straddles])
+    return items[straddle_rng.permutation(len(items))]
 
 
 def _mean_loss(weights, items, scratch: Workspace | None = None) -> float:
@@ -313,9 +340,10 @@ def train(
     parameters, adding into one float64 sum, then averaged), one in-place
     adam_step per batch with float64 moments, then validation on the same
     float32 parameters. The run's one Workspace holds a chunk's
-    activations for every backward call and both validation passes, and
-    an epoch's windows are dropped before validation, so the next epoch
-    draws its own with them already freed. A copy of the parameters is
+    activations for every backward call and both validation passes. An
+    epoch draws its straddles up front but cuts each mini-batch's windows
+    just before that batch's backward call, so at most one batch of them
+    is alive, and none at validation. A copy of the parameters is
     kept whenever an epoch becomes the new best, and the best copy is
     returned.
     The best epoch has the highest accuracy on the clean validation
@@ -352,16 +380,16 @@ def train(
     for epoch in range(tcfg.max_epochs):
         lr = lr_at_epoch(tcfg, epoch)
         order = shuffle_rng.permutation(len(train_set))
-        items = _epoch_items(train_set, order, straddle_rng, mcfg.classes, boundaries)
+        items = _epoch_items(train_set, order, straddle_rng, boundaries)
         loss_sum = 0.0
         for start in range(0, len(items), tcfg.batch_size):
-            samples, targets = zip(*items[start : start + tcfg.batch_size])
+            samples, targets = zip(*_cut(train_set, items[start : start + tcfg.batch_size], mcfg.classes))
             grad_sum.flat.fill(0.0)
             loss_sum += backward(samples, params, targets, add_to=grad_sum, scratch=scratch)[1]
             grad_sum.flat /= len(samples)
             state = adam_step(params, grad_sum, state, lr, tcfg)
         loss = loss_sum / len(items)
-        del items, samples, targets  # free the epoch's straddling windows before the next draws its own
+        del samples, targets  # free the last mini-batch's straddling windows before validation
         val_acc = evaluate_isolated(params, val_set, scratch=scratch)
         record = EpochRecord(epoch, loss, val_acc, lr, _mean_loss(params, val_straddles, scratch))
         records.append(record)

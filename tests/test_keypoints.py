@@ -154,14 +154,28 @@ class TestParse:
         [
             (b"\xff\xfe", 0, "line 0: not valid UTF-8"),
             ('{"x": 1}', 1, 'line 1: expected an object with a "hands" key'),
+            ("\r\n \t\n\x0c\n", 3, "line 3: invalid JSON"),
         ],
-        ids=["not_utf8", "no_hands_key"],
+        ids=["not_utf8", "no_hands_key", "form_feed_line"],
     )
     def test_malformed_input_names_its_line(self, data, line_number, message):
         with pytest.raises(KeypointParseError) as exc:
             parse_keypoint_file(data)
         assert exc.value.line_number == line_number
         assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["u2028", "u2029", "x85"])
+    def test_lines_end_at_newline_only(self, separator):
+        # str.splitlines breaks at these, but a JSON string may hold them
+        # unescaped; only "\n" ends a JSON Lines line, and "\r" before it is
+        # JSON whitespace
+        rng = derive_rng(21, "parse")
+        note = json.dumps({"note": f"a{separator}b", "hands": [make_hand(rng).tolist()]}, ensure_ascii=False)
+        text = note + "\r\n" + frame_line([make_hand(rng)]) + "\n{oops\n"
+        assert parse_keypoint_file(text.rsplit("\n", 2)[0]).shape == (2, 1, KEYPOINTS_PER_HAND, 3)
+        with pytest.raises(KeypointParseError) as exc:
+            parse_keypoint_file(text.encode("utf-8"))
+        assert exc.value.line_number == 3
 
     def test_empty_input_is_an_empty_recording(self):
         assert parse_keypoint_file("\n\n").shape == (0, 0, KEYPOINTS_PER_HAND, 3)

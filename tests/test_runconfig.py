@@ -221,6 +221,26 @@ def test_out_of_range_value_names_its_key(section, key, value, message):
     assert str(exc.value) == message
 
 
+FLOAT_KEYS = [
+    (section, key)
+    for section, values in asdict(RunConfig()).items()
+    if isinstance(values, dict)
+    for key, default in values.items()
+    if isinstance(default, float)
+]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_non_finite_float_names_its_key(section, key, literal):
+    # a NaN learning rate used to load and fail later, naming a parameter
+    assert len(FLOAT_KEYS) == 10
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be "):
+        load_config(f'{{"{section}": {{"{key}": {literal}}}}}')
+    with pytest.raises(ConfigError, match=rf"^{key} must be "):
+        replace(getattr(RunConfig(), section), **{key: float(literal.lower())})
+
+
 def test_readme_config_example_is_the_default_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]

@@ -38,6 +38,7 @@ from signseg.training import (
     STRADDLE_MAJORITY,
     AdamState,
     _adam_update,
+    _cut,
     _epoch_items,
     _mean_loss,
     draw_straddles,
@@ -216,10 +217,10 @@ class TestAdam:
         np.testing.assert_array_equal(state.v, v)
         assert state.t == 1
 
-    def test_a_warm_step_at_the_cli_default_peaks_under_2_mib(self):
+    def test_a_warm_step_at_the_cli_default_peaks_under_half_a_mib(self):
         """Parameters and moments are updated in place and every temporary
-        is one block long; writing the parameters into a fresh float32
-        buffer peaked at 10.05 MiB."""
+        is one 64 KiB block long; blocks of 256 KiB peaked at 1.0 MiB, and
+        writing the parameters into a fresh float32 buffer at 10.05 MiB."""
         mcfg = ModelConfig(layers=12, heads=8, d_model=128, d_ff=512, window=50, input_dim=12, classes=10)
         params = init_weights(mcfg, 0)
         grads = _grads_like(params, derive_rng(3, "adam").normal(size=params.flat.size))
@@ -231,7 +232,7 @@ class TestAdam:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 2**20 / 2
 
 
 def _whole_buffer_adam(p, g, m, v, t, lr, cfg):
@@ -422,25 +423,61 @@ class TestTrainLoop:
         assert history == fresh_history
 
     def test_an_epochs_windows_are_freed_before_validation(self, monkeypatch):
-        # so the next epoch draws its straddling windows with these gone
+        # windows are cut one mini-batch at a time, just before its backward
+        # call, and the last batch's are gone when validation runs
         core, val, _, mcfg = small_setup(5)
-        drawn, alive = [], []
-        draw, evaluate = signseg.training.draw_straddles, signseg.training.evaluate_isolated
+        cut, at_backward, at_validation = [], [], []
+        window, backward = signseg.training.straddle_window, signseg.training.backward
+        evaluate = signseg.training.evaluate_isolated
 
         def recorded(*args):
-            out = draw(*args)
-            drawn.append([weakref.ref(sample.frames) for sample, _ in out])
+            out = window(*args)
+            cut.append(weakref.ref(out[0].frames))
             return out
 
+        def alive():  # training's windows: validation's straddles are cut before any epoch
+            return sum(ref() is not None for ref in cut[len(val) :])
+
+        def backward_spy(samples, weights, targets, **kwargs):
+            at_backward.append((alive(), sum(t is not None for t in targets)))  # this batch's windows
+            return backward(samples, weights, targets, **kwargs)
+
         def evaluated(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in drawn[-1]))  # this epoch's draw
+            at_validation.append(alive())
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(signseg.training, "draw_straddles", recorded)
+        monkeypatch.setattr(signseg.training, "straddle_window", recorded)
+        monkeypatch.setattr(signseg.training, "backward", backward_spy)
         monkeypatch.setattr(signseg.training, "evaluate_isolated", evaluated)
-        train(core, val, mcfg, TrainConfig(seed=5, max_epochs=2, batch_size=8))
-        assert [len(refs) > 0 for refs in drawn] == [True] * 3  # validation's, then one per epoch
-        assert alive == [0, 0]
+        # the second epoch trains on boundaries: more straddling windows than a batch
+        train(core, val, mcfg, TrainConfig(seed=5, max_epochs=2, batch_size=8, lr_decay_every=1))
+        assert len(cut) - len(val) > 8  # more than one batch of windows in all
+        assert all(alive == own for alive, own in at_backward), at_backward
+        assert at_validation == [0, 0]
+
+    def test_peak_does_not_grow_with_the_training_set(self):
+        """An epoch's straddling windows are cut one mini-batch at a time, so
+        two epochs at the gate's shape, the second on boundaries, peak within
+        0.25 MiB at about 780 training samples of the peak at about 180.
+        Cutting every window when the epoch began read 13.21 against
+        10.20 MiB."""
+        mcfg = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
+        data = make_dataset(derive_seed(11, "data"), mcfg.classes, 80, mcfg.input_dim, mcfg.window, 0.05)
+        large, val = carve_validation(data, 0.025, derive_seed(11, "val"))
+        small = [s for label in range(mcfg.classes) for s in [s for s in large if s.label == label][:18]]
+        assert (len(small), len(large), len(val)) == (180, 780, 20)
+        tcfg = TrainConfig(seed=11, max_epochs=2, lr_decay_every=1)
+
+        def peak(core):
+            tracemalloc.start()
+            try:
+                train(core, val, mcfg, tcfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(small)  # first-call allocations (caches, lazy imports) stay out of the comparison
+        assert peak(large) - peak(small) <= 2**20 / 4
 
     @pytest.mark.parametrize("label", [-1, "classes", 2.5, True], ids=["-1", "classes", "2.5", "True"])
     @pytest.mark.parametrize("where", ["train", "validation"])
@@ -542,18 +579,18 @@ class TestStraddles:
         assert any(sa.frames.tobytes() != so.frames.tobytes() for (sa, _), (so, _) in zip(a, other))
 
     def test_one_class_has_no_straddles(self):
-        samples = [_ramp(1), _ramp(1)]
-        assert draw_straddles(samples, 5, derive_rng(1, "straddle"), classes=2) == []
+        for samples in ([_ramp(1), _ramp(1)], []):
+            assert draw_straddles(samples, 5, derive_rng(1, "straddle"), classes=2) == []
 
     def test_epoch_holds_a_quarter_more_windows(self):
         samples = make_dataset(seed=4, classes=3, n_per_class=4, dim=4, window=8, noise_sigma=0.05)
-        order = np.arange(len(samples))
+        order = derive_rng(2, "shuffle").permutation(len(samples))
         rng = derive_rng(1, "straddle")
-        signs = _epoch_items(samples, order, rng, 3, boundaries=False)
+        signs = _cut(samples, _epoch_items(samples, order, rng, boundaries=False), 3)
         assert len(signs) == 15
         assert sum(t is None for _, t in signs) == 12
         assert {id(s) for s, t in signs if t is None} == {id(s) for s in samples}
-        boundary = _epoch_items(samples, order, rng, 3, boundaries=True)
+        boundary = _cut(samples, _epoch_items(samples, order, rng, boundaries=True), 3)
         assert len(boundary) == 15
         assert {id(s) for s, t in boundary if t is None} == {id(samples[i]) for i in order[:3]}
 
