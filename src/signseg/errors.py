@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of the
+config dataclasses."""
 
 
 class SignsegError(Exception):
@@ -55,3 +56,11 @@ class WeightsVersionError(WeightsFormatError):
 
 class WeightsTruncationError(WeightsFormatError):
     """The weights blob ends before all declared parameters are present."""
+
+
+def check_integers(config, names) -> None:
+    """Raises ConfigError unless each named field of config is an int, not a bool."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

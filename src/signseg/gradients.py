@@ -16,7 +16,9 @@ from .model import (
     _chunks,
     _classify_internals,
     _encoder_internals,
+    _heads,
     _ones,
+    _projection,
     _row_mean,
     forward_probs,
     param_count,
@@ -44,8 +46,8 @@ def _column_sum(x):
 
 
 def _add_product(g, a, b, ws: Workspace) -> None:
-    """g += a @ b, the product taken in a buffer shared by all gradients of g's shape."""
-    g += np.matmul(a, b, out=ws(("grad", g.shape), g.shape, a.dtype))
+    """g += a @ b read in g's shape, the product taken in a buffer shared by all gradients of that shape."""
+    g += np.matmul(a, b, out=ws(("grad", g.shape), (len(a), b.shape[-1]), a.dtype)).reshape(g.shape)
 
 
 def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
@@ -163,27 +165,23 @@ def _backward_chunk(frames, target, weights: ModelWeights, add_to: ModelWeights,
         _add_product(g.wo, c["concat"].T, dx, ws)
         d_concat = np.matmul(dx, layer.wo.T, out=c["concat"])
 
-        # all heads of all windows at once, (B, heads, window, d_k); a is
+        # each head's view (B, heads, window, d_k) of the row layout; a is
         # key-major, a[..., key, query], and q was scaled by 1 / sqrt(d_k)
-        q, k, v, a = c["q"], c["k"], c["v"], c["a"]
-        d_head = d_concat.reshape(-1, cfg.window, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
+        q, k, v, d_head = (_heads(x, cfg.heads, cfg.window) for x in (c["q"], c["k"], c["v"], d_concat))
+        a = c["a"]
         da = np.matmul(v, d_head.transpose(0, 1, 3, 2), out=ws("da", a.shape, dtype))
-        dv = np.matmul(a, d_head, out=v)
+        np.matmul(a, d_head, out=v)  # dv over v
         # the softmax jacobian down each query's column of keys
         da -= ones @ np.multiply(da, a, out=ws("da*a", a.shape, dtype))
         ds = np.multiply(a, da, out=a)
-        dq = np.matmul(ds.transpose(0, 1, 3, 2), k, out=d_concat.reshape(q.shape))
-        dq *= scale
-        dk = np.matmul(ds, q, out=k)
+        np.matmul(ds.transpose(0, 1, 3, 2), k, out=d_head)  # dq over concat
+        d_concat *= scale
+        np.matmul(ds, q, out=k)  # dk over k
         x_in_t = ws(("out", i - 1), dx.shape, dtype).T
-        for d, w, gw in ((dq, layer.wq, g.wq), (dk, layer.wk, g.wk), (dv, layer.wv, g.wv)):
-            # q is dead, so its buffer takes d in the layout each product needs.
-            # Per head, (d_model, B * window) @ (B * window, d_k)
-            np.copyto(q.reshape(cfg.heads, -1, cfg.window, cfg.d_k), d.transpose(1, 0, 2, 3))
-            _add_product(gw, x_in_t, q.reshape(cfg.heads, rows, cfg.d_k), ws)
-            # the residual's gradient plus every head's: (B * window, heads * d_k) @ (heads * d_k, d_model)
-            np.copyto(q.reshape(-1, cfg.window, cfg.heads, cfg.d_k), d.transpose(0, 2, 1, 3))
-            dx += np.matmul(q.reshape(rows, -1), w.transpose(0, 2, 1).reshape(-1, cfg.d_model), out=tmp)
+        for d, w, gw in ((d_concat, layer.wq, g.wq), (c["k"], layer.wk, g.wk), (c["v"], layer.wv, g.wv)):
+            # one (d_model, B * window) @ (B * window, heads * d_k) product, then every head's input gradient
+            _add_product(gw.transpose(1, 0, 2), x_in_t, d, ws)
+            dx += np.matmul(d, _projection(w).T, out=tmp)
 
     _add_product(add_to.embed_w, frames.reshape(rows, cfg.input_dim).T, dx, ws)
     add_to.embed_b += _column_sum(dx)

@@ -12,11 +12,13 @@ over all B * window rows, attention per window and head, and the head as
 one matrix-vector product per window. Row reductions are BLAS products
 with a ones vector, also taken per window: a layer norm's means are one
 (B, window, d) @ (d, 1) product, since a single (B * window, d) @ (d, 1)
-product rounds a row differently for different B. Attention keeps its
-matrix key-major, k @ q^T of shape (B, heads, keys, queries), so the
-softmax's max runs down axis -2, an elementwise pass over rows, and its
-sum is ones(1, window) @ a, one product per window and head. So a
-window's probabilities are bit for bit the same in a batch of any size.
+product rounds a row differently for different B. Attention has one
+layout: q, k, v and concat are (B * window, heads * d_k), so a projection
+is one product and a head's d_k columns are a view (_heads). Only the
+attention matrix is per head, key-major, k @ q^T of shape (B, heads, keys,
+queries), so the softmax's max runs down axis -2, an elementwise pass over
+rows, and its sum is ones(1, window) @ a, one product per window and head.
+So a window's probabilities are bit for bit the same in any batch.
 forward_probs and backward take any number of windows and run them
 FORWARD_CHUNK at a time, converting a chunk to the weights' dtype as
 they take it (_chunks).
@@ -52,20 +54,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_integers
 from .seeding import derive_rng
 
 LN_EPS = 1e-5
 PE_BASE = 10000.0
 PROB_CLAMP = 1e-12
 # Windows per pass of forward_probs and backward, which chunk any batch.
-# Batching cuts the per-pass Python work: in chunks of 8, float64 decoding
-# ran 1.4x as fast as one window per pass at the gate's shape and the
-# 12-layer default's (BENCH_batched_decode.json), and from 32 on the score
-# tensors outgrow the cache. In float32 with the BLAS reductions, 8 was
-# fastest at both: 0.37 ms a window at the gate's shape against 0.41 for 4
-# and 0.49 for 16, and 5.2-5.5 ms at the 12-layer default's against 5.7-5.8
-# for 4 and 5.4-5.6 for 16 (BENCH_blas_reductions.json).
+# Chunks of 8 decoded 1.4x as fast as one window per pass in float64
+# (BENCH_batched_decode.json). In float32, on one OpenBLAS thread, three
+# sweeps of 4 to 32 ranked the sizes differently each time, and none beat 8
+# at both the gate's shape and the 12-layer default's in every sweep.
 FORWARD_CHUNK = 8
 
 _DIM_FIELDS = ("heads", "d_model", "d_ff", "window", "input_dim", "classes")
@@ -84,10 +83,7 @@ class ModelConfig:
     classes: int
 
     def __post_init__(self):
-        for name in ("layers",) + _DIM_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, ("layers",) + _DIM_FIELDS)
         if self.layers < 0:
             raise ConfigError(f"layers must be >= 0, got {self.layers}")
         for name in _DIM_FIELDS:
@@ -306,17 +302,25 @@ def _layer_norm_fwd(x, gain, bias, xhat, inv_std, window):
     return np.add(x, bias, out=x)
 
 
+def _heads(x, heads: int, window: int):
+    """Each head's view (B, heads, window, d_k) of x (B * window, heads * d_k)."""
+    return x.reshape(-1, window, heads, x.shape[-1] // heads).transpose(0, 2, 1, 3)
+
+
+def _projection(w):
+    """A (heads, d_model, d_k) projection weight as one (d_model, heads * d_k) matrix."""
+    return w.transpose(1, 0, 2).reshape(w.shape[1], -1)
+
+
 def _mha_fwd(x, layer, c):
     """Attention of x (B * window, d_model) into c["y1"], the rest kept in c:
     q scaled by 1 / sqrt(d_k) and the key-major attention matrix a."""
-    q, k, v, a = c["q"], c["k"], c["v"], c["a"]
-    b, heads, window, d_k = q.shape
-    # all heads of all windows at once, (B, heads, window, d_k); each
-    # window's per-head products are the same BLAS calls as one at a time
-    xb = x.reshape(b, 1, window, -1)
-    for w, out in ((layer.wq, q), (layer.wk, k), (layer.wv, v)):
-        np.matmul(xb, w, out=out)
-    q *= 1.0 / math.sqrt(d_k)  # q is window * d_k numbers, the scores window * window
+    a = c["a"]
+    heads, window = a.shape[1], a.shape[-1]
+    for w, name in ((layer.wq, "q"), (layer.wk, "k"), (layer.wv, "v")):
+        np.matmul(x, _projection(w), out=c[name])
+    q, k, v, concat = (_heads(c[name], heads, window) for name in ("q", "k", "v", "concat"))
+    q *= 1.0 / math.sqrt(q.shape[-1])  # q is window * d_k numbers, the scores window * window
     # key-major scores a[..., key, query], so the softmax runs down axis -2:
     # its max is an elementwise pass over rows, its sum one matrix-vector
     # product per window and head
@@ -324,8 +328,6 @@ def _mha_fwd(x, layer, c):
     a -= a.max(axis=-2, keepdims=True)
     np.exp(a, out=a)
     a /= _ones((1, window), a.dtype) @ a
-    # each head's a^T @ v straight into its columns of concat
-    concat = c["concat"].reshape(b, window, heads, d_k).transpose(0, 2, 1, 3)
     np.matmul(a.transpose(0, 1, 3, 2), v, out=concat)
     return np.matmul(c["concat"], layer.wo, out=c["y1"])
 
@@ -352,9 +354,9 @@ class Workspace(dict):
     def layer(self, i: int, cfg: ModelConfig, rows: int, dtype) -> dict[str, np.ndarray]:
         """Layer i's arrays for `rows` frames, under (name, i). Its input is
         layer i - 1's "out", and the embedding's output is ("out", -1)."""
-        head, rd = (rows // cfg.window, cfg.heads, cfg.window, cfg.d_k), (rows, cfg.d_model)
-        shapes = dict(q=head, k=head, v=head, a=(*head[:3], cfg.window), concat=rd, y1=rd, xhat1=rd,
-                      inv1=(rows, 1), act=(rows, cfg.d_ff), xhat2=rd, inv2=(rows, 1), out=rd)
+        rd = (rows, cfg.d_model)
+        shapes = dict(q=rd, k=rd, v=rd, a=(rows // cfg.window, cfg.heads, cfg.window, cfg.window), concat=rd,
+                      y1=rd, xhat1=rd, inv1=(rows, 1), act=(rows, cfg.d_ff), xhat2=rd, inv2=(rows, 1), out=rd)
         return {name: self((name, i), shape, dtype) for name, shape in shapes.items()}
 
 

@@ -96,10 +96,11 @@ def slide(stream: ContinuousStream | np.ndarray, window: int, stride: int = 1) -
     """All full windows of the stream's (n, dim) frames as a read-only view
     (floor((n - window) / stride) + 1, window, dim); window i starts at
     frame i * stride."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    for name, value in (("window", window), ("stride", stride)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     frames = stream.frames if isinstance(stream, ContinuousStream) else np.asarray(stream)
     if frames.ndim != 2:
         raise ShapeError(f"stream frames have shape {frames.shape}, expected (frames, dim)")
@@ -143,13 +144,25 @@ def _rows(wp: list[WindowProb]) -> np.ndarray:
     if not wp:
         return np.empty((0, 1))
     try:
-        return np.array([w.probs for w in wp], dtype=np.float64)
-    except ValueError:  # numpy's "inhomogeneous shape" among others; the rows are looked at only now
-        first = np.shape(wp[0].probs)
-        i = next((i for i, w in enumerate(wp) if np.shape(w.probs) != first), None)
-        if i is None:
-            raise
-        raise ShapeError(f"window {i} has probabilities of shape {np.shape(wp[i].probs)}, window 0 {first}") from None
+        rows = np.array([w.probs for w in wp], dtype=np.float64)
+    except ValueError:  # numpy's "inhomogeneous shape" among others
+        _check_rows(wp)
+        raise
+    if rows.ndim != 2:
+        _check_rows(wp)
+    return rows
+
+
+def _check_rows(wp: list[WindowProb]) -> None:
+    """Raises ShapeError naming the first window whose probabilities are not
+    a 1-D row of window 0's shape; the rows are looked at only when numpy
+    did not stack them into (n, C)."""
+    shapes = [np.shape(w.probs) for w in wp]
+    for i, shape in enumerate(shapes):
+        if len(shape) != 1:
+            raise ShapeError(f"window {i} has probabilities of shape {shape}, expected one row (classes,)") from None
+        if shape != shapes[0]:
+            raise ShapeError(f"window {i} has probabilities of shape {shape}, window 0 {shapes[0]}") from None
 
 
 def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> list[DecodedLabel]:
@@ -158,7 +171,8 @@ def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> 
     A window emits its argmax class when that probability is at least the
     threshold, otherwise Blank. Blanks are dropped, and among the
     survivors each run of equal labels keeps only its first window.
-    Windows with different class counts raise ShapeError.
+    Windows whose probabilities are not 1-D rows of one class count
+    raise ShapeError.
     """
     labels, tops, _, heads = _decode(_rows(wp), threshold)
     return [DecodedLabel(int(labels[i]), int(i), float(tops[i])) for i in heads]

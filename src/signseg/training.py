@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteGradientError, ShapeError
+from .errors import ConfigError, NonFiniteGradientError, ShapeError, check_integers
 from .gradients import backward, check_label, soft_cross_entropy
 from .keypoints import IsolatedSample
 from .model import ModelConfig, ModelWeights, Workspace, forward_probs, init_weights, weights_to_dict
@@ -30,6 +30,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, ("batch_size", "lr_decay_every", "max_epochs", "early_stop_patience", "seed"))
         for name in ("lr0", "weight_decay", "adam_eps"):  # the other floats' ranges exclude NaN and infinity
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

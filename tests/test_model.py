@@ -50,8 +50,18 @@ def code_at(pos, d_model):
 
 
 def mha(x, layer, cfg):
-    """Multi-head attention of one window x (window, d_model), on fresh arrays."""
+    """Multi-head attention of windows x (B * window, d_model), on fresh arrays."""
     return _mha_fwd(x, layer, Workspace().layer(0, cfg, x.shape[0], x.dtype))
+
+
+def mha_oracle(x, layer, cfg):
+    """Attention of one window x (window, d_model) in float64, head by head
+    through attention_weights, then concatenated and projected."""
+    heads = []
+    for h in range(cfg.heads):
+        q, k, v = (x @ np.asarray(w[h], dtype=np.float64) for w in (layer.wq, layer.wk, layer.wv))
+        heads.append(attention_weights(q, k, cfg.d_k) @ v)
+    return np.concatenate(heads, axis=1) @ np.asarray(layer.wo, dtype=np.float64)
 
 
 def feed_forward(x, layer):
@@ -246,14 +256,17 @@ class TestMultiHead:
         layer = weights.layers[0]
         rng = derive_rng(8, "mha")
         x = rng.normal(size=(6, 8))
-        heads = []
-        for h in range(2):
-            q = x @ np.asarray(layer.wq[h], dtype=np.float64)
-            k = x @ np.asarray(layer.wk[h], dtype=np.float64)
-            v = x @ np.asarray(layer.wv[h], dtype=np.float64)
-            heads.append(attention_weights(q, k, cfg.d_k) @ v)
-        want = np.concatenate(heads, axis=1) @ np.asarray(layer.wo, dtype=np.float64)
-        np.testing.assert_allclose(mha(x, layer, cfg), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mha(x, layer, cfg), mha_oracle(x, layer, cfg), rtol=0, atol=1e-12)
+
+    def test_matches_per_head_oracle_on_a_batch(self):
+        # three windows in one pass over 3 * window rows: rows and heads
+        # mixed up across windows would show here, not on one window
+        cfg = ModelConfig(layers=1, heads=4, d_model=12, d_ff=8, window=5, input_dim=12, classes=2)
+        layer = init_weights(cfg, 3).layers[0]
+        x = derive_rng(9, "mha-batch").normal(size=(3, cfg.window, cfg.d_model))
+        got = mha(x.reshape(-1, cfg.d_model), layer, cfg).reshape(x.shape)
+        for window, out in zip(x, got):
+            np.testing.assert_allclose(out, mha_oracle(window, layer, cfg), rtol=0, atol=1e-12)
 
 
 class TestFeedForwardAndNorm:

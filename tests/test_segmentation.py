@@ -108,16 +108,24 @@ class TestSlide:
         rng = derive_rng(1, "slide")
         for _ in range(30):
             n = int(rng.integers(10, 200))
-            window = int(rng.integers(1, n + 1))
-            stride = int(rng.integers(1, 20))
+            window = rng.integers(1, n + 1)  # numpy integers are integers too
+            stride = rng.integers(1, 20)
             wins = slide(rng.normal(size=(n, 2)), window=window, stride=stride)
             assert len(wins) == (n - window) // stride + 1
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^window must be >= 1, got 0$"):
             slide(np.zeros((10, 2)), window=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^stride must be >= 1, got 0$"):
             slide(np.zeros((10, 2)), window=5, stride=0)
+        for kwargs, message in [
+            (dict(window=5.0), r"^window must be an integer, got 5\.0$"),
+            (dict(window=True), r"^window must be an integer, got True$"),
+            (dict(window=5, stride=1.5), r"^stride must be an integer, got 1\.5$"),
+            (dict(window=5, stride=True), r"^stride must be an integer, got True$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                slide(np.zeros((10, 2)), **kwargs)
 
 
 class TestWindowProbs:
@@ -197,9 +205,17 @@ class TestPostProcess:
             post_process([], 0.0)
 
     def test_rows_of_different_class_counts_are_a_shape_error(self):
-        rows = [[0.9, 0.1], [0.8, 0.2], [0.7, 0.2, 0.1]]
-        with pytest.raises(ShapeError, match=r"^window 2 has probabilities of shape \(3,\), window 0 \(2,\)$"):
-            post_process(wp_from_rows(rows))
+        for rows, message in [
+            ([[0.9, 0.1], [0.8, 0.2], [0.7, 0.2, 0.1]], r"^window 2 has probabilities of shape \(3,\), window 0 \(2,\)$"),
+            # rows that are not 1-D: (1, C) rows alone or beside 1-D ones, and 0-d rows
+            ([[[0.9, 0.1]]], r"^window 0 has probabilities of shape \(1, 2\), expected one row \(classes,\)$"),
+            ([[[0.9, 0.1]], [[0.8, 0.2]]], r"^window 0 has probabilities of shape \(1, 2\), expected one row"),
+            ([[0.9, 0.1], [[0.8, 0.2]]], r"^window 1 has probabilities of shape \(1, 2\), expected one row"),
+            ([0.9, 0.8], r"^window 0 has probabilities of shape \(\), expected one row"),
+            ([[0.9, 0.1], 0.8], r"^window 1 has probabilities of shape \(\), expected one row"),
+        ]:
+            with pytest.raises(ShapeError, match=message):
+                post_process(wp_from_rows(rows))
 
     def test_nan_row_is_blank(self, monkeypatch):
         # a NaN top probability never reaches the threshold, so the class-0
@@ -478,6 +494,11 @@ class TestEmitters:
         assert lines[2].endswith(",")  # collapsed duplicate emits nothing
         assert lines[3].endswith(",Blank")  # below threshold
         assert lines[4].endswith(",1")
+
+    def test_windows_csv_rejects_rows_that_are_not_1d(self):
+        wp = wp_from_rows([[[0.1, 0.9]], [[0.9, 0.1]]])
+        with pytest.raises(ShapeError, match=r"^window 0 has probabilities of shape \(1, 2\), expected one row"):
+            windows_csv(wp, [], 0.51)
 
     def test_summary_csv_and_json(self, mini_trained):
         weights, _, test_set = mini_trained

@@ -68,6 +68,14 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             TrainConfig(beta1=1.0)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name", ["batch_size", "lr_decay_every", "max_epochs", "early_stop_patience", "seed"])
+    def test_integer_fields_reject_floats_and_bools(self, name, value):
+        # 2.5 epochs would fail inside range(), 1.5 a decay period would
+        # silently move the schedule, and True would pass for 1
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got {value!r}$"):
+            TrainConfig(**{name: value})
+
 
 class TestSchedule:
     def test_pinned_points(self):
