@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer check of the
-config dataclasses."""
+"""Exception types shared across the package, and the integer checks of
+the config dataclasses and of plain arguments."""
+
+import numpy as np
 
 
 class SignsegError(Exception):
@@ -58,9 +60,27 @@ class WeightsTruncationError(WeightsFormatError):
     """The weights blob ends before all declared parameters are present."""
 
 
-def check_integers(config, names) -> None:
-    """Raises ConfigError unless each named field of config is an int, not a bool."""
-    for name in names:
+def check_integers(config, minimums: dict[str, int | None]) -> None:
+    """Raises ConfigError unless each named field of config is an int, not a
+    bool, and at least its minimum (None for none)."""
+    for name, minimum in minimums.items():
         value = getattr(config, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool (numpy would read True as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_counts(minimum: int, **values) -> None:
+    """Raises ValueError naming the first value that is not is_integer (a
+    float would fail inside numpy) or is below minimum."""
+    for name, value in values.items():
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")

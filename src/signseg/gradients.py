@@ -7,7 +7,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, is_integer
 from .keypoints import IsolatedSample
 from .model import (
     PROB_CLAMP,
@@ -57,10 +57,9 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
 
 
 def check_label(label, classes: int, what: str) -> None:
-    """Raises ValueError naming `what` unless label is a Python or numpy
-    integer, not a bool, in [0, classes): a class index a one-hot row can
-    take, where -1 would pick the last class and 1.5 fail inside numpy."""
-    if isinstance(label, bool) or not isinstance(label, (int, np.integer)) or not 0 <= label < classes:
+    """Raises ValueError naming `what` unless label is_integer in [0, classes):
+    a class index a one-hot row can take, where -1 would pick the last class."""
+    if not is_integer(label) or not 0 <= label < classes:
         raise ValueError(f"{what} label {label!r} is not a class index in [0, {classes})")
 
 
@@ -84,8 +83,6 @@ def backward(
     weights: ModelWeights,
     targets=None,
     add_to: ModelWeights | None = None,
-    *,
-    scratch: Workspace | None = None,
 ) -> tuple[ModelWeights, float]:
     """Loss and exact gradients of the cross-entropy, summed over a batch.
 
@@ -103,10 +100,10 @@ def backward(
     gradient of the parameter of the same name. Given `add_to`, a float64
     ModelWeights of the same config, each chunk's gradients are added in
     turn into its views and `add_to` is returned; otherwise into a fresh
-    zeroed buffer. `scratch`, a Workspace the caller keeps across calls,
-    holds a chunk's activations and scratch; without one the call makes
-    its own. The result is the same bit for bit, and nothing returned
-    lives in it.
+    zeroed buffer. A chunk's activations and scratch go into
+    weights.workspace when it is set, else into a Workspace made for the
+    call and not kept. The result is the same bit for bit, and nothing
+    returned lives in either.
     """
     cfg = weights.config
     if isinstance(samples, IsolatedSample):
@@ -121,7 +118,7 @@ def backward(
         add_to = ModelWeights(cfg, np.zeros(param_count(cfg)))
     elif add_to.config != cfg or add_to.flat.dtype != np.float64:
         raise ShapeError("add_to must be a float64 ModelWeights of the weights' config")
-    ws = Workspace() if scratch is None else scratch
+    ws = Workspace() if weights.workspace is None else weights.workspace
     loss = 0.0
     for i, frames in _chunks([s.frames for s in samples], weights):
         loss += _backward_chunk(frames, target[i : i + len(frames)], weights, add_to, ws)
@@ -201,7 +198,8 @@ def gradient_check(
     seed: int = 0,
     target: np.ndarray | None = None,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference gradients,
+    NaN when any coordinate's error is NaN (as for NaN weights).
 
     Sweeps every parameter coordinate, or a seeded subsample of at least
     200 coordinates when max_coords caps the sweep. Both gradients are taken
@@ -210,8 +208,8 @@ def gradient_check(
     backward differentiates: against the one-hot label, or against
     `target` when one is given.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     target = _resolve_target(sample, target, weights.config.classes, "sample")
     probe = upcast(weights)
     grads, _ = backward(sample, probe, target)
@@ -224,7 +222,7 @@ def gradient_check(
     def loss_at() -> float:
         return soft_cross_entropy(forward_probs(probe, sample.frames), target)
 
-    worst = 0.0
+    errors = []
     for i in coords:
         original = probe.flat[i]
         probe.flat[i] = original + epsilon
@@ -233,6 +231,5 @@ def gradient_check(
         minus = loss_at()
         probe.flat[i] = original
         fd = (plus - minus) / (2.0 * epsilon)
-        analytic = float(grads.flat[i])
-        worst = max(worst, relative_error(analytic, fd))
-    return worst
+        errors.append(relative_error(float(grads.flat[i]), fd))
+    return float(np.max(errors))  # unlike max(), np.max keeps a NaN, so NaN weights fail the check

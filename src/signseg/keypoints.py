@@ -15,6 +15,7 @@ their ground-truth label order.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,7 @@ from .errors import (
     HandCountError,
     KeypointParseError,
     ShapeError,
+    check_counts,
 )
 from .seeding import derive_rng
 
@@ -157,8 +159,7 @@ def resample_sequence(frames: np.ndarray, target: int) -> np.ndarray:
     the linear interpolation of its two neighbours, so the endpoints are
     preserved exactly and target == t returns a copy of the input.
     """
-    if target < 1:
-        raise ValueError(f"target length must be >= 1, got {target}")
+    check_counts(1, target=target)
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ShapeError(f"expected a (frames, features) array, got shape {frames.shape}")
@@ -186,12 +187,8 @@ def concat_isolated(samples: list[IsolatedSample]) -> ContinuousStream:
 
     frames = np.concatenate([sample.frames for sample in samples], axis=0)
     labels = [int(sample.label) for sample in samples]
-    boundaries = []
-    start = 0
-    for sample in samples:
-        length = sample.frames.shape[0]
-        boundaries.append((start, start + length - 1))
-        start += length
+    ends = itertools.accumulate(len(sample.frames) for sample in samples)
+    boundaries = [(end - len(sample.frames), end - 1) for sample, end in zip(samples, ends)]
     return ContinuousStream(frames=frames, gt_labels=labels, boundaries=boundaries)
 
 
@@ -207,8 +204,7 @@ def build_streams(
     and one random sample per drawn class, so no two adjacent signs share a
     label (run collapse in the decoder cannot tell adjacent repeats apart).
     """
-    if n_streams < 1 or signs_per_stream < 1:
-        raise ValueError("n_streams and signs_per_stream must be >= 1")
+    check_counts(1, n_streams=n_streams, signs_per_stream=signs_per_stream)
     by_label: dict[int, list[int]] = {}
     for i, sample in enumerate(samples):
         by_label.setdefault(int(sample.label), []).append(i)

@@ -23,14 +23,14 @@ forward_probs and backward take any number of windows and run them
 FORWARD_CHUNK at a time, converting a chunk to the weights' dtype as
 they take it (_chunks).
 
-Each layer writes its activations into the arrays of a Workspace. Without
-one, forward_probs makes them afresh per layer, so a deep model never
-holds more than one layer's at a time. backward() writes most of its
-scratch over activations it has read for the last time. train() owns one
-Workspace per run for every backward call and both validation passes: a
-FORWARD_CHUNK's activations and one layer's scratch in the parameters'
-dtype, allocated by the first step and reused (a short chunk as
-leading-axis views) by every later pass.
+Each layer writes its activations into the arrays of a Workspace, the
+weights' own (ModelWeights.workspace) when it is set. Built weights have
+none: forward_probs makes the arrays afresh per layer, so a deep model
+never holds more than one layer's at a time, and backward() one Workspace
+per call, most of its scratch written over activations read for the last
+time. train() sets the field for its run, so every backward call and both
+validation passes reuse a FORWARD_CHUNK's activations and one layer's
+scratch, allocated by the first step (a short chunk as leading-axis views).
 
 Parameters live in one flat buffer, float32 at rest (the precision of the
 weights file), with a named view per parameter. The pass computes in the
@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_integers
+from .errors import ConfigError, ShapeError, check_counts, check_integers
 from .seeding import derive_rng
 
 LN_EPS = 1e-5
@@ -66,8 +66,6 @@ PROB_CLAMP = 1e-12
 # sweeps of 4 to 32 ranked the sizes differently each time, and none beat 8
 # at both the gate's shape and the 12-layer default's in every sweep.
 FORWARD_CHUNK = 8
-
-_DIM_FIELDS = ("heads", "d_model", "d_ff", "window", "input_dim", "classes")
 
 
 @dataclass(frozen=True)
@@ -83,12 +81,7 @@ class ModelConfig:
     classes: int
 
     def __post_init__(self):
-        check_integers(self, ("layers",) + _DIM_FIELDS)
-        if self.layers < 0:
-            raise ConfigError(f"layers must be >= 0, got {self.layers}")
-        for name in _DIM_FIELDS:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_integers(self, dict(layers=0, heads=1, d_model=1, d_ff=1, window=1, input_dim=1, classes=1))
         if self.d_model % 2 != 0:
             raise ConfigError(f"d_model must be even for sinusoidal position codes, got {self.d_model}")
         if self.d_model % self.heads != 0:
@@ -135,7 +128,9 @@ class ModelWeights:
     Every parameter field (and each layer's, in `layers`) is a view into
     `flat` at its canonical offset, so a write through a view is a write
     to the buffer. Each layer's parameters sit at the position of
-    `layers` in the canonical order.
+    `layers` in the canonical order. `workspace`, None wherever weights
+    are built, neither shown nor compared, is the Workspace forward_probs
+    and backward run in once a caller sets it, as train() does for its run.
     """
 
     config: ModelConfig
@@ -145,6 +140,7 @@ class ModelWeights:
     layers: list[LayerWeights] = field(init=False, repr=False)
     head_w: np.ndarray = _param(lambda c: (c.window * c.d_model, c.classes))
     head_b: np.ndarray = _param(lambda c: (c.classes,))
+    workspace: Workspace | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         size = param_count(self.config)
@@ -264,8 +260,7 @@ def _position_codes(window: int, d_model: int, dtype: np.dtype) -> np.ndarray:
 def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
     """Row-stochastic attention matrix softmax(q k^T / sqrt(d_k)), the
     reference for the key-major kernel in _mha_fwd."""
-    if d_k < 1:
-        raise ValueError(f"d_k must be >= 1, got {d_k}")
+    check_counts(1, d_k=d_k)
     q, k = np.asarray(q, dtype=np.float64), np.asarray(k, dtype=np.float64)
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"query/key feature dims differ: {q.shape} vs {k.shape}")
@@ -428,7 +423,7 @@ def _chunks(frames, weights: ModelWeights):
     return ((i, np.asarray(frames[i : i + FORWARD_CHUNK], dtype)) for i in range(0, len(frames), FORWARD_CHUNK))
 
 
-def forward_probs(weights: ModelWeights, frames, *, scratch: Workspace | None = None) -> np.ndarray:
+def forward_probs(weights: ModelWeights, frames) -> np.ndarray:
     """Full forward pass: one window's frames, a (window, input_dim) array,
     to class probabilities (classes,), or a batch of any size, a
     (B, window, input_dim) array or view or a sequence of windows, to
@@ -437,18 +432,15 @@ def forward_probs(weights: ModelWeights, frames, *, scratch: Workspace | None = 
     probabilities are float64 either way, and bit for bit the same for a
     window alone or in a batch of any size.
 
-    `scratch`, a Workspace the caller keeps across calls, takes every
-    layer's activations of a chunk, the arrays backward keeps, so a caller
-    that already holds one for backward passes it and allocates nothing
-    more. Without it each layer's arrays are fresh and freed as the next
-    layer runs: a deep model decoding once should pass none, since a
-    workspace holds all its layers at once (about 37 MB for the 12-layer
-    default). The result is the same bit for bit, and nothing returned
-    lives in `scratch`."""
+    A chunk's activations go into weights.workspace when it is set (in
+    train(), the arrays backward keeps). When it is None each layer's are
+    fresh and freed as the next layer runs; a workspace holds all layers
+    at once (about 37 MB for the 12-layer default). The result is the same
+    bit for bit, and nothing returned lives in the workspace."""
     one = isinstance(frames, np.ndarray) and frames.ndim == 2
     batch = frames[None] if one else frames
     probs = np.empty((len(batch), weights.config.classes))
     for i, chunk in _chunks(batch, weights):
-        features = _encoder_internals(chunk, weights, ws=scratch)
+        features = _encoder_internals(chunk, weights, ws=weights.workspace)
         probs[i : i + len(chunk)] = _classify_internals(features, weights)[0]
     return probs[0] if one else probs

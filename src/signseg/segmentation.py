@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError, StreamTooShortError
+from .errors import ShapeError, StreamTooShortError, check_counts, is_integer
 from .keypoints import ContinuousStream
 from .model import ModelWeights, forward_probs
 
@@ -96,11 +96,7 @@ def slide(stream: ContinuousStream | np.ndarray, window: int, stride: int = 1) -
     """All full windows of the stream's (n, dim) frames as a read-only view
     (floor((n - window) / stride) + 1, window, dim); window i starts at
     frame i * stride."""
-    for name, value in (("window", window), ("stride", stride)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_counts(1, window=window, stride=stride)
     frames = stream.frames if isinstance(stream, ContinuousStream) else np.asarray(stream)
     if frames.ndim != 2:
         raise ShapeError(f"stream frames have shape {frames.shape}, expected (frames, dim)")
@@ -178,18 +174,27 @@ def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> 
     return [DecodedLabel(int(labels[i]), int(i), float(tops[i])) for i in heads]
 
 
+def _labels(labels, side: str) -> list:
+    """Each item's label, a DecodedLabel's or the item itself if is_integer;
+    raises ValueError naming the side and position of any other item."""
+    out = [d.label if isinstance(d, DecodedLabel) else d for d in labels]
+    for i, label in enumerate(out):
+        if not is_integer(label):
+            raise ValueError(f"{side} label {i} is {label!r}, not an integer class")
+    return out
+
+
 def count_false(decoded, gt_labels: list[int]) -> int:
     """Positional mismatches against the ground truth, plus the absolute
-    length difference as a tail penalty."""
-    labels = [d.label if isinstance(d, DecodedLabel) else int(d) for d in decoded]
+    length difference as a tail penalty; each side as _labels reads it."""
+    labels, gt_labels = _labels(decoded, "decoded"), _labels(gt_labels, "ground-truth")
     mismatches = sum(a != b for a, b in zip(labels, gt_labels))
     return mismatches + abs(len(labels) - len(gt_labels))
 
 
 def edit_distance(decoded, gt_labels: list[int]) -> int:
     """Levenshtein distance between the decoded and true label sequences."""
-    a = [d.label if isinstance(d, DecodedLabel) else int(d) for d in decoded]
-    b = [int(x) for x in gt_labels]
+    a, b = _labels(decoded, "decoded"), _labels(gt_labels, "ground-truth")
     previous = list(range(len(b) + 1))
     for i, ai in enumerate(a, start=1):
         current = [i] + [0] * len(b)
@@ -208,19 +213,13 @@ def _stream_row(index, probs, wp, decoded, gt_labels, threshold) -> StreamRow:
     survivors = int(keep.sum())
 
     mismatches: list[Mismatch] = []
-    matched = min(len(decoded), len(gt_labels))
-    for pos in range(matched):
-        d = decoded[pos]
-        gt = gt_labels[pos]
-        if d.label == gt:
-            continue
-        gt_prob = float(probs[d.window_index, gt]) if 0 <= gt < probs.shape[1] else None
-        mismatches.append(Mismatch(pos, gt, gt_prob, d.label, d.prob, d.window_index))
-    for pos in range(matched, len(decoded)):
-        d = decoded[pos]
-        mismatches.append(Mismatch(pos, None, None, d.label, d.prob, d.window_index))
-    for pos in range(matched, len(gt_labels)):
-        mismatches.append(Mismatch(pos, gt_labels[pos], None, None, None, None))
+    for pos, (d, gt) in enumerate(zip(decoded, gt_labels)):
+        if d.label != gt:
+            gt_prob = float(probs[d.window_index, gt]) if 0 <= gt < probs.shape[1] else None
+            mismatches.append(Mismatch(pos, gt, gt_prob, d.label, d.prob, d.window_index))
+    tail = min(len(decoded), len(gt_labels))  # the longer side's unmatched end
+    mismatches += [Mismatch(p, None, None, d.label, d.prob, d.window_index) for p, d in enumerate(decoded[tail:], tail)]
+    mismatches += [Mismatch(p, gt, None, None, None, None) for p, gt in enumerate(gt_labels[tail:], tail)]
 
     return StreamRow(
         index=index,

@@ -14,10 +14,12 @@ noise statistics of the delivered frames are exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_counts
 from .keypoints import FEATURES_PER_HAND, KEYPOINTS_PER_HAND, IsolatedSample, resample_sequence
 from .seeding import derive_rng, derive_seed
 
@@ -40,10 +42,8 @@ class ClassPrototype:
 
 def make_class_prototype(seed: int, class_id: int, dim: int) -> ClassPrototype:
     """Deterministic prototype for (seed, class_id); dim features."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if class_id < 0:
-        raise ValueError(f"class_id must be >= 0, got {class_id}")
+    check_counts(1, dim=dim)
+    check_counts(0, class_id=class_id)
     rng = derive_rng(seed, "prototype", class_id)
     return ClassPrototype(
         class_id=class_id,
@@ -56,8 +56,7 @@ def make_class_prototype(seed: int, class_id: int, dim: int) -> ClassPrototype:
 
 def prototype_trajectory(proto: ClassPrototype, length: int) -> np.ndarray:
     """Render the clean class curve at `length` frames, shape (length, dim)."""
-    if length < 2:
-        raise ValueError(f"length must be >= 2, got {length}")
+    check_counts(2, length=length)
     t = np.arange(length)[:, None] / (length - 1)
     return proto.amplitude * np.sin(proto.frequency * t * 2.0 * np.pi + proto.phase) + proto.offset
 
@@ -70,10 +69,11 @@ def sample_instance(
     Draw order is fixed (speed jitter, then noise) so the same sample_seed
     with noise_sigma=0 yields the clean version of the same instance.
     """
+    if not math.isfinite(noise_sigma):
+        raise ValueError(f"noise_sigma must be finite, got {noise_sigma}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if length < 2:
-        raise ValueError(f"length must be >= 2, got {length}")
+    check_counts(2, length=length)
     rng = derive_rng(sample_seed, "instance")
     jitter = rng.uniform(*SPEED_JITTER_RANGE)
     raw_length = max(2, int(round(length * jitter)))
@@ -86,10 +86,8 @@ def make_dataset(
     seed: int, classes: int, n_per_class: int, dim: int, window: int, noise_sigma: float
 ) -> list[IsolatedSample]:
     """classes * n_per_class samples, class-major, fully seed-determined."""
-    if classes < 2:
-        raise ValueError(f"classes must be >= 2, got {classes}")
-    if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    check_counts(2, classes=classes, window=window)  # make_class_prototype checks dim
+    check_counts(1, n_per_class=n_per_class)
     samples = []
     for class_id in range(classes):
         proto = make_class_prototype(seed, class_id, dim)

@@ -30,20 +30,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, ("batch_size", "lr_decay_every", "max_epochs", "early_stop_patience", "seed"))
+        check_integers(self, dict(batch_size=1, lr_decay_every=1, max_epochs=0, early_stop_patience=1, seed=None))
         for name in ("lr0", "weight_decay", "adam_eps"):  # the other floats' ranges exclude NaN and infinity
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
-        if self.lr_decay_every < 1:
-            raise ConfigError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
         if not 0 < self.lr_decay_factor <= 1:
             raise ConfigError(f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         for name in ("beta1", "beta2"):
@@ -51,8 +45,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.adam_eps <= 0:
             raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.early_stop_patience < 1:
-            raise ConfigError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -307,11 +299,11 @@ def _epoch_items(train_set, order, straddle_rng, boundaries) -> np.ndarray:
     return items[straddle_rng.permutation(len(items))]
 
 
-def _mean_loss(weights, items, scratch: Workspace | None = None) -> float:
+def _mean_loss(weights, items) -> float:
     """Mean cross-entropy of (sample, target) items; 0.0 for none."""
     if not items:
         return 0.0
-    probs = forward_probs(weights, [s.frames for s, _ in items], scratch=scratch)
+    probs = forward_probs(weights, [s.frames for s, _ in items])
     return soft_cross_entropy(probs, np.stack([t for _, t in items])) / len(items)
 
 
@@ -340,8 +332,8 @@ def train(
     tcfg.batch_size (one backward call per batch, in float32 on the stored
     parameters, adding into one float64 sum, then averaged), one in-place
     adam_step per batch with float64 moments, then validation on the same
-    float32 parameters. The run's one Workspace holds a chunk's
-    activations for every backward call and both validation passes. An
+    float32 parameters. The parameters' workspace is one Workspace for the
+    run, for every backward call and both validation passes. An
     epoch draws its straddles up front but cuts each mini-batch's windows
     just before that batch's backward call, so at most one batch of them
     is alive, and none at validation. A copy of the parameters is
@@ -364,6 +356,7 @@ def train(
     _validate_samples(val_set, mcfg, "validation")
 
     params = init_weights(mcfg, derive_seed(tcfg.seed, "init"))
+    params.workspace = Workspace()  # one chunk's activations, reused by every backward and validation pass
     state: AdamState | None = None
     shuffle_rng = derive_rng(tcfg.seed, "shuffle")
     straddle_rng = derive_rng(tcfg.seed, "straddle")
@@ -376,7 +369,6 @@ def train(
     best_params = params
     boundaries = False
     grad_sum = ModelWeights(mcfg, np.zeros(params.flat.size))
-    scratch = Workspace()  # one chunk's activations, reused by every backward and validation pass
 
     for epoch in range(tcfg.max_epochs):
         lr = lr_at_epoch(tcfg, epoch)
@@ -386,13 +378,13 @@ def train(
         for start in range(0, len(items), tcfg.batch_size):
             samples, targets = zip(*_cut(train_set, items[start : start + tcfg.batch_size], mcfg.classes))
             grad_sum.flat.fill(0.0)
-            loss_sum += backward(samples, params, targets, add_to=grad_sum, scratch=scratch)[1]
+            loss_sum += backward(samples, params, targets, add_to=grad_sum)[1]
             grad_sum.flat /= len(samples)
             state = adam_step(params, grad_sum, state, lr, tcfg)
         loss = loss_sum / len(items)
         del samples, targets  # free the last mini-batch's straddling windows before validation
-        val_acc = evaluate_isolated(params, val_set, scratch=scratch)
-        record = EpochRecord(epoch, loss, val_acc, lr, _mean_loss(params, val_straddles, scratch))
+        val_acc = evaluate_isolated(params, val_set)
+        record = EpochRecord(epoch, loss, val_acc, lr, _mean_loss(params, val_straddles))
         records.append(record)
         if on_epoch is not None:
             on_epoch(record)
@@ -402,6 +394,7 @@ def train(
             best_params = ModelWeights(mcfg, params.flat.copy())
         elif epoch - best.epoch >= tcfg.early_stop_patience:
             break
+    params.workspace = None  # best_params is params itself when no epoch ran
     best_epoch = -1 if best is None else best.epoch
     return best_params, TrainHistory(records, best_epoch)
 
@@ -415,17 +408,13 @@ def _better(record: EpochRecord, best: EpochRecord) -> bool:
     return record.val_straddle_loss < (1.0 - TIE_LOSS_MARGIN) * best.val_straddle_loss
 
 
-def evaluate_isolated(
-    weights: ModelWeights, samples: list[IsolatedSample], *, scratch: Workspace | None = None
-) -> float:
-    """Fraction of samples whose argmax class matches the label.
-
-    `scratch` is forward_probs': train() passes the Workspace its backward
-    calls keep, so validation allocates no activations; one-off callers,
-    deep models above all, pass none."""
+def evaluate_isolated(weights: ModelWeights, samples: list[IsolatedSample]) -> float:
+    """Fraction of samples whose argmax class matches the label, in one
+    forward_probs call, which runs in weights.workspace when it is set: in
+    train(), the one its backward calls keep."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
-    probs = forward_probs(weights, [s.frames for s in samples], scratch=scratch)
+    probs = forward_probs(weights, [s.frames for s in samples])
     hits = sum(int(np.argmax(p)) == int(s.label) for p, s in zip(probs, samples))
     return hits / len(samples)
 

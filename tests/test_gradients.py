@@ -133,7 +133,8 @@ def test_float32_batch_agrees_with_float64_at_the_gate_shape():
 def test_a_workspace_changes_no_bit_of_the_result(wide):
     stored = init_weights(GATE_MCFG, derive_seed(13, "init"))
     weights = upcast(stored) if wide else stored
-    scratch = Workspace()
+    kept = ModelWeights(GATE_MCFG, weights.flat.copy())
+    scratch = kept.workspace = Workspace()
     # a full chunk, a short tail chunk on views of its buffers, then a
     # full chunk of other samples, which must see nothing of the others
     chunks = [_items(GATE_MCFG, FORWARD_CHUNK, 13), _items(GATE_MCFG, 3, 14), _items(GATE_MCFG, FORWARD_CHUNK, 15)]
@@ -141,7 +142,7 @@ def test_a_workspace_changes_no_bit_of_the_result(wide):
     for items in chunks:
         samples, targets = zip(*items)
         fresh, fresh_loss = backward(samples, weights, targets)
-        reused, reused_loss = backward(samples, weights, targets, scratch=scratch)
+        reused, reused_loss = backward(samples, kept, targets)
         assert np.array_equal(reused.flat, fresh.flat) and reused_loss == fresh_loss
         returned.append((reused, reused.flat.copy()))
     # later calls wrote over the workspace, so nothing returned lives in it
@@ -161,8 +162,11 @@ def test_one_call_over_a_batch_adds_its_chunks_in_order(tiny_mcfg, wide, kept):
         backward(samples[i : i + FORWARD_CHUNK], weights, targets[i : i + FORWARD_CHUNK], add_to=by_chunk)[1]
         for i in range(0, len(samples), FORWARD_CHUNK)
     ]
+    if kept:
+        weights = ModelWeights(tiny_mcfg, weights.flat.copy())
+        weights.workspace = Workspace()
     whole = ModelWeights(tiny_mcfg, np.zeros(param_count(tiny_mcfg)))
-    _, loss = backward(samples, weights, targets, add_to=whole, scratch=Workspace() if kept else None)
+    _, loss = backward(samples, weights, targets, add_to=whole)
     assert whole.flat.tobytes() == by_chunk.flat.tobytes()
     np.testing.assert_allclose(loss, sum(losses), rtol=1e-15)
 
@@ -192,11 +196,11 @@ def test_a_warm_workspace_allocates_a_small_share_of_one_chunks_caches():
     for count in (FORWARD_CHUNK, 50):
         samples, targets = zip(*_items(GATE_MCFG, count, 16))
         grads = ModelWeights(GATE_MCFG, np.zeros(param_count(GATE_MCFG)))
-        scratch = Workspace()
-        backward(samples, weights, targets, add_to=grads, scratch=scratch)  # allocates the workspace
+        weights.workspace = Workspace()
+        backward(samples, weights, targets, add_to=grads)  # allocates the workspace
         tracemalloc.start()
         try:
-            backward(samples, weights, targets, add_to=grads, scratch=scratch)
+            backward(samples, weights, targets, add_to=grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -208,13 +212,14 @@ def test_validation_after_a_step_reuses_its_workspace():
     # forward over a whole chunk and a part chunk then allocates no activations
     weights = init_weights(GATE_MCFG, derive_seed(17, "init"))
     samples, targets = zip(*_items(GATE_MCFG, 2 * FORWARD_CHUNK, 17))
-    scratch = Workspace()
-    backward(samples, weights, targets, scratch=scratch)
+    kept = ModelWeights(GATE_MCFG, weights.flat.copy())
+    kept.workspace = Workspace()
+    backward(samples, kept, targets)
     frames = [s.frames for s in samples[:-3]]
     want = forward_probs(weights, frames)
     tracemalloc.start()
     try:
-        probs = forward_probs(weights, frames, scratch=scratch)
+        probs = forward_probs(kept, frames)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,3 +346,16 @@ def test_relative_error_guard():
 def test_epsilon_must_be_positive(tiny_weights, tiny_sample):
     with pytest.raises(ValueError):
         gradient_check(tiny_weights, tiny_sample, epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_a_non_finite_epsilon_is_rejected(tiny_weights, tiny_sample, epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        gradient_check(tiny_weights, tiny_sample, epsilon=epsilon)
+
+
+def test_nan_weights_fail_the_check(tiny_mcfg, tiny_weights, tiny_sample):
+    # every coordinate's error is NaN, which Python's max(worst, error) would drop, keeping 0.0
+    weights = ModelWeights(tiny_mcfg, tiny_weights.flat.copy())
+    weights.flat[0] = np.nan
+    assert np.isnan(gradient_check(weights, tiny_sample, epsilon=1e-4, max_coords=200))

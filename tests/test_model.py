@@ -376,8 +376,10 @@ class TestEncoderAndClassify:
         scratch = Workspace()
         for weights in (stored, upcast(stored)):
             want = np.array([forward_probs(weights, f) for f in frames]).reshape(batch, cfg.classes)
-            for batch_frames, kept in itertools.product((frames, view, list(frames)), (None, scratch)):
-                probs = forward_probs(weights, batch_frames, scratch=kept)
+            kept = ModelWeights(cfg, weights.flat.copy())
+            kept.workspace = scratch
+            for batch_frames, model in itertools.product((frames, view, list(frames)), (weights, kept)):
+                probs = forward_probs(model, batch_frames)
                 assert probs.shape == (batch, cfg.classes)
                 np.testing.assert_array_equal(probs, want)
                 assert not any(np.shares_memory(probs, buf) for buf in scratch.values())

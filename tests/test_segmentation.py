@@ -337,6 +337,29 @@ class TestMetrics:
         assert edit_distance([2, 1], [1, 2]) == 2
         assert edit_distance([], [1, 2]) == 2
 
+    @pytest.mark.parametrize(
+        "decoded, gt, message",
+        [
+            (["1", 2], [1, 2], r"^decoded label 0 is '1', not an integer class$"),
+            ([1, 2.9], [1, 2], r"^decoded label 1 is 2\.9, not an integer class$"),
+            ([True], [1], r"^decoded label 0 is True, not an integer class$"),
+            ([1, 2], [1, 2.0], r"^ground-truth label 1 is 2\.0, not an integer class$"),
+            ([1], [np.True_], r"^ground-truth label 0 is (np\.)?True_?, not an integer class$"),
+        ],
+        ids=["str", "float", "bool", "ground-truth-float", "ground-truth-numpy-bool"],
+    )
+    def test_a_label_that_is_not_an_integer_is_rejected_by_side(self, decoded, gt, message):
+        # int() would coerce each of these into a label that matches
+        for score in (count_false, edit_distance):
+            with pytest.raises(ValueError, match=message):
+                score(decoded, gt)
+
+    def test_numpy_integers_and_decoded_labels_score_on_either_side(self):
+        decoded = [np.int64(4), DecodedLabel(7, 3, 0.8)]
+        gt = [DecodedLabel(4, 0, 0.9), np.int32(7)]
+        assert count_false(decoded, gt) == count_false(gt, decoded) == 0
+        assert edit_distance(decoded, gt) == edit_distance(gt, decoded) == 0
+
 
 @pytest.fixture(scope="module")
 def mini_trained():

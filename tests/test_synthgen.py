@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from signseg import (
+    build_streams,
     make_class_prototype,
     make_dataset,
     parse_keypoint_file,
     prototype_trajectory,
+    resample_sequence,
     sample_instance,
 )
 from signseg.seeding import derive_seed
@@ -109,6 +111,39 @@ def test_numpy_integer_seed_derives_the_int_stream():
     b = make_dataset(1, 2, 1, 3, 5, 0.0)
     for x, y in zip(a, b, strict=True):
         assert np.array_equal(x.frames, y.frames) and x.label == y.label
+
+
+DATASET = dict(seed=1, classes=3, n_per_class=2, dim=3, window=5, noise_sigma=0.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: resample_sequence(np.zeros((5, 3)), 2.5), r"^target must be an integer, got 2\.5$"),
+        (lambda: resample_sequence(np.zeros((5, 3)), True), r"^target must be an integer, got True$"),
+        (lambda: build_streams(make_dataset(**DATASET), 2.5, 3, 0), r"^n_streams must be an integer, got 2\.5$"),
+        (lambda: build_streams(make_dataset(**DATASET), 2, True, 0), r"^signs_per_stream must be an integer, got True$"),
+        (lambda: make_dataset(**{**DATASET, "classes": 3.0}), r"^classes must be an integer, got 3\.0$"),
+        (lambda: make_dataset(**{**DATASET, "n_per_class": True}), r"^n_per_class must be an integer, got True$"),
+        (lambda: make_dataset(**{**DATASET, "dim": 3.0}), r"^dim must be an integer, got 3\.0$"),
+        (lambda: make_dataset(**{**DATASET, "window": 8.5}), r"^window must be an integer, got 8\.5$"),
+        (lambda: make_dataset(**{**DATASET, "noise_sigma": np.nan}), r"^noise_sigma must be finite, got nan$"),
+        (lambda: make_dataset(**{**DATASET, "noise_sigma": np.inf}), r"^noise_sigma must be finite, got inf$"),
+    ],
+    ids=["target-float", "target-bool", "n_streams-float", "signs-bool", "classes-float", "n_per_class-bool",
+         "dim-float", "window-float", "sigma-nan", "sigma-inf"],
+)
+def test_a_data_builder_rejects_a_bad_argument_by_name(build, message):
+    # unchecked, a float fails inside numpy, True counts as 1 and a NaN sigma gives NaN frames
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_numpy_integer_counts_are_accepted():
+    frames = resample_sequence(np.zeros((5, 3)), np.int64(4))
+    streams = build_streams(make_dataset(**DATASET), np.int32(2), np.int64(3), 0)
+    data = make_dataset(**{**DATASET, "classes": np.int64(3), "window": np.int32(5)})
+    assert frames.shape == (4, 3) and len(streams) == 2 and len(data) == 6
 
 
 def test_make_dataset_needs_two_classes():

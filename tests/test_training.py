@@ -26,7 +26,11 @@ from signseg import (
     lr_at_epoch,
     make_dataset,
     ModelWeights,
+    backward,
+    load_weights,
+    load_weights_file,
     save_weights,
+    save_weights_file,
     split_dataset,
     train,
 )
@@ -423,12 +427,27 @@ class TestTrainLoop:
         weights, history = train(core, val, mcfg, tcfg)
         assert len(made) == 1, f"{len(made)} workspaces"
         monkeypatch.undo()
-        # the same run with validation making fresh activations per layer
+        # the same run with validation making fresh activations per layer,
+        # through weights over the same buffer that carry no workspace
         forward_probs = signseg.training.forward_probs
-        monkeypatch.setattr(signseg.training, "forward_probs", lambda w, frames, scratch: forward_probs(w, frames))
+        monkeypatch.setattr(
+            signseg.training, "forward_probs", lambda w, frames: forward_probs(ModelWeights(w.config, w.flat), frames)
+        )
         fresh_weights, fresh_history = train(core, val, mcfg, tcfg)
         assert weights.flat.tobytes() == fresh_weights.flat.tobytes()
         assert history == fresh_history
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_no_built_or_returned_weights_carry_a_workspace(self, tmp_path, epochs):
+        # only train() sets the field, on its own parameters and for its run
+        core, val, _, mcfg = small_setup(7)
+        weights, _ = train(core, val, mcfg, TrainConfig(seed=7, max_epochs=epochs, batch_size=8))
+        backward(core[0], weights)  # makes a workspace for the call and keeps none
+        save_weights_file(weights, tmp_path / "w.bin")
+        built = [weights, init_weights(mcfg, 7), upcast(weights), load_weights(save_weights(weights)),
+                 load_weights_file(tmp_path / "w.bin"), ModelWeights(mcfg, weights.flat)]
+        assert [w.workspace for w in built] == [None] * len(built)
+        assert "workspace" not in repr(weights)
 
     def test_an_epochs_windows_are_freed_before_validation(self, monkeypatch):
         # windows are cut one mini-batch at a time, just before its backward
