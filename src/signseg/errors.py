@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the integer checks of
-the config dataclasses and of plain arguments."""
+"""Exception types shared across the package, the rules of config fields
+and their checker, and the checks of plain integer and real arguments."""
+
+import math
+import numbers
+from dataclasses import MISSING, field, fields
 
 import numpy as np
 
@@ -60,15 +64,26 @@ class WeightsTruncationError(WeightsFormatError):
     """The weights blob ends before all declared parameters are present."""
 
 
-def check_integers(config, minimums: dict[str, int | None]) -> None:
-    """Raises ConfigError unless each named field of config is an int, not a
-    bool, and at least its minimum (None for none)."""
-    for name, minimum in minimums.items():
-        value = getattr(config, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+# The ranges a rule() field or a check_reals call may name: the text its messages show, and its test.
+RANGES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2, "> 0": lambda v: v > 0,
+          "in (0, 1)": lambda v: 0 < v < 1, "in (0, 1]": lambda v: 0 < v <= 1, "in [0, 1)": lambda v: 0 <= v < 1}
+
+
+def rule(default=MISSING, bound: str | None = None):
+    """A config dataclass field that check_rules checks: its type is its
+    annotation, int or float, and its range RANGES[bound] unless None."""
+    return field(default=default, metadata={"bound": bound})
+
+
+def check_rules(config) -> None:
+    """Raises ConfigError naming the first rule() field of config that
+    breaks its rule: an int field takes a Python int, not a bool, and a
+    float field a finite number (check_reals); both must lie in range."""
+    for f in (f for f in fields(config) if "bound" in f.metadata):
+        value, integer = getattr(config, f.name), f.type in (int, "int")
+        if integer and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        check_reals(f.metadata["bound"], not integer, ConfigError, **{f.name: value})
 
 
 def is_integer(value) -> bool:
@@ -84,3 +99,17 @@ def check_counts(minimum: int, **values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_reals(bound: str | None, finite: bool = False, error: type = ValueError, **values) -> None:
+    """Raises `error` naming the first value that is not a real number,
+    numpy's included (a string or None would fail inside a comparison), or
+    is a bool, is not finite when `finite` is set, or lies outside
+    RANGES[bound] when bound is given (NaN lies outside every range)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise error(f"{name} must be a number, got {value!r}")
+        if finite and not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
+        if bound is not None and not RANGES[bound](value):
+            raise error(f"{name} must be {bound}, got {value}")

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, is_integer
+from .errors import ShapeError, check_reals, is_integer
 from .keypoints import IsolatedSample
 from .model import (
     PROB_CLAMP,
@@ -130,7 +130,7 @@ def _backward_chunk(frames, target, weights: ModelWeights, add_to: ModelWeights,
     against targets (B, classes) into add_to; returns the chunk's loss."""
     cfg = weights.config
     dtype, rows = frames.dtype, frames.shape[0] * cfg.window
-    probs, flat = _classify_internals(_encoder_internals(frames, weights, ws=ws), weights)
+    probs, flat = _classify_internals(_encoder_internals(frames, weights, ws, keep=True), weights)
     loss = soft_cross_entropy(probs, target)
 
     # each gradient is added into its view of add_to, never stored alone.
@@ -208,6 +208,7 @@ def gradient_check(
     backward differentiates: against the one-hot label, or against
     `target` when one is given.
     """
+    check_reals(None, epsilon=epsilon)
     if not 0 < epsilon < math.inf:  # NaN fails both comparisons
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     target = _resolve_target(sample, target, weights.config.classes, "sample")

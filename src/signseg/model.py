@@ -24,13 +24,13 @@ FORWARD_CHUNK at a time, converting a chunk to the weights' dtype as
 they take it (_chunks).
 
 Each layer writes its activations into the arrays of a Workspace, the
-weights' own (ModelWeights.workspace) when it is set. Built weights have
-none: forward_probs makes the arrays afresh per layer, so a deep model
-never holds more than one layer's at a time, and backward() one Workspace
-per call, most of its scratch written over activations read for the last
-time. train() sets the field for its run, so every backward call and both
-validation passes reuse a FORWARD_CHUNK's activations and one layer's
-scratch, allocated by the first step (a short chunk as leading-axis views).
+weights' own (ModelWeights.workspace) when it is set, else one made for
+the call (built weights have none). backward() keeps one set per layer,
+most of its scratch written over activations read for the last time;
+forward_probs writes every layer over layer 0's. train() sets the field
+for its run, so every backward call and both validation passes reuse a
+FORWARD_CHUNK's activations and one layer's scratch, allocated by the
+first step (a short chunk as leading-axis views).
 
 Parameters live in one flat buffer, float32 at rest (the precision of the
 weights file), with a named view per parameter. The pass computes in the
@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_counts, check_integers
+from .errors import ConfigError, ShapeError, check_counts, check_rules, rule
 from .seeding import derive_rng
 
 LN_EPS = 1e-5
@@ -72,16 +72,16 @@ FORWARD_CHUNK = 8
 class ModelConfig:
     """Architecture hyperparameters; immutable and validated on creation."""
 
-    layers: int
-    heads: int
-    d_model: int
-    d_ff: int
-    window: int
-    input_dim: int
-    classes: int
+    layers: int = rule(bound=">= 0")
+    heads: int = rule(bound=">= 1")
+    d_model: int = rule(bound=">= 1")
+    d_ff: int = rule(bound=">= 1")
+    window: int = rule(bound=">= 1")
+    input_dim: int = rule(bound=">= 1")
+    classes: int = rule(bound=">= 1")
 
     def __post_init__(self):
-        check_integers(self, dict(layers=0, heads=1, d_model=1, d_ff=1, window=1, input_dim=1, classes=1))
+        check_rules(self)
         if self.d_model % 2 != 0:
             raise ConfigError(f"d_model must be even for sinusoidal position codes, got {self.d_model}")
         if self.d_model % self.heads != 0:
@@ -130,7 +130,8 @@ class ModelWeights:
     to the buffer. Each layer's parameters sit at the position of
     `layers` in the canonical order. `workspace`, None wherever weights
     are built, neither shown nor compared, is the Workspace forward_probs
-    and backward run in once a caller sets it, as train() does for its run.
+    and backward run in once a caller sets it (as train() does for its
+    run), each call making its own while it is None.
     """
 
     config: ModelConfig
@@ -348,38 +349,38 @@ class Workspace(dict):
 
     def layer(self, i: int, cfg: ModelConfig, rows: int, dtype) -> dict[str, np.ndarray]:
         """Layer i's arrays for `rows` frames, under (name, i). Its input is
-        layer i - 1's "out", and the embedding's output is ("out", -1)."""
+        layer i - 1's "out", the embedding's output ("out", -1) in backward."""
         rd = (rows, cfg.d_model)
         shapes = dict(q=rd, k=rd, v=rd, a=(rows // cfg.window, cfg.heads, cfg.window, cfg.window), concat=rd,
                       y1=rd, xhat1=rd, inv1=(rows, 1), act=(rows, cfg.d_ff), xhat2=rd, inv2=(rows, 1), out=rd)
         return {name: self((name, i), shape, dtype) for name, shape in shapes.items()}
 
 
-def _encoder_internals(frames, weights: ModelWeights, use_positions: bool = True, ws=None):
+def _encoder_internals(frames, weights: ModelWeights, ws: Workspace, use_positions: bool = True, keep: bool = False):
     """Forward pass of windows (B, window, input_dim) through embedding and
-    all layers, in the dtype numpy promotes the frames and weights to.
-    Returns features (B, window, d_model); given ws, each layer's
-    activations stay in it for the backward pass."""
+    all layers into ws, in the dtype numpy promotes the frames and weights
+    to. Returns features (B, window, d_model). With keep each layer's
+    activations stay in ws for the backward pass, else all go to layer 0's."""
     cfg = weights.config
     if frames.shape[1:] != (cfg.window, cfg.input_dim):
         raise ShapeError(f"frames have shape {frames.shape[1:]}, expected ({cfg.window}, {cfg.input_dim})")
     rows, dtype = frames.shape[0] * cfg.window, np.result_type(frames, weights.flat)
-    x = (Workspace() if ws is None else ws)(("out", -1), (rows, cfg.d_model), dtype)
+    x = ws(("out", -1 if keep else 0), (rows, cfg.d_model), dtype)
     np.matmul(frames.reshape(-1, cfg.input_dim), weights.embed_w, out=x)
     x += weights.embed_b
     if use_positions:
         windows = x.reshape(-1, cfg.window, cfg.d_model)  # a view: x is contiguous
         windows += _position_codes(cfg.window, cfg.d_model, x.dtype)
     for i, layer in enumerate(weights.layers):
-        x = _layer_fwd(x, layer, (Workspace() if ws is None else ws).layer(i, cfg, rows, dtype))
+        x = _layer_fwd(x, layer, ws.layer(i if keep else 0, cfg, rows, dtype))
     return x.reshape(-1, cfg.window, cfg.d_model)
 
 
 def _layer_fwd(x_in, layer, c):
-    """One encoder layer of x_in into c["out"], its activations into c."""
+    """One encoder layer of x_in, which may be c["out"], into c["out"], its activations into c."""
     window = c["a"].shape[-1]
     y1 = _mha_fwd(x_in, layer, c)
-    y1 += x_in
+    y1 += x_in  # x_in's last read, so c["out"] may be x_in
     _layer_norm_fwd(y1, layer.ln1_g, layer.ln1_b, c["xhat1"], c["inv1"], window)
     out = _ff_fwd(y1, layer, c["act"], c["out"])
     out += y1
@@ -393,7 +394,7 @@ def encoder_forward(frames: np.ndarray, weights: ModelWeights, use_positions: bo
     With layers == 0 this is just the embedded frames (plus position codes
     unless use_positions is False).
     """
-    return _encoder_internals(np.asarray(frames, dtype=np.float64)[None], weights, use_positions)[0]
+    return _encoder_internals(np.asarray(frames, dtype=np.float64)[None], weights, Workspace(), use_positions)[0]
 
 
 def _classify_internals(features, weights: ModelWeights):
@@ -432,15 +433,16 @@ def forward_probs(weights: ModelWeights, frames) -> np.ndarray:
     probabilities are float64 either way, and bit for bit the same for a
     window alone or in a batch of any size.
 
-    A chunk's activations go into weights.workspace when it is set (in
-    train(), the arrays backward keeps). When it is None each layer's are
-    fresh and freed as the next layer runs; a workspace holds all layers
-    at once (about 37 MB for the 12-layer default). The result is the same
-    bit for bit, and nothing returned lives in the workspace."""
+    A chunk's activations go into weights.workspace when it is set, else
+    into a Workspace made for the call, every layer's over layer 0's
+    arrays: the pass holds one layer's for one chunk at any depth. The
+    result is the same bit for bit, and nothing returned lives in the
+    workspace."""
     one = isinstance(frames, np.ndarray) and frames.ndim == 2
     batch = frames[None] if one else frames
     probs = np.empty((len(batch), weights.config.classes))
+    ws = Workspace() if weights.workspace is None else weights.workspace
     for i, chunk in _chunks(batch, weights):
-        features = _encoder_internals(chunk, weights, ws=weights.workspace)
+        features = _encoder_internals(chunk, weights, ws)
         probs[i : i + len(chunk)] = _classify_internals(features, weights)[0]
     return probs[0] if one else probs

@@ -5,10 +5,9 @@ and the class count from the data."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_rules, rule
 from .model import ModelConfig
 from .seeding import derive_seed
 from .segmentation import DEFAULT_THRESHOLD
@@ -30,42 +29,24 @@ class ModelSection:
 @dataclass(frozen=True)
 class DataSection:
     manifest: str | None = None  # None: generate synthetic data
-    classes: int = 10
-    per_class: int = 20
-    dim: int = 12
-    noise_sigma: float = 0.05
-    split_ratio: float = 0.8
-    val_fraction: float = 0.1
+    classes: int = rule(10, ">= 2")
+    per_class: int = rule(20, ">= 1")
+    dim: int = rule(12, ">= 1")
+    noise_sigma: float = rule(0.05, ">= 0")
+    split_ratio: float = rule(0.8, "in (0, 1)")
+    val_fraction: float = rule(0.1, "in (0, 1)")
 
-    def __post_init__(self):
-        if self.classes < 2:
-            raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        for name in ("per_class", "dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not math.isfinite(self.noise_sigma):
-            raise ConfigError(f"noise_sigma must be finite, got {self.noise_sigma}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        for name in ("split_ratio", "val_fraction"):
-            if not 0 < getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+    __post_init__ = check_rules
 
 
 @dataclass(frozen=True)
 class SegmentationSection:
-    stride: int = 1
-    threshold: float = DEFAULT_THRESHOLD
-    n_streams: int = 20
-    signs_per_stream: int = 10
+    stride: int = rule(1, ">= 1")
+    threshold: float = rule(DEFAULT_THRESHOLD, "in (0, 1)")
+    n_streams: int = rule(20, ">= 1")
+    signs_per_stream: int = rule(10, ">= 1")
 
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if not 0 < self.threshold < 1:
-            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.n_streams < 1 or self.signs_per_stream < 1:
-            raise ConfigError("n_streams and signs_per_stream must be >= 1")
+    __post_init__ = check_rules
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError, StreamTooShortError, check_counts, is_integer
+from .errors import ShapeError, StreamTooShortError, check_counts, check_reals, is_integer
 from .keypoints import ContinuousStream
 from .model import ModelWeights, forward_probs
 
@@ -117,17 +117,12 @@ def _decode(probs: np.ndarray, threshold: float):
     probability, the mask of rows where that reaches the threshold (NaN
     does not), and the rows that emit: the first of each run of one label
     among the survivors."""
-    _check_threshold(threshold)
+    check_reals("in (0, 1)", threshold=threshold)
     labels = probs.argmax(axis=1)
     tops = np.take_along_axis(probs, labels[:, None], axis=1)[:, 0]
     keep = tops >= threshold
     survivors = np.flatnonzero(keep)
     return labels, tops, keep, survivors[_run_heads(labels[survivors])]
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
 
 
 def _run_heads(labels: np.ndarray) -> np.ndarray:
@@ -256,7 +251,7 @@ def segment_report(
     """
     if not streams:
         raise ValueError("need at least one stream")
-    _check_threshold(threshold)  # before any stream is decoded or recorded as errored
+    check_reals("in (0, 1)", threshold=threshold)  # before any stream is decoded or recorded as errored
     rows: list[StreamRow] = []
     for index, stream in enumerate(streams):
         try:

@@ -14,12 +14,11 @@ noise statistics of the delivered frames are exact.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_counts
+from .errors import check_counts, check_reals
 from .keypoints import FEATURES_PER_HAND, KEYPOINTS_PER_HAND, IsolatedSample, resample_sequence
 from .seeding import derive_rng, derive_seed
 
@@ -69,10 +68,7 @@ def sample_instance(
     Draw order is fixed (speed jitter, then noise) so the same sample_seed
     with noise_sigma=0 yields the clean version of the same instance.
     """
-    if not math.isfinite(noise_sigma):
-        raise ValueError(f"noise_sigma must be finite, got {noise_sigma}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    check_reals(">= 0", finite=True, noise_sigma=noise_sigma)
     check_counts(2, length=length)
     rng = derive_rng(sample_seed, "instance")
     jitter = rng.uniform(*SPEED_JITTER_RANGE)

@@ -2,55 +2,38 @@
 rate, stratified splits, early stopping on validation accuracy."""
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteGradientError, ShapeError, check_integers
+from .errors import ConfigError, NonFiniteGradientError, ShapeError, check_counts, check_reals, check_rules, rule
 from .gradients import backward, check_label, soft_cross_entropy
-from .keypoints import IsolatedSample
+from .keypoints import IsolatedSample, class_labels
 from .model import ModelConfig, ModelWeights, Workspace, forward_probs, init_weights, weights_to_dict
 from .seeding import derive_rng, derive_seed
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 50
-    lr0: float = 0.005
-    lr_decay_every: int = 10
-    lr_decay_factor: float = 0.1
-    max_epochs: int = 200
-    weight_decay: float = 1e-4
-    beta1: float = 0.92
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    early_stop_patience: int = 20
-    seed: int = 0
+    batch_size: int = rule(50, ">= 1")
+    lr0: float = rule(0.005, "> 0")
+    lr_decay_every: int = rule(10, ">= 1")
+    lr_decay_factor: float = rule(0.1, "in (0, 1]")
+    max_epochs: int = rule(200, ">= 0")
+    weight_decay: float = rule(1e-4, ">= 0")
+    beta1: float = rule(0.92, "in [0, 1)")
+    beta2: float = rule(0.999, "in [0, 1)")
+    adam_eps: float = rule(1e-8, "> 0")
+    early_stop_patience: int = rule(20, ">= 1")
+    seed: int = rule(0)
 
-    def __post_init__(self):
-        check_integers(self, dict(batch_size=1, lr_decay_every=1, max_epochs=0, early_stop_patience=1, seed=None))
-        for name in ("lr0", "weight_decay", "adam_eps"):  # the other floats' ranges exclude NaN and infinity
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
-        if not 0 < self.lr_decay_factor <= 1:
-            raise ConfigError(f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
+    __post_init__ = check_rules
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     """Step decay: lr0 * factor^(epoch // every)."""
-    if epoch < 0:
-        raise ValueError(f"epoch must be >= 0, got {epoch}")
+    check_counts(0, epoch=epoch)
     return cfg.lr0 * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
 
 
@@ -65,11 +48,10 @@ def split_dataset(
     """
     if not samples:
         raise ValueError("cannot split an empty dataset")
-    if not 0 < ratio < 1:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    check_reals("in (0, 1)", ratio=ratio)
     by_label: dict[int, list[int]] = {}
-    for i, sample in enumerate(samples):
-        by_label.setdefault(int(sample.label), []).append(i)
+    for i, label in enumerate(class_labels(samples)):
+        by_label.setdefault(label, []).append(i)
     rng = derive_rng(seed, "split")
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -91,6 +73,7 @@ def carve_validation(
     samples: list[IsolatedSample], fraction: float = 0.1, seed: int = 0
 ) -> tuple[list[IsolatedSample], list[IsolatedSample]]:
     """Split a training set into (core, validation) stratified by class."""
+    check_reals(None, fraction=fraction)
     return split_dataset(samples, 1.0 - fraction, seed)
 
 
@@ -411,11 +394,14 @@ def _better(record: EpochRecord, best: EpochRecord) -> bool:
 def evaluate_isolated(weights: ModelWeights, samples: list[IsolatedSample]) -> float:
     """Fraction of samples whose argmax class matches the label, in one
     forward_probs call, which runs in weights.workspace when it is set: in
-    train(), the one its backward calls keep."""
+    train(), the one its backward calls keep. A label that is not a class
+    index (check_label) raises ValueError naming the sample."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
+    for i, s in enumerate(samples):
+        check_label(s.label, weights.config.classes, f"sample {i}")
     probs = forward_probs(weights, [s.frames for s in samples])
-    hits = sum(int(np.argmax(p)) == int(s.label) for p, s in zip(probs, samples))
+    hits = sum(int(np.argmax(p)) == s.label for p, s in zip(probs, samples))
     return hits / len(samples)
 
 

@@ -372,7 +372,7 @@ class TestEncoderAndClassify:
         # in float32 as stored and in float64 after upcast; both must be
         # batch-invariant bit for bit, whether the batch is an array, a
         # read-only view or a list of windows, and whether the activations
-        # are fresh or go into one workspace kept across every call
+        # go into a workspace made for the call or one kept across every call
         scratch = Workspace()
         for weights in (stored, upcast(stored)):
             want = np.array([forward_probs(weights, f) for f in frames]).reshape(batch, cfg.classes)
@@ -397,6 +397,17 @@ class TestEncoderAndClassify:
         for weights in (stored, upcast(stored)):
             probs = forward_probs(weights, frames)
             np.testing.assert_array_equal(probs, np.stack([forward_probs(weights, f) for f in frames]))
+
+    def test_inference_holds_one_layers_arrays(self):
+        # a forward-only pass writes every layer, the embedding included,
+        # over layer 0's arrays, whatever the depth
+        cfg = ModelConfig(layers=3, heads=2, d_model=8, d_ff=16, window=4, input_dim=6, classes=3)
+        weights = init_weights(cfg, 11)
+        weights.workspace = Workspace()
+        want = forward_probs(init_weights(cfg, 11), derive_rng(21, "one-layer").normal(size=(5, 4, 6)))
+        got = forward_probs(weights, derive_rng(21, "one-layer").normal(size=(5, 4, 6)))
+        assert weights.workspace and {i for _, i in weights.workspace} == {0}
+        np.testing.assert_array_equal(got, want)
 
     def test_argmax_ties_take_lowest(self, tiny_mcfg, tiny_weights):
         weights = init_weights(tiny_mcfg, 7)

@@ -3,10 +3,12 @@ import re
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from signseg import ConfigError, ModelConfig, load_config
-from signseg.runconfig import ModelSection, RunConfig
+from signseg import ConfigError, ModelConfig, TrainConfig, load_config
+from signseg.errors import RANGES
+from signseg.runconfig import DataSection, ModelSection, RunConfig, SegmentationSection
 
 
 class TestDefaults:
@@ -205,8 +207,8 @@ class TestTrainingSection:
         ("data", "val_fraction", 0, "data.val_fraction must be in (0, 1), got 0.0"),
         ("segmentation", "stride", 0, "segmentation.stride must be >= 1, got 0"),
         ("segmentation", "threshold", 0, "segmentation.threshold must be in (0, 1), got 0.0"),
-        ("segmentation", "n_streams", 0, "segmentation.n_streams and signs_per_stream must be >= 1"),
-        ("segmentation", "signs_per_stream", 0, "segmentation.n_streams and signs_per_stream must be >= 1"),
+        ("segmentation", "n_streams", 0, "segmentation.n_streams must be >= 1, got 0"),
+        ("segmentation", "signs_per_stream", 0, "segmentation.signs_per_stream must be >= 1, got 0"),
         ("training", "lr_decay_every", 0, "training.lr_decay_every must be >= 1, got 0"),
         ("training", "lr_decay_factor", 1.5, "training.lr_decay_factor must be in (0, 1], got 1.5"),
         ("training", "max_epochs", -1, "training.max_epochs must be >= 0, got -1"),
@@ -248,3 +250,40 @@ def test_readme_config_example_is_the_default_config():
     defaults = asdict(RunConfig())
     del defaults["training"]["seed"]  # derived from the run seed, not a config key
     assert example == defaults
+
+
+# every field of the four checked config classes; data.manifest is load_config's to check
+CONFIG_FIELDS = [
+    (cls, f)
+    for cls in (ModelConfig, TrainConfig, DataSection, SegmentationSection)
+    for f in fields(cls)
+    if (cls, f.name) != (DataSection, "manifest")
+]
+MISTYPED = [
+    (cls, f.name, value)
+    for cls, f in CONFIG_FIELDS
+    for value in ("1", True) + ((2.5,) if f.type in (int, "int") else ())
+]
+GATE_MODEL = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", MISTYPED, ids=[f"{cls.__name__}.{name}-{value!r}" for cls, name, value in MISTYPED]
+)
+def test_a_directly_built_config_rejects_a_mistyped_value_by_name(cls, name, value):
+    # built directly, not through load_config, which checks JSON types first
+    base = GATE_MODEL if cls is ModelConfig else cls()
+    with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got |^{name} must be a number, got "):
+        replace(base, **{name: value})
+
+
+@pytest.mark.parametrize("value", [np.float32(0.25), np.float64(0.25), np.int64(1), 1])
+def test_a_float_field_takes_any_real_number(value):
+    assert TrainConfig(lr0=value).lr0 == value
+
+
+@pytest.mark.parametrize("cls, f", CONFIG_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in CONFIG_FIELDS])
+def test_every_config_field_declares_a_rule(cls, f):
+    # a field added without a rule would go unchecked
+    assert f.type in (int, float, "int", "float")
+    assert "bound" in f.metadata and f.metadata["bound"] in (None, *RANGES)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import weakref
 
@@ -34,7 +35,18 @@ from signseg import (
     split_dataset,
     train,
 )
-from signseg import IsolatedSample
+from signseg import (
+    ContinuousStream,
+    IsolatedSample,
+    build_streams,
+    concat_isolated,
+    gradient_check,
+    make_class_prototype,
+    post_process,
+    sample_instance,
+    segment_report,
+)
+from signseg.segmentation import WindowProb
 from signseg.model import FORWARD_CHUNK, Workspace, param_count, upcast
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import (
@@ -427,7 +439,7 @@ class TestTrainLoop:
         weights, history = train(core, val, mcfg, tcfg)
         assert len(made) == 1, f"{len(made)} workspaces"
         monkeypatch.undo()
-        # the same run with validation making fresh activations per layer,
+        # the same run with validation making a workspace per call,
         # through weights over the same buffer that carry no workspace
         forward_probs = signseg.training.forward_probs
         monkeypatch.setattr(
@@ -713,3 +725,49 @@ class TestAblate:
         core, val, test_set, mcfg = small_setup(12)
         with pytest.raises(ValueError):
             ablate([], [2], [("synthetic", core + val, test_set)], mcfg, TrainConfig(seed=1))
+
+
+def _numbers_setup(tiny_weights, tiny_sample):
+    data = make_dataset(seed=1, classes=2, n_per_class=4, dim=3, window=5, noise_sigma=0.0)
+    wp = [WindowProb(0, np.array([0.9, 0.1]))]
+    stream = ContinuousStream(tiny_sample.frames, [1])
+    proto = make_class_prototype(1, 0, 3)
+    return {
+        "split_dataset": lambda value: split_dataset(data, value, 0),
+        "carve_validation": lambda value: carve_validation(data, value),
+        "post_process": lambda value: post_process(wp, value),
+        "segment_report": lambda value: segment_report(tiny_weights, [stream], 4, threshold=value),
+        "gradient_check": lambda value: gradient_check(tiny_weights, tiny_sample, epsilon=value),
+        "sample_instance": lambda value: sample_instance(proto, 0, value, 5),
+    }
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True], ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [("split_dataset", "ratio"), ("carve_validation", "fraction"), ("post_process", "threshold"),
+     ("segment_report", "threshold"), ("gradient_check", "epsilon"), ("sample_instance", "noise_sigma")],
+)
+def test_a_real_argument_that_is_not_a_number_is_named(tiny_weights, tiny_sample, call, name, value):
+    # each used to raise a bare TypeError from inside a comparison or a subtraction
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
+        _numbers_setup(tiny_weights, tiny_sample)[call](value)
+
+
+@pytest.mark.parametrize("label", [1.9, 2.5, "1", True, -1], ids=repr)
+def test_a_label_that_is_not_a_class_index_is_rejected_before_use(tiny_weights, tiny_sample, label):
+    # each used to read the label through int(): 1.9 scored as class 1, and
+    # 1, 1.5, "1" and True grouped as one class
+    rng = derive_rng(12, "labels")
+    data = [IsolatedSample(rng.normal(size=tiny_sample.frames.shape), c % 3) for c in range(6)]
+    data.append(IsolatedSample(tiny_sample.frames, label))
+    named = rf"^sample 6 label {re.escape(repr(label))} is not a class index"
+    with pytest.raises(ValueError, match=named + r" in \[0, 3\)$"):
+        evaluate_isolated(tiny_weights, data)
+    for build in (
+        lambda: split_dataset(data, 0.5, 0),
+        lambda: build_streams(data, 1, 2, 0),
+        lambda: concat_isolated(data),
+    ):
+        with pytest.raises(ValueError, match=named + " >= 0$"):
+            build()
