@@ -109,7 +109,11 @@ def check_reals(bound: str | None, finite: bool = False, error: type = ValueErro
     for name, value in values.items():
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise error(f"{name} must be a number, got {value!r}")
-        if finite and not math.isfinite(value):
+        try:  # an int past float range overflows isfinite: it is not finite either
+            infinite = finite and not math.isfinite(value)
+        except OverflowError:
+            infinite = True
+        if infinite:
             raise error(f"{name} must be finite, got {value}")
         if bound is not None and not RANGES[bound](value):
             raise error(f"{name} must be {bound}, got {value}")

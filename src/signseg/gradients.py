@@ -208,9 +208,7 @@ def gradient_check(
     backward differentiates: against the one-hot label, or against
     `target` when one is given.
     """
-    check_reals(None, epsilon=epsilon)
-    if not 0 < epsilon < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    check_reals("> 0", True, epsilon=epsilon)
     target = _resolve_target(sample, target, weights.config.classes, "sample")
     probe = upcast(weights)
     grads, _ = backward(sample, probe, target)

@@ -62,9 +62,9 @@ PE_BASE = 10000.0
 PROB_CLAMP = 1e-12
 # Windows per pass of forward_probs and backward, which chunk any batch.
 # Chunks of 8 decoded 1.4x as fast as one window per pass in float64
-# (BENCH_batched_decode.json). In float32, on one OpenBLAS thread, three
-# sweeps of 4 to 32 ranked the sizes differently each time, and none beat 8
-# at both the gate's shape and the 12-layer default's in every sweep.
+# (BENCH_batched_decode.json). In float32, on one OpenBLAS thread, three sweeps
+# of 4 to 32 ranked the sizes differently each time, and none beat 8 in every
+# sweep at both the gate's shape and the 12-layer shape recordings_wide decodes.
 FORWARD_CHUNK = 8
 
 

@@ -16,10 +16,10 @@ from .training import TrainConfig
 
 @dataclass(frozen=True)
 class ModelSection:
-    layers: int = 12
-    heads: int = 8
-    d_model: int = 128
-    d_ff: int = 512
+    layers: int = 2
+    heads: int = 4
+    d_model: int = 64
+    d_ff: int = 256
     window: int = 50
 
     def __post_init__(self):
@@ -78,7 +78,10 @@ def _check_type(path: str, value, expected: type):
     elif expected is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"config key {path}: expected a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int past float range stays an int, which check_rules names not finite
+            pass
     elif expected is str:
         if not isinstance(value, str):
             raise ConfigError(f"config key {path}: expected a string, got {value!r}")

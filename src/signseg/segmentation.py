@@ -252,6 +252,8 @@ def segment_report(
     if not streams:
         raise ValueError("need at least one stream")
     check_reals("in (0, 1)", threshold=threshold)  # before any stream is decoded or recorded as errored
+    for index, stream in enumerate(streams):  # so is each stream's ground truth
+        _labels(stream.gt_labels, f"stream {index} ground-truth")
     rows: list[StreamRow] = []
     for index, stream in enumerate(streams):
         try:

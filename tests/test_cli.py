@@ -3,10 +3,25 @@ import json
 import numpy as np
 import pytest
 
+import signseg.cli
 import signseg.segmentation
 import signseg.training
-from signseg import ContinuousStream, load_stream_features, load_weights_file, segment_report
+from signseg import (
+    ContinuousStream,
+    ModelConfig,
+    TrainConfig,
+    build_streams,
+    carve_validation,
+    init_weights,
+    load_stream_features,
+    load_weights_file,
+    make_dataset,
+    save_weights_file,
+    segment_report,
+    split_dataset,
+)
 from signseg.cli import main
+from signseg.seeding import derive_seed
 from signseg.segmentation import windows_csv
 
 FAST = {
@@ -451,3 +466,72 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--threads", "2"])
         assert exc.value.code == 2
+
+
+GATE_MCFG = ModelConfig(layers=2, heads=4, d_model=64, d_ff=256, window=50, input_dim=12, classes=10)
+
+
+class _Stop(Exception):
+    """Ends a command at the call _capture rebinds."""
+
+
+def _capture(monkeypatch, name: str) -> list:
+    """Rebinds signseg.cli's `name` to record its arguments and stop the command."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Stop
+
+    monkeypatch.setattr(signseg.cli, name, record)
+    return calls
+
+
+def _gate_splits(seed: int):
+    """core, validation and test samples, by the calls test_end_to_end_synthetic_pipeline makes."""
+    data = make_dataset(
+        seed=derive_seed(seed, "data"), classes=10, n_per_class=20, dim=12, window=50, noise_sigma=0.05
+    )
+    train_all, test_set = split_dataset(data, 0.8, derive_seed(seed, "split"))
+    core, val = carve_validation(train_all, 0.1, derive_seed(seed, "val"))
+    return core, val, test_set
+
+
+def _samples(samples) -> list:
+    return [(s.frames.tobytes(), s.label) for s in samples]
+
+
+class TestTheDefaultRunIsTheGate:
+    """With no config, `train --seed S` and then `segment --seed S` run the
+    acceptance gate's pipeline at seed S, input for input."""
+
+    def test_train_passes_the_gates_inputs(self, monkeypatch, tmp_path):
+        calls = _capture(monkeypatch, "train")
+        with pytest.raises(_Stop):
+            main(["train", "--seed", "42", "--out", str(tmp_path)])
+        (core, val, mcfg, tcfg), _ = calls[0]
+        gate_core, gate_val, _ = _gate_splits(42)
+        assert _samples(core) == _samples(gate_core)
+        assert _samples(val) == _samples(gate_val)
+        assert mcfg == GATE_MCFG
+        assert tcfg == TrainConfig(seed=derive_seed(42, "train"))
+
+    def test_segment_passes_the_gates_inputs(self, monkeypatch, tmp_path):
+        model = tmp_path / "model.bin"
+        save_weights_file(init_weights(GATE_MCFG, derive_seed(42, "init")), model)
+        calls = _capture(monkeypatch, "segment_report")
+        with pytest.raises(_Stop):
+            main(["segment", "--seed", "42", "--model", str(model), "--out", str(tmp_path / "seg")])
+        (_, streams, window, stride, threshold), _ = calls[0]
+        gate_streams = build_streams(_gate_splits(42)[2], 20, 10, derive_seed(42, "streams"))
+        assert [(s.frames.tobytes(), s.gt_labels, s.boundaries) for s in streams] == [
+            (s.frames.tobytes(), s.gt_labels, s.boundaries) for s in gate_streams
+        ]
+        assert (window, stride, threshold) == (50, 1, 0.51)
+
+    def test_the_default_shape_trains(self, tmp_path):
+        # the 12-layer default this shape replaced trained to chance: test accuracy 0.1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"training": {"max_epochs": 15}}))
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert json.loads((tmp_path / "run" / "train.json").read_text())["test_accuracy"] >= 0.9

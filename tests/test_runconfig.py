@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signseg import ConfigError, ModelConfig, TrainConfig, load_config
+from signseg import ConfigError, ModelConfig, TrainConfig, load_config, make_dataset
 from signseg.errors import RANGES
 from signseg.runconfig import DataSection, ModelSection, RunConfig, SegmentationSection
 
@@ -14,10 +14,10 @@ from signseg.runconfig import DataSection, ModelSection, RunConfig, Segmentation
 class TestDefaults:
     def test_none_source_is_all_defaults(self):
         cfg = load_config(None)
-        assert cfg.model.layers == 12
-        assert cfg.model.heads == 8
-        assert cfg.model.d_model == 128
-        assert cfg.model.d_ff == 512
+        assert cfg.model.layers == 2
+        assert cfg.model.heads == 4
+        assert cfg.model.d_model == 64
+        assert cfg.model.d_ff == 256
         assert cfg.model.window == 50
         assert cfg.training.batch_size == 50
         assert cfg.training.lr0 == 0.005
@@ -148,7 +148,7 @@ class TestDerivedConfigs:
         mcfg = cfg.model_config(input_dim=24, classes=7)
         assert mcfg.input_dim == 24
         assert mcfg.classes == 7
-        assert mcfg.d_model == 128
+        assert mcfg.d_model == 64
 
     def test_model_section_mirrors_model_config(self):
         # every ModelConfig field but the two the data gives needs a config default
@@ -287,3 +287,20 @@ def test_every_config_field_declares_a_rule(cls, f):
     # a field added without a rule would go unchecked
     assert f.type in (int, float, "int", "float")
     assert "bound" in f.metadata and f.metadata["bound"] in (None, *RANGES)
+
+
+PAST_FLOAT_RANGE = 10**400
+OVERFLOWING = {
+    "load_config": (lambda: load_config('{"training": {"lr0": 1' + "0" * 400 + "}}"), ConfigError, r"training\.lr0"),
+    "TrainConfig": (lambda: TrainConfig(lr0=PAST_FLOAT_RANGE), ConfigError, "lr0"),
+    "DataSection": (lambda: DataSection(noise_sigma=PAST_FLOAT_RANGE), ConfigError, "noise_sigma"),
+    "SegmentationSection": (lambda: SegmentationSection(threshold=PAST_FLOAT_RANGE), ConfigError, "threshold"),
+    "make_dataset": (lambda: make_dataset(0, 2, 1, 3, 4, noise_sigma=PAST_FLOAT_RANGE), ValueError, "noise_sigma"),
+}
+
+
+@pytest.mark.parametrize("call, error, key", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_an_integer_past_float_range_is_not_finite(call, error, key):
+    # float(10**400) raises OverflowError, which once escaped unnamed
+    with pytest.raises(error, match=rf"^{key} must be finite, got 10{{400}}$"):
+        call()

@@ -416,6 +416,20 @@ class TestSegmentReport:
                 segment_report(tiny_weights, streams, window=tiny_mcfg.window, threshold=7.0)
         assert passes == []
 
+    @pytest.mark.parametrize("label", ["1", 1.5, True])
+    def test_a_non_integer_ground_truth_label_raises_before_any_stream(
+        self, tiny_mcfg, tiny_weights, monkeypatch, label
+    ):
+        # it used to reach the mismatch scoring after the stream's forward pass, and fail there
+        # with a TypeError or an IndexError
+        passes = []
+        monkeypatch.setattr(signseg.segmentation, "window_probs", lambda *args: passes.append(args))
+        ok = ContinuousStream(np.zeros((tiny_mcfg.window, tiny_mcfg.input_dim)), [0])
+        bad = ContinuousStream(np.zeros((tiny_mcfg.window, tiny_mcfg.input_dim)), [0, label])
+        with pytest.raises(ValueError, match=rf"^stream 1 ground-truth label 1 is {label!r}, not an integer class$"):
+            segment_report(tiny_weights, [ok, bad], window=tiny_mcfg.window)
+        assert passes == []
+
     def test_each_stage_runs_once_per_decodable_stream(self, tiny_mcfg, tiny_weights, monkeypatch):
         # the benchmark's tracer times slide, window_probs, forward_probs and
         # post_process by rebinding these module names, so its per-stage

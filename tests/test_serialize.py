@@ -26,7 +26,7 @@ from signseg import (
 from signseg.model import param_count, weights_to_dict
 from signseg.serialize import FORMAT_VERSION, MAGIC
 
-# the 12-layer CLI default: its 9.8 MB payload makes any second copy show
+# the 12-layer shape recordings_wide decodes: its 9.8 MB payload makes any second copy show
 DEFAULT_MCFG = ModelConfig(layers=12, heads=8, d_model=128, d_ff=512, window=50, input_dim=12, classes=10)
 
 
