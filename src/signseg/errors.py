@@ -91,6 +91,16 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def shown(value, text=str) -> str:
+    """text(value) for an error message, except that an int too long for
+    Python to print (sys.get_int_max_str_digits) is shown by its size."""
+    try:
+        return text(value)
+    except ValueError:  # past that limit, an int's str and repr raise it
+        digits = int(math.log10(abs(value))) + 1
+        return f"{'a negative' if value < 0 else 'an'} integer of about {digits} digits"
+
+
 def check_counts(minimum: int, **values) -> None:
     """Raises ValueError naming the first value that is not is_integer (a
     float would fail inside numpy) or is below minimum."""
@@ -98,7 +108,7 @@ def check_counts(minimum: int, **values) -> None:
         if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+            raise ValueError(f"{name} must be >= {minimum}, got {shown(value)}")
 
 
 def check_reals(bound: str | None, finite: bool = False, error: type = ValueError, **values) -> None:
@@ -114,6 +124,6 @@ def check_reals(bound: str | None, finite: bool = False, error: type = ValueErro
         except OverflowError:
             infinite = True
         if infinite:
-            raise error(f"{name} must be finite, got {value}")
+            raise error(f"{name} must be finite, got {shown(value)}")
         if bound is not None and not RANGES[bound](value):
-            raise error(f"{name} must be {bound}, got {value}")
+            raise error(f"{name} must be {bound}, got {shown(value)}")

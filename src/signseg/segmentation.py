@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError, StreamTooShortError, check_counts, check_reals, is_integer
+from .errors import ShapeError, StreamTooShortError, check_counts, check_reals, is_integer, shown
 from .keypoints import ContinuousStream
 from .model import ModelWeights, forward_probs
 
@@ -102,7 +102,7 @@ def slide(stream: ContinuousStream | np.ndarray, window: int, stride: int = 1) -
         raise ShapeError(f"stream frames have shape {frames.shape}, expected (frames, dim)")
     n = frames.shape[0]
     if n < window:
-        raise StreamTooShortError(f"stream has {n} frames, one window needs {window}")
+        raise StreamTooShortError(f"stream has {n} frames, one window needs {shown(window)}")
     return sliding_window_view(frames, (window, frames.shape[1]))[::stride, 0]
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteGradientError, ShapeError, check_counts, check_reals, check_rules, rule
+from .errors import ConfigError, NonFiniteGradientError, ShapeError, check_counts, check_reals, check_rules, rule, shown
 from .gradients import backward, check_label, soft_cross_entropy
 from .keypoints import IsolatedSample, class_labels
 from .model import ModelConfig, ModelWeights, Workspace, forward_probs, init_weights, weights_to_dict
@@ -73,7 +73,7 @@ def carve_validation(
     samples: list[IsolatedSample], fraction: float = 0.1, seed: int = 0
 ) -> tuple[list[IsolatedSample], list[IsolatedSample]]:
     """Split a training set into (core, validation) stratified by class."""
-    check_reals(None, fraction=fraction)
+    check_reals("in (0, 1)", fraction=fraction)
     return split_dataset(samples, 1.0 - fraction, seed)
 
 
@@ -206,7 +206,7 @@ def straddle_window(
     if second.frames.shape[0] != window:
         raise ShapeError(f"samples differ in length: {window} vs {second.frames.shape[0]}")
     if not 1 <= shift < window:
-        raise ValueError(f"shift must be in [1, {window}), got {shift}")
+        raise ValueError(f"shift must be in [1, {window}), got {shown(shift)}")
     frames = np.concatenate([first.frames[shift:], second.frames[:shift]])
     major = first.label if 2 * shift <= window else second.label
     sample = IsolatedSample(frames, int(major))

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,23 @@ from signseg import (
     relative_error,
 )
 from signseg.gradients import soft_cross_entropy
-from signseg.model import FORWARD_CHUNK, Workspace, param_count, param_shapes, upcast, weights_to_dict
+from signseg.model import (
+    FORWARD_CHUNK,
+    LayerWeights,
+    Workspace,
+    _ff_bwd,
+    _ff_fwd,
+    _layer_bwd,
+    _layer_fwd,
+    _layer_norm_bwd,
+    _layer_norm_fwd,
+    _mha_bwd,
+    _mha_fwd,
+    param_count,
+    param_shapes,
+    upcast,
+    weights_to_dict,
+)
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import draw_straddles
 
@@ -285,6 +302,82 @@ def test_full_sweep_at_a_d_k_whose_root_is_not_a_power_of_two():
     frames = derive_rng(4, "d_k-8").normal(size=(mcfg.window, mcfg.input_dim))
     weights = init_weights(mcfg, derive_seed(4, "init"))
     assert gradient_check(weights, IsolatedSample(frames, 2), epsilon=1e-4) < 1e-4
+
+
+# heads 2, d_model 6: d_k = 3, whose root is not a power of two; two windows
+KERNEL_CFG = ModelConfig(layers=1, heads=2, d_model=6, d_ff=5, window=4, input_dim=3, classes=2)
+W = KERNEL_CFG.window
+# name: (the parameters it differentiates, forward kernel, backward kernel). A
+# backward gets the cotangent dy, the forward's input x and its activations c
+# and returns the gradient at x; _mha_bwd folds in the residual, so its
+# forward is the residual sum x + attention(x)
+KERNELS = {
+    "_layer_norm_bwd": (
+        ["ln1_g", "ln1_b"],
+        lambda x, L, c: _layer_norm_fwd(x, L.ln1_g, L.ln1_b, c["xhat1"], c["inv1"], W),
+        lambda dy, x, L, g, c, mask, ws: _layer_norm_bwd(
+            dy, c["xhat1"], c["inv1"], L.ln1_g, g.ln1_g, g.ln1_b, c["out"], W
+        ),
+    ),
+    "_ff_bwd": (
+        ["ff_w1", "ff_b1", "ff_w2", "ff_b2"],
+        lambda x, L, c: _ff_fwd(x, L, c["act"], c["out"]),
+        lambda dy, x, L, g, c, mask, ws: _ff_bwd(dy, x, L, g, c["act"], mask, ws),
+    ),
+    "_mha_bwd": (
+        ["wq", "wk", "wv", "wo"],
+        lambda x, L, c: _mha_fwd(x, L, c) + x,
+        lambda dy, x, L, g, c, mask, ws: _mha_bwd(dy, x, L, g, c, ws),
+    ),
+    "_layer_bwd": (
+        [f.name for f in fields(LayerWeights)],
+        _layer_fwd,
+        _layer_bwd,
+    ),
+}
+
+
+def _central_differences(loss, arrays, epsilon=1e-6):
+    """d loss / d a for each array a, by central differences, one coordinate at a time in place."""
+    grads = []
+    for arr in arrays:
+        grad = np.empty_like(arr)
+        for i in np.ndindex(arr.shape):
+            original = arr[i]
+            arr[i] = original + epsilon
+            plus = loss()
+            arr[i] = original - epsilon
+            minus = loss()
+            arr[i] = original
+            grad[i] = (plus - minus) / (2.0 * epsilon)
+        grads.append(grad)
+    return grads
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_each_backward_kernel_matches_central_differences_of_its_forward(kernel):
+    # a wrong gradient here names its stage, which the whole-model sweep cannot
+    names, forward, bwd = KERNELS[kernel]
+    rng = derive_rng(17, "kernels")
+    layer = upcast(init_weights(KERNEL_CFG, derive_seed(17, "init"))).layers[0]
+    for v in (layer.ln1_g, layer.ln2_g):
+        v[...] = rng.uniform(0.5, 1.5, size=v.shape)
+    for v in (layer.ln1_b, layer.ln2_b, layer.ff_b1, layer.ff_b2):
+        v[...] = rng.normal(size=v.shape)
+    x = rng.normal(size=(2 * W, KERNEL_CFG.d_model))
+    ws = Workspace()
+    c = ws.layer(0, KERNEL_CFG, len(x), np.float64)
+    r = rng.normal(size=x.shape)  # every kernel here maps (rows, d_model) to (rows, d_model)
+    numeric = _central_differences(lambda: float(np.sum(r * forward(x.copy(), layer, c))),
+                                   [x, *(getattr(layer, n) for n in names)])
+
+    x_in = x.copy()
+    forward(x_in, layer, c)  # the activations at x, kept in c
+    grads = ModelWeights(KERNEL_CFG, np.zeros(param_count(KERNEL_CFG))).layers[0]
+    mask = ws("mask", (len(x), KERNEL_CFG.d_ff), np.bool_)
+    analytic = [bwd(r.copy(), x_in, layer, grads, c, mask, ws), *(getattr(grads, n) for n in names)]
+    for name, a, n in zip(["input", *names], analytic, numeric):
+        assert np.abs(a - n).max() <= 1e-5 * np.abs(n).max(), name
 
 
 def test_gradient_check_many_labels(tiny_mcfg, tiny_weights):

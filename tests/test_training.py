@@ -46,7 +46,8 @@ from signseg import (
     sample_instance,
     segment_report,
 )
-from signseg.segmentation import WindowProb
+from signseg.errors import StreamTooShortError, check_counts
+from signseg.segmentation import WindowProb, slide
 from signseg.model import FORWARD_CHUNK, Workspace, param_count, upcast
 from signseg.seeding import derive_rng, derive_seed
 from signseg.training import (
@@ -752,6 +753,45 @@ def test_a_real_argument_that_is_not_a_number_is_named(tiny_weights, tiny_sample
     # each used to raise a bare TypeError from inside a comparison or a subtraction
     with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
         _numbers_setup(tiny_weights, tiny_sample)[call](value)
+
+
+@pytest.mark.parametrize("fraction", [1.5, 0.0, 1.0, -0.5])
+def test_a_validation_fraction_out_of_range_is_named(tiny_weights, tiny_sample, fraction):
+    # each used to be checked as the split ratio 1 - fraction: 1.5 read "ratio must be in (0, 1), got -0.5"
+    named = rf"^fraction must be in \(0, 1\), got {fraction}$"
+    with pytest.raises(ValueError, match=named):
+        _numbers_setup(tiny_weights, tiny_sample)["carve_validation"](fraction)
+    core, val, test_set, mcfg = small_setup(12)
+    with pytest.raises(ValueError, match=named):
+        ablate([1], [2], [("synthetic", core + val, test_set)], mcfg, TrainConfig(seed=1), val_fraction=fraction)
+
+
+HUGE = 10**5000  # past Python's 4,300-digit limit on printing an int
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda w, s: TrainConfig(lr0=HUGE), ConfigError, "lr0 must be finite, got an integer of about 5001 digits"),
+        (lambda w, s: post_process([WindowProb(0, np.array([0.9, 0.1]))], HUGE), ValueError,
+         "threshold must be in (0, 1), got an integer of about 5001 digits"),
+        (lambda w, s: check_counts(1, window=-HUGE), ValueError,
+         "window must be >= 1, got a negative integer of about 5001 digits"),
+        (lambda w, s: slide(np.zeros((5, 2)), HUGE), StreamTooShortError,
+         "stream has 5 frames, one window needs an integer of about 5001 digits"),
+        (lambda w, s: ModelConfig(layers=1, heads=1, d_model=HUGE + 1, d_ff=1, window=1, input_dim=1, classes=1),
+         ConfigError, "d_model must be even for sinusoidal position codes, got an integer of about 5001 digits"),
+        (lambda w, s: straddle_window(s, s, HUGE, 3), ValueError,
+         "shift must be in [1, 4), got an integer of about 5001 digits"),
+        (lambda w, s: backward(IsolatedSample(s.frames, HUGE), w), ValueError,
+         "sample 0 label an integer of about 5001 digits is not a class index in [0, 3)"),
+    ],
+    ids=["check_rules", "check_reals", "check_counts", "slide", "ModelConfig", "straddle_window", "check_label"],
+)
+def test_an_integer_too_long_to_print_is_shown_by_its_size(tiny_weights, tiny_sample, call, error, message):
+    # each used to raise Python's bare "Exceeds the limit (4300 digits) for integer string conversion"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(tiny_weights, tiny_sample)
 
 
 @pytest.mark.parametrize("label", [1.9, 2.5, "1", True, -1], ids=repr)
