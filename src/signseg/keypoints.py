@@ -30,6 +30,7 @@ from .errors import (
     ShapeError,
     check_counts,
     is_integer,
+    shown,
 )
 from .seeding import derive_rng
 
@@ -52,7 +53,7 @@ def class_labels(samples: list[IsolatedSample]) -> list[int]:
     """Each sample's label as an int; ValueError names the first that is not is_integer and >= 0."""
     for i, sample in enumerate(samples):
         if not is_integer(sample.label) or sample.label < 0:
-            raise ValueError(f"sample {i} label {sample.label!r} is not a class index >= 0")
+            raise ValueError(f"sample {i} label {shown(sample.label, repr)} is not a class index >= 0")
     return [int(sample.label) for sample in samples]
 
 
@@ -220,7 +221,7 @@ def build_streams(
     labels = sorted(by_label)
     if signs_per_stream > len(labels):
         raise ValueError(
-            f"signs_per_stream {signs_per_stream} exceeds the {len(labels)} distinct labels available"
+            f"signs_per_stream {shown(signs_per_stream)} exceeds the {len(labels)} distinct labels available"
         )
     rng = derive_rng(seed, "streams")
     streams = []

@@ -1,7 +1,8 @@
 """Sliding-window decoding of continuous streams.
 
 A trained isolated-sign classifier is slid across the stream, a view of
-its frames, into one (n_windows, classes) probability array. The decode
+its frames, into one (n_windows, classes) probability array; a list of
+window rows is checked and stacked into that array in one pass. The decode
 rule (CTC's best path) is written once, in _decode, and applied to that
 array whole: each window emits its argmax class when that probability
 reaches the threshold and Blank otherwise (NaN never reaches it); Blanks
@@ -10,17 +11,20 @@ surviving window. With the default 0.51 threshold at most one class can
 clear the bar per window, because the probabilities sum to one.
 
 False recognitions are counted positionally against the ground-truth
-label list, plus the absolute length difference; an edit distance is
-reported alongside as a robustness check. Every report also carries two
-baselines for comparison: collapse-only (each window's argmax with runs
-of one label collapsed, no threshold), which isolates what the threshold
-buys, and no post-processing at all (raw argmax per window, no threshold,
-no collapse).
+label list, plus the absolute length difference: one walk over (decoded,
+ground truth), positions in order and then the longer side's tail, gives
+both the mismatch table and the false count, its length. An edit
+distance is reported alongside as a robustness check. Every report also
+carries two baselines for comparison: collapse-only (each window's argmax
+with runs of one label collapsed, no threshold), which isolates what the
+threshold buys, and no post-processing at all (raw argmax per window, no
+threshold, no collapse).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,7 +59,6 @@ class Mismatch:
     """One counted false recognition; fields are None on the side a length
     difference leaves unmatched."""
 
-    position: int
     gt_class: int | None
     gt_softmax: float | None
     recognized_class: int | None
@@ -131,29 +134,17 @@ def _run_heads(labels: np.ndarray) -> np.ndarray:
 
 
 def _rows(wp: list[WindowProb]) -> np.ndarray:
-    # in float64, so a float32 row meets the threshold as the float it converts to
-    if not wp:
-        return np.empty((0, 1))
-    try:
-        rows = np.array([w.probs for w in wp], dtype=np.float64)
-    except ValueError:  # numpy's "inhomogeneous shape" among others
-        _check_rows(wp)
-        raise
-    if rows.ndim != 2:
-        _check_rows(wp)
-    return rows
-
-
-def _check_rows(wp: list[WindowProb]) -> None:
-    """Raises ShapeError naming the first window whose probabilities are not
-    a 1-D row of window 0's shape; the rows are looked at only when numpy
-    did not stack them into (n, C)."""
+    """The windows' probabilities stacked into (n, C) float64 rows, so a
+    float32 row meets the threshold as the float it converts to; raises
+    ShapeError naming the first window whose probabilities are not a 1-D
+    row of window 0's shape."""
     shapes = [np.shape(w.probs) for w in wp]
     for i, shape in enumerate(shapes):
         if len(shape) != 1:
-            raise ShapeError(f"window {i} has probabilities of shape {shape}, expected one row (classes,)") from None
+            raise ShapeError(f"window {i} has probabilities of shape {shape}, expected one row (classes,)")
         if shape != shapes[0]:
-            raise ShapeError(f"window {i} has probabilities of shape {shape}, window 0 {shapes[0]}") from None
+            raise ShapeError(f"window {i} has probabilities of shape {shape}, window 0 {shapes[0]}")
+    return np.array([w.probs for w in wp], dtype=np.float64) if wp else np.empty((0, 1))
 
 
 def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> list[DecodedLabel]:
@@ -180,11 +171,11 @@ def _labels(labels, side: str) -> list:
 
 
 def count_false(decoded, gt_labels: list[int]) -> int:
-    """Positional mismatches against the ground truth, plus the absolute
-    length difference as a tail penalty; each side as _labels reads it."""
+    """Positional mismatches against the ground truth, where each item of
+    the longer side's tail meets None and counts once; each side as
+    _labels reads it."""
     labels, gt_labels = _labels(decoded, "decoded"), _labels(gt_labels, "ground-truth")
-    mismatches = sum(a != b for a, b in zip(labels, gt_labels))
-    return mismatches + abs(len(labels) - len(gt_labels))
+    return sum(a != b for a, b in zip_longest(labels, gt_labels))
 
 
 def edit_distance(decoded, gt_labels: list[int]) -> int:
@@ -208,13 +199,12 @@ def _stream_row(index, probs, wp, decoded, gt_labels, threshold) -> StreamRow:
     survivors = int(keep.sum())
 
     mismatches: list[Mismatch] = []
-    for pos, (d, gt) in enumerate(zip(decoded, gt_labels)):
-        if d.label != gt:
-            gt_prob = float(probs[d.window_index, gt]) if 0 <= gt < probs.shape[1] else None
-            mismatches.append(Mismatch(pos, gt, gt_prob, d.label, d.prob, d.window_index))
-    tail = min(len(decoded), len(gt_labels))  # the longer side's unmatched end
-    mismatches += [Mismatch(p, None, None, d.label, d.prob, d.window_index) for p, d in enumerate(decoded[tail:], tail)]
-    mismatches += [Mismatch(p, gt, None, None, None, None) for p, gt in enumerate(gt_labels[tail:], tail)]
+    for d, gt in zip_longest(decoded, gt_labels):  # positions in order, then the longer side's tail
+        if d is None:
+            mismatches.append(Mismatch(gt, None, None, None, None))
+        elif d.label != gt:  # a decoded tail meets gt None
+            gt_prob = float(probs[d.window_index, gt]) if gt is not None and 0 <= gt < probs.shape[1] else None
+            mismatches.append(Mismatch(gt, gt_prob, d.label, d.prob, d.window_index))
 
     return StreamRow(
         index=index,
@@ -224,7 +214,7 @@ def _stream_row(index, probs, wp, decoded, gt_labels, threshold) -> StreamRow:
         avg_softmax=float(tops[keep].mean()) if survivors else 0.0,
         survivor_count=survivors,
         avg_softmax_raw=float(tops.mean()),
-        false_count=count_false(decoded, gt_labels),
+        false_count=len(mismatches),
         false_count_collapse=count_false(labels[_run_heads(labels)].tolist(), gt_labels),
         false_count_raw=count_false(labels.tolist(), gt_labels),
         edit_dist=edit_distance(decoded, gt_labels),

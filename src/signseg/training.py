@@ -58,7 +58,7 @@ def split_dataset(
     for label in sorted(by_label):
         members = by_label[label]
         if len(members) < 2:
-            warnings.warn(f"class {label} has {len(members)} sample(s); keeping it in train only")
+            warnings.warn(f"class {shown(label)} has {len(members)} sample(s); keeping it in train only")
             train_idx.extend(members)
             continue
         perm = rng.permutation(len(members))
@@ -74,6 +74,8 @@ def carve_validation(
 ) -> tuple[list[IsolatedSample], list[IsolatedSample]]:
     """Split a training set into (core, validation) stratified by class."""
     check_reals("in (0, 1)", fraction=fraction)
+    if 1.0 - fraction == 1.0:  # the split takes the complement, which rounds to 1.0 here
+        raise ValueError(f"fraction must be > 2**-54 so that 1 - fraction stays below 1, got {fraction}")
     return split_dataset(samples, 1.0 - fraction, seed)
 
 

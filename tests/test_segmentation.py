@@ -361,6 +361,45 @@ class TestMetrics:
         assert edit_distance(decoded, gt) == edit_distance(gt, decoded) == 0
 
 
+def reference_mismatches(probs, decoded, gt_labels):
+    """The mismatch table built in three pieces: the positional mismatches,
+    then the decoded tail, then the ground-truth tail (one tail is empty)."""
+    table = []
+    for d, gt in zip(decoded, gt_labels):
+        if d.label != gt:
+            gt_prob = float(probs[d.window_index, gt]) if 0 <= gt < probs.shape[1] else None
+            table.append((gt, gt_prob, d.label, d.prob, d.window_index))
+    tail = min(len(decoded), len(gt_labels))
+    table += [(None, None, d.label, d.prob, d.window_index) for d in decoded[tail:]]
+    table += [(gt, None, None, None, None) for gt in gt_labels[tail:]]
+    return table
+
+
+def test_the_scoring_walk_equals_the_three_piece_reference():
+    # a decode longer than its ground truth pairs its tail with None, which
+    # must not reach the ground-truth softmax lookup
+    seen = set()
+    for seed in range(200):
+        rng = derive_rng(seed, "scoring walk")
+        classes = int(rng.integers(1, 5))
+        probs = rng.dirichlet(np.ones(classes), size=int(rng.integers(1, 12)))
+        decoded = []
+        for _ in range(rng.integers(0, 7)):
+            window, label = int(rng.integers(len(probs))), int(rng.integers(classes))
+            decoded.append(DecodedLabel(label, window, float(probs[window, label])))
+        gt = rng.integers(-2, classes + 2, size=rng.integers(0, 7)).tolist()  # some negative, some >= classes
+        row = _stream_row(0, probs, wp_from_rows(probs), decoded, gt, 0.5)
+        want = reference_mismatches(probs, decoded, gt)
+        got = [(m.gt_class, m.gt_softmax, m.recognized_class, m.recognized_softmax, m.window_index) for m in row.mismatches]
+        assert got == want
+        assert row.false_count == len(want)
+        positional = sum(d.label != g for d, g in zip(decoded, gt))
+        assert count_false(decoded, gt) == positional + abs(len(decoded) - len(gt)) == row.false_count
+        seen.add(np.sign(len(decoded) - len(gt)))
+        seen.update("out of range" for g in gt if not 0 <= g < classes)
+    assert seen == {-1, 0, 1, "out of range"}
+
+
 @pytest.fixture(scope="module")
 def mini_trained():
     """A miniature trained pipeline every report test can share."""

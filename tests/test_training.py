@@ -766,6 +766,13 @@ def test_a_validation_fraction_out_of_range_is_named(tiny_weights, tiny_sample, 
         ablate([1], [2], [("synthetic", core + val, test_set)], mcfg, TrainConfig(seed=1), val_fraction=fraction)
 
 
+@pytest.mark.parametrize("fraction", [1e-17, 2**-54])
+def test_a_validation_fraction_whose_complement_rounds_to_one_is_named(tiny_weights, tiny_sample, fraction):
+    # each used to raise "ratio must be in (0, 1), got 1.0", naming an argument the caller never passed
+    with pytest.raises(ValueError, match=rf"^fraction must be > 2\*\*-54 so that 1 - fraction stays below 1, got {fraction}$"):
+        _numbers_setup(tiny_weights, tiny_sample)["carve_validation"](fraction)
+
+
 HUGE = 10**5000  # past Python's 4,300-digit limit on printing an int
 
 
@@ -785,13 +792,26 @@ HUGE = 10**5000  # past Python's 4,300-digit limit on printing an int
          "shift must be in [1, 4), got an integer of about 5001 digits"),
         (lambda w, s: backward(IsolatedSample(s.frames, HUGE), w), ValueError,
          "sample 0 label an integer of about 5001 digits is not a class index in [0, 3)"),
+        (lambda w, s: build_streams([s], 1, HUGE, 0), ValueError,
+         "signs_per_stream an integer of about 5001 digits exceeds the 1 distinct labels available"),
+        (lambda w, s: split_dataset([IsolatedSample(s.frames, -HUGE)], 0.8, 0), ValueError,
+         "sample 0 label a negative integer of about 5001 digits is not a class index >= 0"),
     ],
-    ids=["check_rules", "check_reals", "check_counts", "slide", "ModelConfig", "straddle_window", "check_label"],
+    ids=["check_rules", "check_reals", "check_counts", "slide", "ModelConfig", "straddle_window", "check_label",
+         "build_streams", "class_labels"],
 )
 def test_an_integer_too_long_to_print_is_shown_by_its_size(tiny_weights, tiny_sample, call, error, message):
     # each used to raise Python's bare "Exceeds the limit (4300 digits) for integer string conversion"
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(tiny_weights, tiny_sample)
+
+
+def test_a_lone_class_too_long_to_print_is_warned_by_its_size(tiny_sample):
+    data = [IsolatedSample(tiny_sample.frames, c % 2) for c in range(4)] + [IsolatedSample(tiny_sample.frames, HUGE)]
+    message = "class an integer of about 5001 digits has 1 sample(s); keeping it in train only"
+    with pytest.warns(UserWarning, match=f"^{re.escape(message)}$"):
+        train_set, test_set = split_dataset(data, 0.8, 0)
+    assert train_set[-1].label == HUGE and len(test_set) == 2
 
 
 @pytest.mark.parametrize("label", [1.9, 2.5, "1", True, -1], ids=repr)
