@@ -1,5 +1,6 @@
 """Exception types shared across the package, the rules of config fields
-and their checker, and the checks of plain integer and real arguments."""
+and their checker, and the checks of plain integer, real and class-label
+arguments."""
 
 import math
 import numbers
@@ -109,6 +110,16 @@ def check_counts(minimum: int, **values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {shown(value)}")
+
+
+def class_index(label, what: str, classes: int | None = None) -> int:
+    """label as a Python int when it is_integer and a class index: in
+    [0, classes), or >= 0 without classes (a one-hot row would read -1 as
+    the last class); otherwise raises ValueError naming `what`."""
+    if not is_integer(label) or label < 0 or classes is not None and label >= classes:
+        span = ">= 0" if classes is None else f"in [0, {classes})"
+        raise ValueError(f"{what} label {shown(label, repr)} is not a class index {span}")
+    return int(label)
 
 
 def check_reals(bound: str | None, finite: bool = False, error: type = ValueError, **values) -> None:

@@ -11,7 +11,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, check_reals, is_integer, shown
+from .errors import ShapeError, check_reals, class_index
 from .keypoints import IsolatedSample
 from .model import (
     ModelWeights,
@@ -26,20 +26,12 @@ from .model import (
 from .seeding import derive_rng
 
 
-def check_label(label, classes: int, what: str) -> None:
-    """Raises ValueError naming `what` unless label is_integer in [0, classes):
-    a class index a one-hot row can take, where -1 would pick the last class."""
-    if not is_integer(label) or not 0 <= label < classes:
-        raise ValueError(f"{what} label {shown(label, repr)} is not a class index in [0, {classes})")
-
-
 def _resolve_target(sample: IsolatedSample, target, classes: int, what: str) -> np.ndarray:
     # the one-hot label by default; with it, -sum t ln p adds exact zeros to
     # -ln p[label] and p - t subtracts 0.0 off the label, so both match the
     # plain cross-entropy bit for bit
     if target is None:
-        check_label(sample.label, classes, what)
-        return np.eye(classes)[sample.label]
+        return np.eye(classes)[class_index(sample.label, what, classes)]
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (classes,):
         raise ShapeError(f"target has shape {target.shape}, expected ({classes},)")

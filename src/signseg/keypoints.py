@@ -29,7 +29,7 @@ from .errors import (
     KeypointParseError,
     ShapeError,
     check_counts,
-    is_integer,
+    class_index,
     shown,
 )
 from .seeding import derive_rng
@@ -47,14 +47,6 @@ class IsolatedSample:
 
     frames: np.ndarray
     label: int
-
-
-def class_labels(samples: list[IsolatedSample]) -> list[int]:
-    """Each sample's label as an int; ValueError names the first that is not is_integer and >= 0."""
-    for i, sample in enumerate(samples):
-        if not is_integer(sample.label) or sample.label < 0:
-            raise ValueError(f"sample {i} label {shown(sample.label, repr)} is not a class index >= 0")
-    return [int(sample.label) for sample in samples]
 
 
 @dataclass
@@ -195,7 +187,7 @@ def concat_isolated(samples: list[IsolatedSample]) -> ContinuousStream:
     if len(dims) != 1:
         raise ShapeError(f"samples have mixed feature dimensions: {sorted(dims)}")
 
-    labels = class_labels(samples)
+    labels = [class_index(sample.label, f"sample {i}") for i, sample in enumerate(samples)]
     frames = np.concatenate([sample.frames for sample in samples], axis=0)
     ends = itertools.accumulate(len(sample.frames) for sample in samples)
     boundaries = [(end - len(sample.frames), end - 1) for sample, end in zip(samples, ends)]
@@ -216,8 +208,8 @@ def build_streams(
     """
     check_counts(1, n_streams=n_streams, signs_per_stream=signs_per_stream)
     by_label: dict[int, list[int]] = {}
-    for i, label in enumerate(class_labels(samples)):
-        by_label.setdefault(label, []).append(i)
+    for i, sample in enumerate(samples):
+        by_label.setdefault(class_index(sample.label, f"sample {i}"), []).append(i)
     labels = sorted(by_label)
     if signs_per_stream > len(labels):
         raise ValueError(

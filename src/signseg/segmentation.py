@@ -136,15 +136,20 @@ def _run_heads(labels: np.ndarray) -> np.ndarray:
 def _rows(wp: list[WindowProb]) -> np.ndarray:
     """The windows' probabilities stacked into (n, C) float64 rows, so a
     float32 row meets the threshold as the float it converts to; raises
-    ShapeError naming the first window whose probabilities are not a 1-D
-    row of window 0's shape."""
-    shapes = [np.shape(w.probs) for w in wp]
-    for i, shape in enumerate(shapes):
-        if len(shape) != 1:
-            raise ShapeError(f"window {i} has probabilities of shape {shape}, expected one row (classes,)")
-        if shape != shapes[0]:
-            raise ShapeError(f"window {i} has probabilities of shape {shape}, window 0 {shapes[0]}")
-    return np.array([w.probs for w in wp], dtype=np.float64) if wp else np.empty((0, 1))
+    ShapeError naming the first window whose probabilities are not numbers
+    (a ragged row or strings) or not a 1-D row of window 0's shape."""
+    rows = []
+    for i, w in enumerate(wp):
+        try:
+            row = np.asarray(w.probs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"window {i} has probabilities that are not a row of numbers") from exc
+        rows.append(row)
+        if row.ndim != 1:
+            raise ShapeError(f"window {i} has probabilities of shape {row.shape}, expected one row (classes,)")
+        if row.shape != rows[0].shape:
+            raise ShapeError(f"window {i} has probabilities of shape {row.shape}, window 0 {rows[0].shape}")
+    return np.array(rows) if rows else np.empty((0, 1))
 
 
 def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> list[DecodedLabel]:
@@ -160,14 +165,16 @@ def post_process(wp: list[WindowProb], threshold: float = DEFAULT_THRESHOLD) -> 
     return [DecodedLabel(int(labels[i]), int(i), float(tops[i])) for i in heads]
 
 
-def _labels(labels, side: str) -> list:
-    """Each item's label, a DecodedLabel's or the item itself if is_integer;
-    raises ValueError naming the side and position of any other item."""
+def _labels(labels, side: str) -> list[int]:
+    """Each item's label as an int, a DecodedLabel's or the item itself if
+    is_integer; raises ValueError naming the side and position of any other
+    item. Any integer is a label here: one outside the model's classes is
+    scored as a mismatch."""
     out = [d.label if isinstance(d, DecodedLabel) else d for d in labels]
     for i, label in enumerate(out):
         if not is_integer(label):
             raise ValueError(f"{side} label {i} is {label!r}, not an integer class")
-    return out
+    return [int(label) for label in out]
 
 
 def count_false(decoded, gt_labels: list[int]) -> int:
@@ -208,7 +215,7 @@ def _stream_row(index, probs, wp, decoded, gt_labels, threshold) -> StreamRow:
 
     return StreamRow(
         index=index,
-        gt_labels=list(gt_labels),
+        gt_labels=gt_labels,
         decoded=decoded,
         window_probs=wp,
         avg_softmax=float(tops[keep].mean()) if survivors else 0.0,
@@ -242,19 +249,19 @@ def segment_report(
     if not streams:
         raise ValueError("need at least one stream")
     check_reals("in (0, 1)", threshold=threshold)  # before any stream is decoded or recorded as errored
-    for index, stream in enumerate(streams):  # so is each stream's ground truth
-        _labels(stream.gt_labels, f"stream {index} ground-truth")
+    # so is each stream's ground truth, whose ints every row then carries
+    truths = [_labels(s.gt_labels, f"stream {i} ground-truth") for i, s in enumerate(streams)]
     rows: list[StreamRow] = []
-    for index, stream in enumerate(streams):
+    for index, (stream, gt_labels) in enumerate(zip(streams, truths)):
         try:
             windows = slide(stream, window, stride)
         except StreamTooShortError as exc:
-            rows.append(StreamRow(index, list(stream.gt_labels), error=str(exc)))
+            rows.append(StreamRow(index, gt_labels, error=str(exc)))
             continue
         probs = window_probs(weights, windows)
         wp = [WindowProb(i * stride, row) for i, row in enumerate(probs)]
         decoded = post_process(wp, threshold)
-        rows.append(_stream_row(index, probs, wp, decoded, list(stream.gt_labels), threshold))
+        rows.append(_stream_row(index, probs, wp, decoded, gt_labels, threshold))
 
     scored = [r for r in rows if r.error is None]
     return SegmentReport(

@@ -7,9 +7,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteGradientError, ShapeError, check_counts, check_reals, check_rules, rule, shown
-from .gradients import backward, check_label, soft_cross_entropy
-from .keypoints import IsolatedSample, class_labels
+from .errors import (ConfigError, NonFiniteGradientError, ShapeError, check_counts, check_reals, check_rules,
+                     class_index, rule, shown)
+from .gradients import backward, soft_cross_entropy
+from .keypoints import IsolatedSample
 from .model import ModelConfig, ModelWeights, Workspace, forward_probs, init_weights, weights_to_dict
 from .seeding import derive_rng, derive_seed
 
@@ -50,8 +51,8 @@ def split_dataset(
         raise ValueError("cannot split an empty dataset")
     check_reals("in (0, 1)", ratio=ratio)
     by_label: dict[int, list[int]] = {}
-    for i, label in enumerate(class_labels(samples)):
-        by_label.setdefault(label, []).append(i)
+    for i, sample in enumerate(samples):
+        by_label.setdefault(class_index(sample.label, f"sample {i}"), []).append(i)
     rng = derive_rng(seed, "split")
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -179,7 +180,7 @@ def _validate_samples(samples: list[IsolatedSample], cfg: ModelConfig, what: str
             raise ShapeError(
                 f"{what} sample {i} has shape {s.frames.shape}, expected ({cfg.window}, {cfg.input_dim})"
             )
-        check_label(s.label, cfg.classes, f"{what} sample {i}")
+        class_index(s.label, f"{what} sample {i}", cfg.classes)
 
 
 # A straddling window keeps a sign's label when that sign fills at least this
@@ -202,7 +203,9 @@ def straddle_window(
 
     The target is the one-hot label of the sign filling at least
     STRADDLE_MAJORITY of the window, or uniform over `classes` when neither
-    does. The returned sample carries the label of the larger part.
+    does. The returned sample carries the label of the larger part. Each
+    sample's label must be a class index in [0, classes)
+    (errors.class_index), or ValueError names that sample.
     """
     window = first.frames.shape[0]
     if second.frames.shape[0] != window:
@@ -210,8 +213,9 @@ def straddle_window(
     if not 1 <= shift < window:
         raise ValueError(f"shift must be in [1, {window}), got {shown(shift)}")
     frames = np.concatenate([first.frames[shift:], second.frames[:shift]])
-    major = first.label if 2 * shift <= window else second.label
-    sample = IsolatedSample(frames, int(major))
+    labels = class_index(first.label, "first sample", classes), class_index(second.label, "second sample", classes)
+    major = labels[0] if 2 * shift <= window else labels[1]
+    sample = IsolatedSample(frames, major)
     if max(window - shift, shift) / window >= STRADDLE_MAJORITY:
         target = np.zeros(classes)
         target[major] = 1.0
@@ -397,13 +401,12 @@ def evaluate_isolated(weights: ModelWeights, samples: list[IsolatedSample]) -> f
     """Fraction of samples whose argmax class matches the label, in one
     forward_probs call, which runs in weights.workspace when it is set: in
     train(), the one its backward calls keep. A label that is not a class
-    index (check_label) raises ValueError naming the sample."""
+    index (errors.class_index) raises ValueError naming the sample."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
-    for i, s in enumerate(samples):
-        check_label(s.label, weights.config.classes, f"sample {i}")
+    labels = [class_index(s.label, f"sample {i}", weights.config.classes) for i, s in enumerate(samples)]
     probs = forward_probs(weights, [s.frames for s in samples])
-    hits = sum(int(np.argmax(p)) == s.label for p, s in zip(probs, samples))
+    hits = sum(int(np.argmax(p)) == label for p, label in zip(probs, labels))
     return hits / len(samples)
 
 

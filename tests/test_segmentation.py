@@ -217,6 +217,13 @@ class TestPostProcess:
             with pytest.raises(ShapeError, match=message):
                 post_process(wp_from_rows(rows))
 
+    @pytest.mark.parametrize("row", [[0.5, [0.5]], [[0.5, 0.5], [1.0]], ["a", "b"]], ids=["ragged", "rows", "strings"])
+    def test_a_row_that_is_not_numbers_is_a_shape_error_naming_its_window(self, row):
+        # each used to raise numpy's bare ValueError, naming no window
+        wp = [WindowProb(0, np.array([0.5, 0.5])), WindowProb(1, row)]
+        with pytest.raises(ShapeError, match=r"^window 1 has probabilities that are not a row of numbers$"):
+            post_process(wp)
+
     def test_nan_row_is_blank(self, monkeypatch):
         # a NaN top probability never reaches the threshold, so the class-0
         # window after it is the run head, in the decode, the survivor mean
@@ -359,6 +366,9 @@ class TestMetrics:
         gt = [DecodedLabel(4, 0, 0.9), np.int32(7)]
         assert count_false(decoded, gt) == count_false(gt, decoded) == 0
         assert edit_distance(decoded, gt) == edit_distance(gt, decoded) == 0
+        # scored as the Python ints they hold, so no numpy integer reaches a report
+        for score in (count_false, edit_distance):
+            assert type(score(decoded, gt[:1])) is int and score(decoded, gt[:1]) == 1
 
 
 def reference_mismatches(probs, decoded, gt_labels):
@@ -521,6 +531,21 @@ class TestSegmentReport:
         assert [d.label for d in row.decoded] == [0, 1]
         assert (row.false_count, row.false_count_collapse, row.false_count_raw) == (2, 0, 5)
         assert (report.false_with_pp, report.false_collapse_only, report.false_without_pp) == (2, 0, 5)
+
+    def test_numpy_integer_ground_truth_scores_as_python_ints(self, monkeypatch):
+        # a numpy integer used to reach the sums, so false_collapse_only was a
+        # numpy.int64 and report_aggregate_json raised TypeError
+        probs = np.array([[0.9, 0.05, 0.05], [0.4, 0.3, 0.3], [0.05, 0.9, 0.05], [0.3, 0.3, 0.4]])
+        monkeypatch.setattr(signseg.segmentation, "window_probs", lambda weights, windows: probs)
+        stream = ContinuousStream(np.zeros((len(probs), 1)), list(np.array([0, 2, 2])))
+        report = segment_report(None, [stream], window=1, stride=1, threshold=0.51)
+        row = report.rows[0]
+        counts = [row.false_count, row.false_count_collapse, row.false_count_raw, row.edit_dist]
+        counts += [report.false_with_pp, report.false_collapse_only, report.false_without_pp]
+        assert counts == [2, 1, 3, 2, 2, 1, 3]
+        labels = row.gt_labels + [m.gt_class for m in row.mismatches]
+        assert all(type(value) is int for value in counts + labels)
+        assert json.loads(report_aggregate_json(report))["false_collapse_only"] == 1
 
     def test_mismatch_rows_carry_window_probabilities(self, mini_trained):
         weights, _, test_set = mini_trained

@@ -46,7 +46,7 @@ from signseg import (
     sample_instance,
     segment_report,
 )
-from signseg.errors import StreamTooShortError, check_counts
+from signseg.errors import StreamTooShortError, check_counts, class_index
 from signseg.segmentation import WindowProb, slide
 from signseg.model import FORWARD_CHUNK, Workspace, param_count, upcast
 from signseg.seeding import derive_rng, derive_seed
@@ -595,6 +595,21 @@ class TestStraddles:
             with pytest.raises(ValueError):
                 straddle_window(a, b, shift, classes=2)
 
+    @pytest.mark.parametrize("shift", [10, 25])
+    @pytest.mark.parametrize("label", [-1, 2.5, "1", 7], ids=repr)
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_a_label_that_is_no_class_index_is_named(self, which, label, shift):
+        # with classes=3, a first label of -1 used to train on class 2's
+        # one-hot target; at shift 10, 2.5, "1" and 7 raised numpy's bare
+        # IndexError, and at shift 25, 2.5 came back labelled 2
+        good, bad = _ramp(0, window=50), IsolatedSample(np.zeros((50, 2)), label)
+        pair = (bad, good) if which == "first" else (good, bad)
+        message = rf"^{which} sample label {re.escape(repr(label))} is not a class index in \[0, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            straddle_window(*pair, shift, classes=3)
+        with pytest.raises(ValueError, match=r"^(first|second) sample label .* is not a class index"):
+            draw_straddles([good, bad], 5, derive_rng(1, "straddle"), classes=3)
+
     def test_draws_pair_different_classes(self):
         samples = [_ramp(label) for label in (0, 0, 1, 2)]
         for sample, target in draw_straddles(samples, 50, derive_rng(1, "straddle"), classes=3):
@@ -812,6 +827,11 @@ def test_a_lone_class_too_long_to_print_is_warned_by_its_size(tiny_sample):
     with pytest.warns(UserWarning, match=f"^{re.escape(message)}$"):
         train_set, test_set = split_dataset(data, 0.8, 0)
     assert train_set[-1].label == HUGE and len(test_set) == 2
+
+
+def test_a_class_index_comes_back_as_a_python_int():
+    index = class_index(np.int64(2), "x", 3)
+    assert type(index) is int and index == 2
 
 
 @pytest.mark.parametrize("label", [1.9, 2.5, "1", True, -1], ids=repr)
