@@ -105,10 +105,9 @@ def _dataset(cfg: RunConfig, window: int):
     return samples, input_dim, classes
 
 
-def _splits(cfg: RunConfig, samples):
-    train_all, test = split_dataset(samples, cfg.data.split_ratio, derive_seed(cfg.seed, "split"))
-    core, val = carve_validation(train_all, cfg.data.val_fraction, derive_seed(cfg.seed, "val"))
-    return train_all, core, val, test
+def _split(cfg: RunConfig, samples):
+    """The config's (train, test) split of samples."""
+    return split_dataset(samples, cfg.data.split_ratio, derive_seed(cfg.seed, "split"))
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -138,7 +137,8 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     samples, input_dim, classes = _dataset(cfg, cfg.model.window)
     mcfg = cfg.model_config(input_dim, classes)
     tcfg = cfg.train_config()
-    _, core, val, test = _splits(cfg, samples)
+    train_all, test = _split(cfg, samples)
+    core, val = carve_validation(train_all, cfg.data.val_fraction, derive_seed(cfg.seed, "val"))
 
     def report(r):
         print(f"epoch {r.epoch} loss {r.loss:.6f} val_acc {r.val_accuracy:.4f} lr {r.lr:.6g}")
@@ -175,7 +175,7 @@ def _test_split(cfg: RunConfig, weights):
     """The config's test split, built at the saved model's window."""
     samples, input_dim, _ = _dataset(cfg, weights.config.window)
     _check_fits(weights, input_dim, [s.label for s in samples], "the data")
-    return _splits(cfg, samples)[3]
+    return _split(cfg, samples)[1]
 
 
 def _cmd_eval(args, cfg: RunConfig) -> int:
@@ -194,7 +194,7 @@ def _cmd_ablate(args, cfg: RunConfig) -> int:
     samples, input_dim, classes = _dataset(cfg, cfg.model.window)
     mcfg = cfg.model_config(input_dim, classes)
     tcfg = cfg.train_config()
-    train_all, test = split_dataset(samples, cfg.data.split_ratio, derive_seed(cfg.seed, "split"))
+    train_all, test = _split(cfg, samples)
 
     names = ["synthetic" if cfg.data.manifest is None else "manifest"]
     datasets = [(names[0], train_all, test)]
@@ -211,6 +211,16 @@ def _cmd_ablate(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _write_scores(out: Path, report) -> str:
+    """Writes segment_summary.csv and segment.json; returns the totals text."""
+    atomic_write_text(out / "segment_summary.csv", report_summary_csv(report))
+    atomic_write_text(out / "segment.json", report_aggregate_json(report))
+    return (
+        f"{report.false_with_pp} with post-processing, "
+        f"{report.false_collapse_only} collapse-only, {report.false_without_pp} without"
+    )
+
+
 def _cmd_segment(args, cfg: RunConfig) -> int:
     seg = cfg.segmentation
     out = Path(cfg.out_dir)
@@ -224,17 +234,10 @@ def _cmd_segment(args, cfg: RunConfig) -> int:
         row = report.rows[0]
         if row.error is not None:
             raise StreamTooShortError(row.error)
-        trace = windows_csv(row.window_probs, row.decoded, seg.threshold)
-        atomic_write_text(out / "stream_windows.csv", trace)
+        atomic_write_text(out / "stream_windows.csv", windows_csv(row.window_probs, seg.threshold))
         print(f"decoded {len(row.decoded)} labels: {[d.label for d in row.decoded]}")
         if args.labels is not None:
-            atomic_write_text(out / "segment_summary.csv", report_summary_csv(report))
-            atomic_write_text(out / "segment.json", report_aggregate_json(report))
-            print(
-                f"false recognitions {report.false_with_pp} with post-processing, "
-                f"{report.false_collapse_only} collapse-only, {report.false_without_pp} without; "
-                f"edit distance {row.edit_dist}"
-            )
+            print(f"false recognitions {_write_scores(out, report)}; edit distance {row.edit_dist}")
         return 0
 
     test = _test_split(cfg, weights)
@@ -244,20 +247,12 @@ def _cmd_segment(args, cfg: RunConfig) -> int:
         if row.error is not None:
             print(f"stream {row.index}: error: {row.error}")
             continue
-        atomic_write_text(
-            out / f"stream_{row.index:03d}_windows.csv",
-            windows_csv(row.window_probs, row.decoded, seg.threshold),
-        )
+        atomic_write_text(out / f"stream_{row.index:03d}_windows.csv", windows_csv(row.window_probs, seg.threshold))
         print(
             f"stream {row.index}: {len(row.decoded)} decoded, {row.false_count} false, "
             f"avg softmax {row.avg_softmax:.4f}"
         )
-    atomic_write_text(out / "segment_summary.csv", report_summary_csv(report))
-    atomic_write_text(out / "segment.json", report_aggregate_json(report))
-    print(
-        f"totals: false {report.false_with_pp} with post-processing, "
-        f"{report.false_collapse_only} collapse-only, {report.false_without_pp} without"
-    )
+    print(f"totals: false {_write_scores(out, report)}")
     return 0
 
 

@@ -236,17 +236,17 @@ def upcast(weights: ModelWeights) -> ModelWeights:
     return ModelWeights(weights.config, weights.flat.astype(np.float64))
 
 
-def _softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along `axis`, written over x, an array the caller owns."""
-    x -= x.max(axis=axis, keepdims=True)
+def _softmax_(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, written over x, an array the caller owns."""
+    x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
-    x /= x.sum(axis=axis, keepdims=True)
+    x /= x.sum(axis=-1, keepdims=True)
     return x
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along `axis`."""
-    return _softmax_(np.array(x, dtype=np.float64), axis)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis."""
+    return _softmax_(np.array(x, dtype=np.float64))
 
 
 def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:

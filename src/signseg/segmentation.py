@@ -23,7 +23,7 @@ threshold, no collapse).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -274,13 +274,13 @@ def segment_report(
     )
 
 
-def windows_csv(wp: list[WindowProb], decoded: list[DecodedLabel], threshold: float) -> str:
+def windows_csv(wp: list[WindowProb], threshold: float) -> str:
     """Per-window trace: start, argmax class, top probability, and what the
     decoder emitted there (a label, Blank, or nothing when collapsed)."""
-    labels, tops, keep, _ = _decode(_rows(wp), threshold)
+    labels, tops, keep, heads = _decode(_rows(wp), threshold)
     emitted = ["" if k else "Blank" for k in keep.tolist()]
-    for d in decoded:
-        emitted[d.window_index] = str(d.label)
+    for i in heads.tolist():
+        emitted[i] = str(labels[i])
     lines = ["window_start,argmax_class,max_prob,emitted_label"]
     lines += [
         f"{w.start},{label},{top!r},{emit}"
@@ -317,13 +317,6 @@ def report_summary_csv(report: SegmentReport) -> str:
 
 
 def report_aggregate_json(report: SegmentReport) -> str:
-    return json.dumps(
-        {
-            "avg_softmax_with_pp": report.avg_softmax_with_pp,
-            "avg_softmax_without_pp": report.avg_softmax_without_pp,
-            "false_collapse_only": report.false_collapse_only,
-            "false_with_pp": report.false_with_pp,
-            "false_without_pp": report.false_without_pp,
-        },
-        indent=2,
-    ) + "\n"
+    """Every SegmentReport field but the rows, keys sorted."""
+    totals = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "rows"}
+    return json.dumps(totals, indent=2, sort_keys=True) + "\n"

@@ -4,8 +4,9 @@ Layout, all little-endian:
 
     bytes 0..5    magic "SGSEG1"
     bytes 6..7    format version, uint16 (currently 1)
-    bytes 8..35   config block: layers, heads, d_model, d_ff, window,
-                  input_dim, classes as seven uint32 values
+    bytes 8..35   config block: ModelConfig's seven fields in their
+                  declared order (layers, heads, d_model, d_ff, window,
+                  input_dim, classes) as uint32 values
     remainder     the model's flat parameter buffer (ModelWeights.flat)
                   as raw float32: every parameter tensor in C order, in
                   the canonical order of param_shapes(), which is the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +44,8 @@ _HEADER_SIZE = len(MAGIC) + _VERSION_STRUCT.size + _CONFIG_STRUCT.size
 
 
 def _header(cfg: ModelConfig) -> bytes:
-    fields = (cfg.layers, cfg.heads, cfg.d_model, cfg.d_ff, cfg.window, cfg.input_dim, cfg.classes)
-    return MAGIC + _VERSION_STRUCT.pack(FORMAT_VERSION) + _CONFIG_STRUCT.pack(*fields)
+    # ModelConfig's field order, which _parse_header reads back with ModelConfig(*...)
+    return MAGIC + _VERSION_STRUCT.pack(FORMAT_VERSION) + _CONFIG_STRUCT.pack(*astuple(cfg))
 
 
 def _payload(weights: ModelWeights) -> memoryview:

@@ -9,9 +9,10 @@ import numpy as np
 
 from .errors import (ConfigError, NonFiniteGradientError, ShapeError, check_counts, check_reals, check_rules,
                      class_index, rule, shown)
-from .gradients import backward, soft_cross_entropy
+from .gradients import backward
 from .keypoints import IsolatedSample
-from .model import ModelConfig, ModelWeights, Workspace, forward_probs, init_weights, weights_to_dict
+from .model import (ModelConfig, ModelWeights, Workspace, forward_probs, init_weights, soft_cross_entropy,
+                    weights_to_dict)
 from .seeding import derive_rng, derive_seed
 
 
@@ -231,8 +232,12 @@ def draw_straddles(
     of different classes at a random shift in [1, window - 1].
 
     Returns an empty list when no such window exists: no samples, fewer
-    than two classes, or windows of one frame.
+    than two classes, or windows of one frame. Each sample's label must be
+    a class index in [0, classes) (errors.class_index), or ValueError
+    names that sample by its index in `samples`.
     """
+    for i, sample in enumerate(samples):  # before numpy groups the labels
+        class_index(sample.label, f"sample {i}", classes)
     return _cut(samples, _draw_picks(samples, count, rng), classes)
 
 

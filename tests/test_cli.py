@@ -163,6 +163,15 @@ class TestAblate:
         assert main(["ablate", "--config", str(cfg), "--layers", ",", "--out", str(tmp_path / "d")]) == 1
 
 
+def _totals(seg):
+    """The totals text a segment run prints, from the segment.json it wrote."""
+    payload = json.loads((seg / "segment.json").read_text())
+    return (
+        f"{payload['false_with_pp']} with post-processing, "
+        f"{payload['false_collapse_only']} collapse-only, {payload['false_without_pp']} without"
+    )
+
+
 class TestSegment:
     def test_synthetic_streams(self, workdir, tmp_path):
         _, cfg, out = workdir
@@ -184,6 +193,13 @@ class TestSegment:
             "false_with_pp",
             "false_without_pp",
         }
+
+    def test_synthetic_streams_print_the_totals_of_segment_json(self, workdir, tmp_path, capsys):
+        _, cfg, out = workdir
+        seg = tmp_path / "seg"
+        assert main(["segment", "--config", str(cfg), "--model", str(out / "model.bin"), "--out", str(seg)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"totals: false {_totals(seg)}"
 
     def test_window_mismatch_exits_1(self, workdir, tmp_path, capsys):
         # decoding runs at the saved model's window; the config has no key for it
@@ -250,6 +266,15 @@ class TestSegmentStream:
         payload = json.loads((seg / "segment.json").read_text())
         assert payload["false_with_pp"] >= 0
 
+    def test_stream_with_labels_prints_the_totals_of_segment_json(self, manifest_run, tmp_path, capsys):
+        root, cfg, data, run = manifest_run
+        stream = _two_sign_stream(data, tmp_path / "stream.jsonl")
+        seg = tmp_path / "seg"
+        assert main(["segment", "--config", str(cfg), "--model", str(run / "model.bin"),
+                     "--stream", str(stream), "--labels", "0,1", "--out", str(seg)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith(f"false recognitions {_totals(seg)}; edit distance ")
+
     def test_stream_with_labels_classifies_each_window_once(self, manifest_run, tmp_path, monkeypatch):
         root, cfg, data, run = manifest_run
         stream = _two_sign_stream(data, tmp_path / "stream.jsonl")
@@ -307,7 +332,7 @@ class TestSegmentStream:
             weights, [ContinuousStream(load_stream_features(stream), [])], weights.config.window,
             seg_cfg["stride"], seg_cfg["threshold"],
         ).rows[0]
-        expected_csv = windows_csv(row.window_probs, row.decoded, seg_cfg["threshold"]).encode()
+        expected_csv = windows_csv(row.window_probs, seg_cfg["threshold"]).encode()
         expected_out = f"decoded {len(row.decoded)} labels: {[d.label for d in row.decoded]}\n"
 
         calls = []

@@ -15,7 +15,6 @@ from signseg import (
     init_weights,
     relative_error,
 )
-from signseg.gradients import soft_cross_entropy
 from signseg.model import (
     FORWARD_CHUNK,
     LayerWeights,
@@ -30,6 +29,7 @@ from signseg.model import (
     _mha_fwd,
     param_count,
     param_shapes,
+    soft_cross_entropy,
     upcast,
     weights_to_dict,
 )

@@ -21,7 +21,6 @@ from signseg import (
     save_weights,
     softmax,
 )
-from signseg.gradients import soft_cross_entropy
 from signseg.model import (
     LN_EPS,
     Workspace,
@@ -33,6 +32,7 @@ from signseg.model import (
     _sinusoids,
     param_count,
     param_shapes,
+    soft_cross_entropy,
     upcast,
     weights_to_dict,
 )

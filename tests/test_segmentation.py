@@ -32,7 +32,7 @@ from signseg import (
 )
 import signseg.segmentation
 from signseg.model import FORWARD_CHUNK, upcast
-from signseg.segmentation import _stream_row, report_aggregate_json, report_summary_csv, windows_csv
+from signseg.segmentation import SegmentReport, _stream_row, report_aggregate_json, report_summary_csv, windows_csv
 from signseg.seeding import derive_rng, derive_seed
 
 
@@ -233,7 +233,7 @@ class TestPostProcess:
         assert decoded == [DecodedLabel(0, 1, 0.9)]
         row = report_row(monkeypatch, [w.probs for w in wp], 0.51)
         assert (row.avg_softmax, row.survivor_count) == (0.9, 1)
-        assert windows_csv(wp, decoded, 0.51).split("\n")[1:3] == ["0,0,nan,Blank", "1,0,0.9,0"]
+        assert windows_csv(wp, 0.51).split("\n")[1:3] == ["0,0,nan,Blank", "1,0,0.9,0"]
 
     def test_matches_reference_on_random_corpus(self, random_prob_rows):
         rng = derive_rng(4, "decoder")
@@ -314,7 +314,7 @@ def test_vectorized_decode_equals_the_per_row_loop(case):
     assert [(d.label, d.window_index, d.prob) for d in decoded] == want_decoded
     row = _stream_row(0, rows, wp, decoded, [], threshold)
     assert (row.avg_softmax, row.survivor_count) == want_mean
-    assert windows_csv(wp, decoded, threshold) == want_csv
+    assert windows_csv(wp, threshold) == want_csv
 
 
 class TestMetrics:
@@ -586,8 +586,7 @@ class TestEmitters:
     def test_windows_csv(self):
         rows = [[0.9, 0.1], [0.85, 0.15], [0.5, 0.5], [0.2, 0.8]]
         wp = wp_from_rows(rows)
-        decoded = post_process(wp, 0.51)
-        text = windows_csv(wp, decoded, 0.51)
+        text = windows_csv(wp, 0.51)
         lines = text.strip().split("\n")
         assert lines[0] == "window_start,argmax_class,max_prob,emitted_label"
         assert lines[1].startswith("0,0,0.9")
@@ -599,7 +598,7 @@ class TestEmitters:
     def test_windows_csv_rejects_rows_that_are_not_1d(self):
         wp = wp_from_rows([[[0.1, 0.9]], [[0.9, 0.1]]])
         with pytest.raises(ShapeError, match=r"^window 0 has probabilities of shape \(1, 2\), expected one row"):
-            windows_csv(wp, [], 0.51)
+            windows_csv(wp, 0.51)
 
     def test_summary_csv_and_json(self, mini_trained):
         weights, _, test_set = mini_trained
@@ -618,6 +617,23 @@ class TestEmitters:
             "false_with_pp",
             "false_without_pp",
         }
+
+    def test_aggregate_json_is_the_five_key_literal(self):
+        # five values that all differ, so a key that read another field shows
+        report = SegmentReport(
+            rows=[], false_with_pp=3, false_collapse_only=5, false_without_pp=7,
+            avg_softmax_with_pp=0.25, avg_softmax_without_pp=0.125,
+        )
+        assert report_aggregate_json(report) == json.dumps(
+            {
+                "avg_softmax_with_pp": 0.25,
+                "avg_softmax_without_pp": 0.125,
+                "false_collapse_only": 5,
+                "false_with_pp": 3,
+                "false_without_pp": 7,
+            },
+            indent=2,
+        ) + "\n"
 
     def test_summary_csv_rows_have_six_fields(self, mini_trained):
         # a too-short stream's message holds a comma, so its cell is quoted

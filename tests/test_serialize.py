@@ -124,20 +124,24 @@ def test_save_weights_file_writes_the_buffer_in_place(tmp_path, default_weights)
 
 
 def test_header_layout(tiny_mcfg, weights):
-    blob = save_weights(weights)
-    assert blob[:6] == MAGIC
-    (version,) = struct.unpack_from("<H", blob, 6)
-    assert version == FORMAT_VERSION
-    config = struct.unpack_from("<7I", blob, 8)
-    assert config == (
-        tiny_mcfg.layers,
-        tiny_mcfg.heads,
-        tiny_mcfg.d_model,
-        tiny_mcfg.d_ff,
-        tiny_mcfg.window,
-        tiny_mcfg.input_dim,
-        tiny_mcfg.classes,
-    )
+    # tiny_mcfg has layers == heads, so only the second config, whose seven
+    # values all differ, shows two fields written in each other's place
+    distinct = ModelConfig(layers=3, heads=2, d_model=6, d_ff=5, window=7, input_dim=11, classes=13)
+    for mcfg, blob in ((tiny_mcfg, save_weights(weights)), (distinct, save_weights(init_weights(distinct, 0)))):
+        assert blob[:6] == MAGIC
+        (version,) = struct.unpack_from("<H", blob, 6)
+        assert version == FORMAT_VERSION
+        config = struct.unpack_from("<7I", blob, 8)
+        assert config == (
+            mcfg.layers,
+            mcfg.heads,
+            mcfg.d_model,
+            mcfg.d_ff,
+            mcfg.window,
+            mcfg.input_dim,
+            mcfg.classes,
+        )
+    assert config == (3, 2, 6, 5, 7, 11, 13)
 
 
 def test_corrupt_magic(weights):

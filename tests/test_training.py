@@ -596,7 +596,7 @@ class TestStraddles:
                 straddle_window(a, b, shift, classes=2)
 
     @pytest.mark.parametrize("shift", [10, 25])
-    @pytest.mark.parametrize("label", [-1, 2.5, "1", 7], ids=repr)
+    @pytest.mark.parametrize("label", [-1, 2.5, "1", 7, None, [1]], ids=repr)
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_a_label_that_is_no_class_index_is_named(self, which, label, shift):
         # with classes=3, a first label of -1 used to train on class 2's
@@ -607,7 +607,8 @@ class TestStraddles:
         message = rf"^{which} sample label {re.escape(repr(label))} is not a class index in \[0, 3\)$"
         with pytest.raises(ValueError, match=message):
             straddle_window(*pair, shift, classes=3)
-        with pytest.raises(ValueError, match=r"^(first|second) sample label .* is not a class index"):
+        message = rf"^sample 1 label {re.escape(repr(label))} is not a class index in \[0, 3\)$"
+        with pytest.raises(ValueError, match=message):  # its index in the list, not its place in a pair
             draw_straddles([good, bad], 5, derive_rng(1, "straddle"), classes=3)
 
     def test_draws_pair_different_classes(self):
