@@ -15,7 +15,7 @@ from .errors import (
     WeightsTruncationError,
     WeightsVersionError,
 )
-from .gradients import backward, gradient_check, relative_error
+from .gradients import gradient_check, relative_error
 from .keypoints import (
     ContinuousStream,
     IsolatedSample,
@@ -32,6 +32,7 @@ from .model import (
     ModelConfig,
     ModelWeights,
     attention_weights,
+    backward,
     encoder_forward,
     forward_probs,
     init_weights,

@@ -8,46 +8,49 @@ block, each wrapped in residual + layer norm), and one fully connected
 softmax head over the concatenation of all frame features.
 
 The pass runs over a batch of B windows (B, window, input_dim); one window
-is a batch of one, also in the backward pass. Row-wise products run once
-over all B * window rows, attention per window and head, and the head as
-one matrix-vector product per window. Row reductions are BLAS products
-with a ones vector, also taken per window: a layer norm's means are one
-(B, window, d) @ (d, 1) product, since a single (B * window, d) @ (d, 1)
-product rounds a row differently for different B. Attention has one
-layout: q, k, v and concat are (B * window, heads * d_k), so a projection
-is one product and a head's d_k columns are a view (_heads). Only the
-attention matrix is per head, key-major, k @ q^T of shape (B, heads, keys,
-queries), so the softmax's max runs down axis -2, an elementwise pass over
-rows, and its sum is ones(1, window) @ a, one product per window and head.
-So a window's probabilities are bit for bit the same in any batch.
-forward_probs and backward take any number of windows and run them
-FORWARD_CHUNK at a time, converting a chunk to the weights' dtype as
-they take it (_chunks).
+is a batch of one, also in the backward pass. One rule makes a window's
+probabilities bit for bit the same in any batch, on any BLAS kernel: every
+product and row reduction is taken per window. The embedding, Q/K/V,
+output-projection and feed-forward products are matmuls over
+(B, window, k) views (_windows), one GEMM per window, since on some
+OpenBLAS kernels (Haswell, Zen) a single (B * window, k) product rounds a
+row differently for different B. Row reductions are products with a ones
+vector, a layer norm's means one (B, window, d) @ (d, 1) product;
+attention runs per window and head, and the head is one matrix-vector
+product per window. Attention has one layout: q, k, v and concat are
+(B * window, heads * d_k), so a head's d_k columns are a view (_heads).
+Only the attention matrix is per head, key-major, k @ q^T of shape
+(B, heads, keys, queries), so the softmax's max runs down axis -2, an
+elementwise pass over rows, and its sum is ones(1, window) @ a.
 
 Each stage's backward kernel sits after its forward one: _layer_norm_bwd,
 _mha_bwd, _ff_bwd and _layer_bwd. _backward_chunk runs one chunk forward
 with every layer's activations kept, then back through the head, one
 _layer_bwd per layer and the embedding, adding the gradients into a
-ModelWeights and returning the soft_cross_entropy loss; gradients.backward
-checks the samples and targets and hands it one chunk at a time. So this
-module owns the activation layout and every write over it.
+ModelWeights and returning the soft_cross_entropy loss. So this module
+owns both passes, the activation layout and every write over it;
+gradients.gradient_check checks backward against forward_probs.
 
-Each layer writes its activations into the arrays of a Workspace, the
-weights' own (ModelWeights.workspace) when it is set, else one made for
-the call (built weights have none). _backward_chunk keeps one set per
-layer, most of its scratch written over activations read for the last
-time; forward_probs writes every layer over layer 0's. train() sets the
-field for its run, so every backward call and both validation passes
-reuse a FORWARD_CHUNK's activations and one layer's scratch, allocated by
-the first step (a short chunk as leading-axis views).
+forward_probs and backward take any number of windows through one loop,
+_chunks: it checks every window's shape first, then yields them
+FORWARD_CHUNK at a time, each chunk converted to the weights' dtype as it
+is taken, with the pass's Workspace: weights.workspace when it is set,
+else one made for the call (built weights have none). The result is the
+same bit for bit either way, and nothing returned lives in the workspace.
+backward keeps one set of arrays per layer, most of its scratch written
+over activations read for the last time; forward_probs writes every layer
+over layer 0's, so it holds one layer's for one chunk at any depth.
+train() sets the field for its run, so every backward call and both
+validation passes reuse a FORWARD_CHUNK's activations and one layer's
+scratch, allocated by the first step (a short chunk as leading-axis views).
 
 Parameters live in one flat buffer, float32 at rest (the precision of the
 weights file), with a named view per parameter. The pass computes in the
 dtype of the activations it is handed: float32 frames on float32 weights
 run in float32, and float64 frames make numpy promote every product to
 float64, bit for bit as if the weights were cast first. Only the head's
-logits are cast to float64 before the softmax. forward_probs and the
-backward pass compute in the weights' dtype, float32 as stored (half the
+logits are cast to float64 before the softmax. forward_probs and
+backward compute in the weights' dtype, float32 as stored (half the
 bytes per elementwise pass) and float64 after upcast(); encoder_forward
 always computes in float64. gradient_check differentiates upcast() weights,
 so analytic gradients agree with central finite differences to tight
@@ -58,12 +61,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_counts, check_rules, rule, shown
+from .errors import ConfigError, ShapeError, check_counts, check_rules, class_index, rule, shown
+from .keypoints import IsolatedSample
 from .seeding import derive_rng
 
 LN_EPS = 1e-5
@@ -139,8 +144,7 @@ class ModelWeights:
     to the buffer. Each layer's parameters sit at the position of
     `layers` in the canonical order. `workspace`, None wherever weights
     are built, neither shown nor compared, is the Workspace forward_probs
-    and backward run in once a caller sets it (as train() does for its
-    run), each call making its own while it is None.
+    and backward run in once a caller sets it (see the module docstring).
     """
 
     config: ModelConfig
@@ -336,6 +340,11 @@ def _layer_norm_bwd(dy, xhat, inv_std, gain, dgain, dbias, tmp, window):
     return np.multiply(dy, inv_std, out=dy)
 
 
+def _windows(x, window: int):
+    """x (B * window, k) as a (B, window, k) view: a matmul over it is one GEMM per window."""
+    return x.reshape(-1, window, x.shape[-1])
+
+
 def _heads(x, heads: int, window: int):
     """Each head's view (B, heads, window, d_k) of x (B * window, heads * d_k)."""
     return x.reshape(-1, window, heads, x.shape[-1] // heads).transpose(0, 2, 1, 3)
@@ -352,7 +361,7 @@ def _mha_fwd(x, layer, c):
     a = c["a"]
     heads, window = a.shape[1], a.shape[-1]
     for w, name in ((layer.wq, "q"), (layer.wk, "k"), (layer.wv, "v")):
-        np.matmul(x, _projection(w), out=c[name])
+        np.matmul(_windows(x, window), _projection(w), out=_windows(c[name], window))
     q, k, v, concat = (_heads(c[name], heads, window) for name in ("q", "k", "v", "concat"))
     q *= 1.0 / math.sqrt(q.shape[-1])  # q is window * d_k numbers, the scores window * window
     # key-major scores a[..., key, query], so the softmax runs down axis -2:
@@ -363,7 +372,8 @@ def _mha_fwd(x, layer, c):
     np.exp(a, out=a)
     a /= _ones((1, window), a.dtype) @ a
     np.matmul(a.transpose(0, 1, 3, 2), v, out=concat)
-    return np.matmul(c["concat"], layer.wo, out=c["y1"])
+    np.matmul(_windows(c["concat"], window), layer.wo, out=_windows(c["y1"], window))
+    return c["y1"]
 
 
 def _mha_bwd(dy, x_in, layer, g, c, ws):
@@ -394,7 +404,8 @@ def _mha_bwd(dy, x_in, layer, g, c, ws):
 
 
 def _ff_fwd(x, layer, act, out):
-    """The feed-forward block of x into out, its ReLU output into act."""
+    """The feed-forward block of x into out, its ReLU output into act: rows
+    (n, d_model), or (B, window, d_model) views for a GEMM per window."""
     np.matmul(x, layer.ff_w1, out=act)
     act += layer.ff_b1
     np.maximum(act, 0.0, out=act)
@@ -445,10 +456,9 @@ def _encoder_internals(frames, weights: ModelWeights, ws: Workspace, use_positio
         raise ShapeError(f"frames have shape {frames.shape[1:]}, expected ({cfg.window}, {cfg.input_dim})")
     rows, dtype = frames.shape[0] * cfg.window, np.result_type(frames, weights.flat)
     x = ws(("out", -1 if keep else 0), (rows, cfg.d_model), dtype)
-    np.matmul(frames.reshape(-1, cfg.input_dim), weights.embed_w, out=x)
-    x += weights.embed_b
+    windows = np.matmul(frames, weights.embed_w, out=_windows(x, cfg.window))
+    windows += weights.embed_b
     if use_positions:
-        windows = x.reshape(-1, cfg.window, cfg.d_model)  # a view: x is contiguous
         windows += _position_codes(cfg.window, cfg.d_model, x.dtype)
     for i, layer in enumerate(weights.layers):
         x = _layer_fwd(x, layer, ws.layer(i if keep else 0, cfg, rows, dtype))
@@ -461,9 +471,9 @@ def _layer_fwd(x_in, layer, c):
     y1 = _mha_fwd(x_in, layer, c)
     y1 += x_in  # x_in's last read, so c["out"] may be x_in
     _layer_norm_fwd(y1, layer.ln1_g, layer.ln1_b, c["xhat1"], c["inv1"], window)
-    out = _ff_fwd(y1, layer, c["act"], c["out"])
-    out += y1
-    return _layer_norm_fwd(out, layer.ln2_g, layer.ln2_b, c["xhat2"], c["inv2"], window)
+    out = _ff_fwd(_windows(y1, window), layer, _windows(c["act"], window), _windows(c["out"], window))
+    out += _windows(y1, window)
+    return _layer_norm_fwd(c["out"], layer.ln2_g, layer.ln2_b, c["xhat2"], c["inv2"], window)
 
 
 def _layer_bwd(dy, x_in, layer, g, c, mask, ws):
@@ -503,17 +513,21 @@ def _classify_internals(features, weights: ModelWeights):
 
 
 def _chunks(frames, weights: ModelWeights):
-    """Windows `frames`, a (B, window, input_dim) array or a sequence of
-    (window, input_dim) windows, as (start, chunk) pairs of FORWARD_CHUNK
-    windows, each chunk converted to the weights' dtype only when it is
-    taken. Every window's shape is checked before the first chunk."""
+    """(start, chunk, workspace) triples over windows `frames`, a
+    (B, window, input_dim) array or a sequence of (window, input_dim)
+    windows: FORWARD_CHUNK windows a chunk, each converted to the weights'
+    dtype only when it is taken, and the pass's Workspace. Every window's
+    shape is checked before the first chunk."""
     shape = (weights.config.window, weights.config.input_dim)
-    shapes = [frames.shape[1:]] if isinstance(frames, np.ndarray) else map(np.shape, frames)
-    bad = next((s for s in shapes if s != shape), None)
-    if bad is not None:  # stacking mixed shapes would fail with numpy's own error
-        raise ShapeError(f"frames have shape {bad}, expected {shape}")
+    if isinstance(frames, Sequence) and not isinstance(frames, (str, bytes)):
+        bad = next((s for s in map(np.shape, frames) if s != shape), None)
+        if bad is not None:  # stacking mixed shapes would fail with numpy's own error
+            raise ShapeError(f"frames have shape {bad}, expected {shape}")
+    elif np.shape(frames)[1:] != shape:  # an array, or one value such as a string: named by its whole shape
+        raise ShapeError("frames have shape {}, expected {} or (B, {}, {})".format(np.shape(frames), shape, *shape))
+    ws = Workspace() if weights.workspace is None else weights.workspace
     dtype = weights.flat.dtype
-    return ((i, np.asarray(frames[i : i + FORWARD_CHUNK], dtype)) for i in range(0, len(frames), FORWARD_CHUNK))
+    return ((i, np.asarray(frames[i : i + FORWARD_CHUNK], dtype), ws) for i in range(0, len(frames), FORWARD_CHUNK))
 
 
 def forward_probs(weights: ModelWeights, frames) -> np.ndarray:
@@ -523,18 +537,13 @@ def forward_probs(weights: ModelWeights, frames) -> np.ndarray:
     (B, classes), FORWARD_CHUNK windows per pass. Computes in the dtype of
     the weights' buffer, float32 as stored or float64 after upcast(); the
     probabilities are float64 either way, and bit for bit the same for a
-    window alone or in a batch of any size.
-
-    A chunk's activations go into weights.workspace when it is set, else
-    into a Workspace made for the call, every layer's over layer 0's
-    arrays: the pass holds one layer's for one chunk at any depth. The
-    result is the same bit for bit, and nothing returned lives in the
-    workspace."""
-    one = isinstance(frames, np.ndarray) and frames.ndim == 2
+    window alone or in a batch of any size."""
+    cfg = weights.config
+    one = isinstance(frames, np.ndarray) and frames.shape == (cfg.window, cfg.input_dim)
     batch = frames[None] if one else frames
-    probs = np.empty((len(batch), weights.config.classes))
-    ws = Workspace() if weights.workspace is None else weights.workspace
-    for i, chunk in _chunks(batch, weights):
+    chunks = _chunks(batch, weights)  # checks the input before len() reads it
+    probs = np.empty((len(batch), cfg.classes))
+    for i, chunk, ws in chunks:
         features = _encoder_internals(chunk, weights, ws)
         probs[i : i + len(chunk)] = _classify_internals(features, weights)[0]
     return probs[0] if one else probs
@@ -565,3 +574,61 @@ def _backward_chunk(frames, target, weights: ModelWeights, add_to: ModelWeights,
     _add_product(add_to.embed_w, frames.reshape(rows, cfg.input_dim).T, dx, ws)
     add_to.embed_b += _column_sum(dx)
     return loss
+
+
+def _resolve_target(sample: IsolatedSample, target, classes: int, index: int) -> np.ndarray:
+    # the one-hot label by default; with it, -sum t ln p adds exact zeros to
+    # -ln p[label] and p - t subtracts 0.0 off the label, so both match the
+    # plain cross-entropy bit for bit
+    if target is None:
+        return np.eye(classes)[class_index(sample.label, f"sample {index}", classes)]
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != (classes,):
+        raise ShapeError(f"target has shape {target.shape}, expected ({classes},)")
+    if not (np.all(target >= 0.0) and abs(float(target.sum()) - 1.0) <= 1e-9):
+        raise ValueError("target must be a probability distribution (non-negative, summing to 1)")
+    return target
+
+
+def backward(
+    samples: IsolatedSample | Sequence[IsolatedSample],
+    weights: ModelWeights,
+    targets=None,
+    add_to: ModelWeights | None = None,
+) -> tuple[ModelWeights, float]:
+    """Loss and exact gradients of the cross-entropy, summed over a batch.
+
+    `samples` is one IsolatedSample, with `targets` its target, or a
+    non-empty sequence of them, with `targets` None or one target per
+    sample. A target of None is the one-hot label, giving -ln p[label] (a
+    label that is not an integer class index raises ValueError naming the
+    sample); a target distribution t over the classes gives -sum t ln p
+    instead. The pass checks every sample's shape and target, then runs
+    FORWARD_CHUNK samples at a time in the dtype of the weights' buffer,
+    like forward_probs: float32 as stored, float64 after upcast().
+
+    Returns (gradients, summed loss); the gradients are a ModelWeights over
+    a float64 buffer in the parameters' layout, each view holding the
+    gradient of the parameter of the same name. Given `add_to`, a float64
+    ModelWeights of the same config, each chunk's gradients are added in
+    turn into its views and `add_to` is returned; otherwise into a fresh
+    zeroed buffer.
+    """
+    cfg = weights.config
+    if isinstance(samples, IsolatedSample):
+        samples, targets = [samples], [targets]
+    elif targets is None:
+        targets = [None] * len(samples)
+    if not samples:
+        raise ShapeError("the batch is empty: backward needs one sample or more")
+    if len(targets) != len(samples):
+        raise ShapeError(f"need one target per sample, got {len(targets)} for {len(samples)} samples")
+    target = np.stack([_resolve_target(s, t, cfg.classes, i) for i, (s, t) in enumerate(zip(samples, targets))])
+    if add_to is None:
+        add_to = ModelWeights(cfg, np.zeros(param_count(cfg)))
+    elif add_to.config != cfg or add_to.flat.dtype != np.float64:
+        raise ShapeError("add_to must be a float64 ModelWeights of the weights' config")
+    loss = 0.0
+    for i, frames, ws in _chunks([s.frames for s in samples], weights):
+        loss += _backward_chunk(frames, target[i : i + len(frames)], weights, add_to, ws)
+    return add_to, loss

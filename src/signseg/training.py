@@ -9,10 +9,9 @@ import numpy as np
 
 from .errors import (ConfigError, NonFiniteGradientError, ShapeError, check_counts, check_reals, check_rules,
                      class_index, rule, shown)
-from .gradients import backward
 from .keypoints import IsolatedSample
-from .model import (ModelConfig, ModelWeights, Workspace, forward_probs, init_weights, soft_cross_entropy,
-                    weights_to_dict)
+from .model import (ModelConfig, ModelWeights, Workspace, backward, forward_probs, init_weights,
+                    soft_cross_entropy, weights_to_dict)
 from .seeding import derive_rng, derive_seed
 
 

@@ -109,6 +109,12 @@ def test_add_to_must_be_float64_of_the_same_config(tiny_mcfg, tiny_weights, tiny
             backward([tiny_sample, tiny_sample], tiny_weights, add_to=add_to)
 
 
+def test_an_empty_batch_is_named(tiny_weights):
+    for targets in (None, []):
+        with pytest.raises(ShapeError, match=r"^the batch is empty: backward needs one sample or more$"):
+            backward([], tiny_weights, targets)
+
+
 def _items(mcfg, count, seed):
     """`count` (sample, target) items: plain samples, then straddling windows."""
     rng = derive_rng(seed, "batch")

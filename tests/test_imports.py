@@ -16,12 +16,12 @@ def test_import_signseg_loads_no_uuid_or_argparse():
     assert out.stdout.strip() == ""
 
 
-def test_no_module_imports_another_ones_private_names_but_the_chunk_backward():
-    # model.py owns the encoder's kernels and the activation layout they
-    # share; gradients.py reaches them through these two entry points only
+def test_no_module_imports_another_ones_private_names():
+    # model.py owns both passes, the encoder's kernels and the activation
+    # layout they share; every other module reaches them by public names
     found = set()
     for path in sorted(Path(signseg.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("signseg")):
                 found |= {(path.stem, alias.name) for alias in node.names if alias.name.startswith("_")}
-    assert found == {("gradients", "_chunks"), ("gradients", "_backward_chunk")}
+    assert found == set()

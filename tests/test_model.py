@@ -398,6 +398,24 @@ class TestEncoderAndClassify:
             probs = forward_probs(weights, frames)
             np.testing.assert_array_equal(probs, np.stack([forward_probs(weights, f) for f in frames]))
 
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            (np.zeros(6), r"frames have shape \(6,\), expected \(4, 6\) or \(B, 4, 6\)"),
+            (np.zeros((4, 5)), r"frames have shape \(4, 5\), expected \(4, 6\) or \(B, 4, 6\)"),
+            (np.zeros((2, 3, 4, 6)), r"frames have shape \(2, 3, 4, 6\), expected \(4, 6\) or \(B, 4, 6\)"),
+            ("abc", r"frames have shape \(\), expected \(4, 6\) or \(B, 4, 6\)"),
+            (5, r"frames have shape \(\), expected \(4, 6\) or \(B, 4, 6\)"),
+        ],
+        ids=["1-d", "2-d", "4-d", "str", "int"],
+    )
+    def test_a_bad_input_names_what_was_passed(self, tiny_weights, frames, message):
+        # the shape of what was passed, not the trailing shape of a window
+        # that is not there (() for a 1-D array and a string's first
+        # character); to numpy a string is one value, of shape ()
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            forward_probs(tiny_weights, frames)
+
     def test_inference_holds_one_layers_arrays(self):
         # a forward-only pass writes every layer, the embedding included,
         # over layer 0's arrays, whatever the depth

@@ -5,7 +5,6 @@ import weakref
 
 import numpy as np
 import pytest
-import signseg.gradients
 import signseg.model
 import signseg.training
 from hypothesis import given, settings
@@ -435,7 +434,7 @@ class TestTrainLoop:
                 made.append(self)
                 super().__init__()
 
-        for module in (signseg.model, signseg.gradients, signseg.training):
+        for module in (signseg.model, signseg.training):
             monkeypatch.setattr(module, "Workspace", Counted)
         weights, history = train(core, val, mcfg, tcfg)
         assert len(made) == 1, f"{len(made)} workspaces"
